@@ -486,11 +486,15 @@ def _resolve_sub(name: str) -> sb.Substitution:
         return _NAMED_SUBS[name]
     try:
         rules = json.loads(name)
-        return sb.Substitution(rules={str(k): str(v) for k, v in rules.items()})
+        sub = sb.Substitution(rules={str(k): str(v) for k, v in rules.items()})
     except (json.JSONDecodeError, AttributeError) as exc:
         raise UsageError(
             f"substitution must be tau/alpha/beta or a JSON rules object, got {name!r}"
         ) from exc
+    bad = sub.problems()
+    if bad:
+        raise UsageError("; ".join(bad))
+    return sub
 
 
 def cmd_subst(args) -> int:

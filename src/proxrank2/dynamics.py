@@ -41,6 +41,7 @@ from .expansion import (
     time_word,
 )
 from .families import TAG_WEAKMIX_NOT_MIX, extend_family
+from .substitution import windows
 
 
 # --------------------------------------------------------------------------
@@ -217,11 +218,6 @@ class LanguageResult:
 _MAX_LANGUAGE_LEVELS = 4096
 
 
-def _windows(word: str, length: int) -> set[str]:
-    """All length-``length`` windows of a word (empty set if it is shorter)."""
-    return {word[i: i + length] for i in range(len(word) - length + 1)}
-
-
 def language(
     spec: CoveringSpec,
     n: int,
@@ -229,16 +225,28 @@ def language(
     stabilize_window: int = 2,
     cap: int | None = None,
 ) -> LanguageResult:
-    """Length-``length`` factors of the level-``n`` rows, with stabilization proof.
+    """Length-``length`` factors of the level-``n`` rows, with stabilization check.
 
-    Takes unions of the factor sets of the level-``n`` time rows of deeper
-    and deeper circuits until the union is unchanged for ``stabilize_window``
-    consecutive levels.  Rows short enough are materialized; deeper rows are
-    tracked exactly by their first/last ``length`` characters plus the
-    factors contributed at each concatenation junction, so the scan stays
-    cheap at any depth.  Family-generated specs are extended on demand; a
+    The level-``n`` row of circuit ``n`` is ``C^l_n``; the row of circuit
+    ``m + 1`` is ``E^a0 X E^a1 X ... X E^ab`` with ``X`` the row of circuit
+    ``m`` and ``(a, b)`` the level-``m`` map.  The engine takes the union of
+    the windows of the rows of deeper and deeper circuits until it is
+    unchanged for ``stabilize_window`` consecutive levels.  Each level's union
+    is exactly the union of the windows of all rows so far: a row is kept as
+    a string (loop runs capped at ``length``, which changes no window) while
+    it is shorter than ``length``; after that a window crosses at most one
+    junction, so only the row's first and last ``length`` letters are kept
+    and each level adds the windows of its junction words
+    ``tail + E^r + head`` (one per distinct loop run ``r``) and of its two
+    margin words.  Family-generated specs are extended on demand; a
     hand-entered spec that runs out of levels returns the partial set
     flagged unstabilized.
+
+    Memory bound: the word set holds at most ``expansion_cap(cap)`` letters
+    (``len(words) * length``; one byte per letter plus about 50 bytes of
+    ``str`` header per word), past which the partial set is returned flagged
+    unstabilized.  Besides it the engine keeps one row of fewer than
+    ``2 * length * (b + 1)`` letters for a level map with ``b`` windings.
     """
     if length < 1:
         raise UsageError(f"factor length must be >= 1, got {length}")
@@ -249,66 +257,35 @@ def language(
     if not 1 <= n <= spec.depth:
         raise UsageError(f"need 1 <= n <= {spec.depth}, got {n}")
     limit = expansion_cap(cap)
-    materialize_below = min(max(1 << 20, 8 * length), limit)
     current = spec
+    l_n = circuit_length(spec, n)
+    row: str | None = "C" * l_n if l_n < length else None
+    head = tail = "C" * length
     words: set[str] = set()
     prev_size: int | None = None
     agree = 0
-    # State of the previous row: exact string, or (prefix, suffix) of length
-    # up to `length`.  The factor union is cumulative, so only junctions of
-    # the next level contribute new words once rows stop being materialized.
-    prev_exact: str | None = None
-    prev_ends: tuple[str, str] | None = None
     m = n + 1
-    while m - n <= _MAX_LANGUAGE_LEVELS:
+    while m - n <= _MAX_LANGUAGE_LEVELS and len(words) * length <= limit:
         if m > current.depth + 1:
             deeper = extend_family(current, current.depth * 2)
             if deeper is None:
                 break
             current = deeper
             continue
-        l_m = circuit_length(current, m)
-        if l_m <= materialize_below:
-            row = time_word(current, m, n, cap=materialize_below + 1)
-            words |= _windows(row, length)
-            prev_exact, prev_ends = row, None
+        a = level_map(current, m - 1).a
+        if row is not None:
+            # Windows can chain across several copies of a short row.
+            row = "C".join("E" * min(r, length) for r in a).replace("C", row)
+            words |= windows(row, length)
+            if len(row) >= length:
+                head, tail, row = row[:length], row[-length:], None
         else:
-            a = level_map(current, m - 1).a
-            if m == n + 1:
-                # First row: the level word with every circuit symbol read as
-                # a block of l_n circuit steps.
-                prev_exact, prev_ends = "C" * circuit_length(current, n), None
-            if prev_exact is not None:
-                head, tail = prev_exact[:length], prev_exact[-length:]
-                short_prev = len(prev_exact) < 2 * length
-            else:
-                assert prev_ends is not None
-                head, tail = prev_ends
-                short_prev = False  # abstracted rows are always long
-            if short_prev:
-                # The previous row is shorter than a window, so windows can
-                # chain across several copies: build the whole next row with
-                # every loop run capped at `length` (exact for window
-                # factors, since a window inside a longer-than-`length` run
-                # reads the same in the capped copy).
-                pieces = ["E" * min(a[0], length)]
-                for j in range(1, len(a)):
-                    pieces.append(prev_exact)
-                    pieces.append("E" * min(a[j], length))
-                capped = "".join(pieces)
-                words |= _windows(capped, length)
-                new_head, new_tail = capped[:length], capped[-length:]
-            else:
-                # A window crosses at most one junction: union the junction
-                # strings, one per distinct loop-run exponent.
-                for a_j in {min(v, length) for v in a[1:-1]}:
-                    words |= _windows(tail + "E" * a_j + head, length)
-                words |= _windows("E" * min(a[0], length) + head, length)
-                words |= _windows(tail + "E" * min(a[-1], length), length)
-                new_head = ("E" * min(a[0], length) + head)[:length]
-                new_tail = (tail + "E" * min(a[-1], length))[-length:]
-            prev_exact, prev_ends = None, (new_head, new_tail)
-        if l_m >= length:
+            for r in {min(v, length) for v in a[1:-1]}:
+                words |= windows(tail + "E" * r + head, length)
+            lead, trail = "E" * min(a[0], length), "E" * min(a[-1], length)
+            words |= windows(lead + head, length) | windows(tail + trail, length)
+            head, tail = (lead + head)[:length], (tail + trail)[-length:]
+        if row is None:
             if prev_size is not None and len(words) == prev_size:
                 agree += 1
                 if agree >= stabilize_window:

@@ -78,14 +78,17 @@ def iterate(sub: Substitution, letter: str, k: int, cap: int | None = None) -> s
     return word
 
 
-def _factors(word: str, length: int) -> set[str]:
-    if len(word) < length:
-        return set()
+def windows(word: str, length: int) -> set[str]:
+    """All length-``length`` windows of a word (empty set if it is shorter)."""
     return {word[i: i + length] for i in range(len(word) - length + 1)}
 
 
 @dataclass(frozen=True)
 class FactorLanguage:
+    """Factors of one length of a seeded substitution; ``iterations`` counts
+    the substitution steps run (growth steps of the seed plus closure layers,
+    the last, empty layer of a stabilized closure included)."""
+
     factors: frozenset
     length: int
     stabilized: bool
@@ -99,111 +102,68 @@ class FactorLanguage:
 def factor_language(
     sub: Substitution, seed: str, length: int, cap: int | None = None
 ) -> FactorLanguage:
-    """Stabilized union of the length-``length`` factors of ``sub^k(seed)``.
+    """Union of the length-``length`` factors of all iterates ``sub^k(seed)``.
 
-    Iterates until two consecutive cumulative unions agree; the certificate
-    ``stabilized_at`` is the first ``k`` whose union was already complete.
-    Hitting the cap first returns the partial set flagged unstabilized.
+    The seed is iterated until it has ``length`` letters, at iterate ``k0``.
+    From ``G = Fact_L(sub^k0(seed))`` a breadth-first closure then adds
+    ``Fact_L(sub(v))`` for each newly found ``v``.  Images are nonempty, so a
+    window of ``sub(w)`` lies in the image of at most ``L`` consecutive
+    letters of ``w``, which extend to a length-``L`` factor once
+    ``|w| >= L``.  Hence
+    ``Fact_L(sub^(k+1)(seed)) = U_{v in Fact_L(sub^k(seed))} Fact_L(sub(v))``
+    for ``k >= k0``: layer ``j`` adds exactly the new factors of iterate
+    ``k0 + j``, and a layer that adds nothing leaves ``G`` closed under the
+    step, a fixed point that proves the union final.  ``stabilized_at`` is
+    the last iterate that added a factor (or the iterate at which a short
+    seed became a fixed word).
+
+    Memory bound: the factor set holds at most ``expansion_cap(cap)``
+    letters (``len(factors) * length``; one byte per letter plus about 50
+    bytes of ``str`` header per factor).  Past it, or when growing the seed
+    would pass the cap or take ``_MAX_STABILIZE_ITER`` steps, the partial set
+    is returned flagged unstabilized.
     """
     if length < 1:
         raise UsageError(f"factor length must be >= 1, got {length}")
     if length > 65536:
         raise UsageError(f"factor length {length} is too large for the window engine")
+    bad = sub.problems()
+    if bad:
+        raise UsageError("; ".join(bad))
+    if any(ch not in sub.rules for ch in seed):
+        raise UsageError(f"seed {seed!r} outside the alphabet {sub.alphabet}")
     limit = expansion_cap(cap)
-    erasing = any(not image for image in sub.rules.values())
-    grow_target = max(4 * length, 256)
-    word = seed
-    seen: set[str] = set()
-    prev_size: int | None = None
-    agree = 0
-    k = 0
-    while True:
-        seen |= _factors(word, length)
-        # Agreement only counts once the iterate is long enough to contribute
-        # (image lengths are monotone, so "long enough" persists).
-        if len(word) >= length:
-            if prev_size is not None and len(seen) == prev_size:
-                agree += 1
-                if agree >= 2:
-                    return FactorLanguage(
-                        factors=frozenset(seen),
-                        length=length,
-                        stabilized=True,
-                        stabilized_at=k - 2,
-                        iterations=k,
-                    )
-            else:
-                agree = 0
-            prev_size = len(seen)
-        if not erasing and len(word) >= grow_target:
-            break
-        grown_len = sum(len(sub.rules[ch]) for ch in word)
-        if grown_len > min(limit, 1 << 22):
-            return FactorLanguage(
-                factors=frozenset(seen),
-                length=length,
-                stabilized=False,
-                stabilized_at=None,
-                iterations=k,
-            )
+
+    def result(seen, stabilized_at, steps):
+        return FactorLanguage(
+            factors=frozenset(seen),
+            length=length,
+            stabilized=stabilized_at is not None,
+            stabilized_at=stabilized_at,
+            iterations=steps,
+        )
+
+    word, k = seed, 0
+    while len(word) < length:
+        if k >= _MAX_STABILIZE_ITER or sum(len(sub.rules[ch]) for ch in word) > limit:
+            return result((), None, k)
         grown = apply_word(sub, word)
         if grown == word:
-            # Fixed word: the union is final even below the factor length.
-            return FactorLanguage(
-                factors=frozenset(seen),
-                length=length,
-                stabilized=True,
-                stabilized_at=k,
-                iterations=k,
-            )
-        word = grown
+            # A fixed word shorter than a window: the union stays empty.
+            return result((), k, k)
+        word, k = grown, k + 1
+    seen = windows(word, length)
+    frontier = seen
+    while frontier:
+        if len(seen) * length > limit:
+            return result(seen, None, k)
+        found: set[str] = set()
+        for v in frontier:
+            found |= windows(apply_word(sub, v), length)
+        frontier = found - seen
+        seen |= frontier
         k += 1
-        if k >= _MAX_STABILIZE_ITER:
-            return FactorLanguage(
-                factors=frozenset(seen),
-                length=length,
-                stabilized=False,
-                stabilized_at=None,
-                iterations=k,
-            )
-    # The iterate is long, so switch to tracking fixed-width windows instead
-    # of whole words.  A width-w window of the image lies inside the image of
-    # a width-(w+2) window of the source (images are nonempty, so a window
-    # spans at most w+2 letters), which makes the window sets of successive
-    # iterates computable from each other with the width shrinking by 2 per
-    # step.  Start wide enough to fund the remaining budget.
-    budget = max(12, length + 4)
-    width = length + 2 * budget
-    windows = _factors(word, width)
-    for _ in range(budget):
-        width -= 2
-        grown_windows: set[str] = set()
-        for piece in windows:
-            grown_windows |= _factors(apply_word(sub, piece), width)
-        windows = grown_windows
-        k += 1
-        for piece in windows:
-            seen |= _factors(piece, length)
-        if prev_size is not None and len(seen) == prev_size:
-            agree += 1
-            if agree >= 2:
-                return FactorLanguage(
-                    factors=frozenset(seen),
-                    length=length,
-                    stabilized=True,
-                    stabilized_at=k - 2,
-                    iterations=k,
-                )
-        else:
-            agree = 0
-        prev_size = len(seen)
-    return FactorLanguage(
-        factors=frozenset(seen),
-        length=length,
-        stabilized=False,
-        stabilized_at=None,
-        iterations=k,
-    )
+    return result(seen, k - 1, k)
 
 
 @dataclass(frozen=True)

@@ -157,3 +157,11 @@ def test_language_command_exit_reflects_stabilization(base_spec_file, capsys, tm
     hand.write_text(json.dumps({"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}]}))
     code, _, _ = run(capsys, ["language", "1", "4", "--spec", str(hand)])
     assert code == 1
+
+
+@pytest.mark.parametrize("rules", ['{"0":"0x","1":"1"}', '{"0":"","1":"10"}'])
+def test_malformed_substitution_exits_two(capsys, rules):
+    code, out, err = run(capsys, ["subst", "lang", rules, "0", "3"])
+    assert code == 2
+    assert out == ""
+    assert "image of '0'" in err

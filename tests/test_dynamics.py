@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     BETA,
@@ -19,6 +21,7 @@ from proxrank2 import (
     gen_mixing_family,
     gen_not_weakmix_family,
     gen_substitution_family,
+    gen_uniquely_ergodic_family,
     gen_weakmix_not_mix_family,
     iterate,
     language,
@@ -107,6 +110,41 @@ def test_language_unstabilized_for_hand_spec(capsys):
     lang = language(hand, 1, 4)
     assert not lang.stabilized
     assert lang.stabilized_at is None
+
+
+_FAMILIES = (
+    gen_substitution_family,
+    gen_mixing_family,
+    gen_weakmix_not_mix_family,
+    gen_not_weakmix_family,
+    gen_uniquely_ergodic_family,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.integers(1, 3), st.integers(1, 24))
+def test_language_equals_windows_of_materialized_rows(gen, n, length):
+    lang = language(gen(depth=4), n, length)
+    assert lang.stabilized
+    spec = gen(depth=lang.top_level_used)
+    union: set[str] = set()
+    for m in range(n + 1, lang.top_level_used + 1):
+        if circuit_length(spec, m) > 1 << 17:
+            break
+        row = time_word(spec, m, n)
+        union |= {row[i: i + length] for i in range(len(row) - length + 1)}
+        assert union <= lang.words
+        if m == lang.stabilized_at:
+            assert union == lang.words
+    else:
+        assert union == lang.words
+
+
+def test_language_at_deep_base_level():
+    spec = gen_mixing_family(depth=40)
+    deep = language(spec, 35, 4)
+    assert deep.stabilized
+    assert deep.words == language(spec, 10, 4).words
 
 
 def test_complexity_profile_counts_and_decay():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     ALPHA,
@@ -126,3 +128,49 @@ def test_bridge_across_window_sizes():
 def test_apply_word_rejects_foreign_letters():
     with pytest.raises(UsageError):
         apply_word(BETA, "0x1")
+
+
+@st.composite
+def _substitutions(draw):
+    alphabet = "012"[: draw(st.integers(2, 3))]
+    images = st.text(alphabet, min_size=1, max_size=4)
+    return Substitution({x: draw(images) for x in alphabet}), alphabet
+
+
+@settings(max_examples=150, deadline=None)
+@given(_substitutions(), st.data(), st.integers(1, 10))
+def test_factor_language_equals_brute_force_union(drawn, data, length):
+    sub, alphabet = drawn
+    seed = data.draw(st.text(alphabet, min_size=1, max_size=3))
+    lang = factor_language(sub, seed, length)
+    if not lang.stabilized:
+        # only a seed whose iterates never reach `length` letters and never
+        # settle on a fixed word is left open
+        assert lang.factors == frozenset()
+        assert len(iterate(sub, seed, 64)) < length
+        return
+    word, union = seed, set()
+    for k in range(lang.stabilized_at + 40):
+        factors = {word[i: i + length] for i in range(len(word) - length + 1)}
+        if k <= lang.stabilized_at:
+            union |= factors
+        else:
+            assert factors <= lang.factors
+        if len(word) * max(map(len, sub.rules.values())) > 20_000:
+            break
+        word = apply_word(sub, word)
+    assume(k > lang.stabilized_at)
+    assert union == lang.factors
+
+
+def test_factor_language_rejects_malformed_substitutions():
+    with pytest.raises(UsageError):
+        factor_language(Substitution({"0": "0x", "1": "1"}), "0", 3)
+    with pytest.raises(UsageError):
+        factor_language(Substitution({"0": "", "1": "10"}), "1", 3)
+
+
+def test_factor_language_memory_bound_leaves_it_unstabilized():
+    lang = factor_language(BETA, "0", 12, cap=100)
+    assert not lang.stabilized and lang.stabilized_at is None
+    assert factor_language(BETA, "0", 12).stabilized
