@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .covering import CoveringSpec, LevelMap, circuit_length, level_map, validate
 from .errors import (
@@ -42,6 +43,10 @@ class OrderedBratteliDiagram:
     ordinal.  ``certified_max_min`` asserts that the all-loop path is the
     unique maximal and unique minimal infinite path, which makes the Vershik
     map fix it.
+
+    The diagram is immutable, so its path counts are tabulated once:
+    :attr:`span_rows` holds one dict per vertex row (two ints per row of a
+    two-vertex diagram), built on first use.
     """
 
     vertex_rows: tuple[tuple[str, ...], ...]
@@ -71,20 +76,31 @@ class OrderedBratteliDiagram:
         """Number of finite paths from the root into the vertex."""
         if not 0 <= row <= self.rows:
             raise UsageError(f"row {row} outside 0..{self.rows}")
-        table = self.span_table(row)
+        table = self.span_rows[row]
         if vertex not in table:
             raise UsageError(f"no vertex {vertex!r} at row {row}")
         return table[vertex]
 
     def span_table(self, row: int) -> dict[str, int]:
-        """Path counts of every vertex of a row, computed bottom-up."""
+        """Path counts of every vertex of a row.
+
+        A copy of the row's entry in the diagram's span table
+        (:attr:`span_rows`: two ints per row of a two-vertex diagram, built
+        once per diagram).
+        """
+        if not 0 <= row <= self.rows:
+            raise UsageError(f"row {row} outside 0..{self.rows}")
+        return dict(self.span_rows[row])
+
+    @cached_property
+    def span_rows(self) -> tuple[dict[str, int], ...]:
+        """Path counts of every vertex, one dict per row, computed bottom-up once."""
         spans = {v: 1 for v in self.vertex_rows[0]}
-        for r in range(1, row + 1):
-            spans = {
-                name: sum(spans[e.source] for e in edges)
-                for name, edges in self.edge_rows[r - 1]
-            }
-        return spans
+        out = [spans]
+        for edges_row in self.edge_rows:
+            spans = {name: sum(spans[e.source] for e in edges) for name, edges in edges_row}
+            out.append(spans)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -344,7 +360,7 @@ def maximal_path(
 def position_of_path(diagram: OrderedBratteliDiagram, path: FinitePath) -> int:
     """Time offset of the path among all paths into its target (top edge heaviest)."""
     edges = resolve_path(diagram, path)
-    tables = [diagram.span_table(row) for row in range(path.target_row)]
+    tables = diagram.span_rows
     pos = 0
     vertex = path.target
     for row in range(path.target_row, 0, -1):
@@ -362,7 +378,7 @@ def path_from_position(
     total = diagram.span(target_row, target)
     if not 0 <= position < total:
         raise UsageError(f"position {position} outside 0..{total - 1}")
-    tables = [diagram.span_table(row) for row in range(target_row)]
+    tables = diagram.span_rows
     ordinals: list[int] = []
     vertex = target
     rem = position

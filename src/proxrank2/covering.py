@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from .errors import ExpansionTooLarge, UsageError
@@ -227,6 +228,10 @@ class CoveringSpec:
     ``levels[k]`` is the map of level ``k+1`` (1-based level ``n`` has map
     ``levels[n-1]``, describing circuit ``n+1`` over graph ``n``).  A spec of
     depth ``D`` presents circuit lengths for levels ``1 .. D+1``.
+
+    The spec is immutable, so its circuit lengths are tabulated once:
+    :attr:`lengths` holds ``l_1 .. l_{D+1}`` (one int per level), built on
+    first use and read by :func:`circuit_length`.
     """
 
     l1: int
@@ -236,6 +241,17 @@ class CoveringSpec:
     @property
     def depth(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Circuit lengths ``l_1 .. l_{depth+1}`` by ``l_{n+1} = sum(a) + b l_n``."""
+        out = [self.l1]
+        for n, lm in enumerate(self.levels, start=1):
+            try:
+                out.append(lm.next_length(out[-1]))
+            except TypeError as exc:
+                raise UsageError(f"level {n}: cannot compute a circuit length: {exc}") from exc
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -296,13 +312,14 @@ def level_map(spec: CoveringSpec, n: int) -> LevelMap:
 
 
 def circuit_length(spec: CoveringSpec, n: int) -> int:
-    """Length of the level-``n`` circuit; presented levels are ``1 .. depth+1``."""
+    """Length of the level-``n`` circuit; presented levels are ``1 .. depth+1``.
+
+    A lookup in the spec's length table (:attr:`CoveringSpec.lengths`, one
+    int per level, built once per spec).
+    """
     if not 1 <= n <= spec.depth + 1:
         raise UsageError(f"circuit level {n} outside presented range 1..{spec.depth + 1}")
-    length = spec.l1
-    for k in range(1, n):
-        length = spec.levels[k - 1].next_length(length)
-    return length
+    return spec.lengths[n - 1]
 
 
 def winding_product(spec: CoveringSpec, m: int, n: int) -> int:
@@ -390,7 +407,7 @@ def level_map_from_dict(d: dict) -> LevelMap:
         bad = r.problems()
         if bad:
             raise UsageError("; ".join(bad))
-        return LevelMap.from_word(r.word(), restricted=r)
+        return r.to_level_map()
     try:
         return LevelMap(a=tuple(d["a"]), b=d["b"])
     except (KeyError, TypeError) as exc:

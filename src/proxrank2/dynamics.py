@@ -22,6 +22,7 @@ import numpy as np
 
 from .covering import (
     CoveringSpec,
+    LevelMap,
     circuit_length,
     expansion_cap,
     level_map,
@@ -89,6 +90,36 @@ class PointSeed:
             raise UsageError(f"seed dict needs top_level/slot_path/offset, got {d!r}") from exc
 
 
+def _slot_time(lm: LevelMap, l_k: int, slot: int) -> tuple[int, str]:
+    """Time offset and kind of symbol ``slot`` (in range) of a level map's word.
+
+    Walks the runs (``a[j]`` loop steps, then one circuit block of ``l_k``
+    steps) instead of spelling out the word.
+    """
+    time = 0
+    for run in lm.a[:-1]:
+        if slot < run:
+            return time + slot, "E"
+        if slot == run:
+            return time + run, "C"
+        slot -= run + 1
+        time += run + l_k
+    return time + slot, "E"
+
+
+def _time_slot(lm: LevelMap, l_k: int, time: int) -> tuple[int, str, int]:
+    """Inverse of :func:`_slot_time`: (slot, kind, time left inside that block)."""
+    slot = 0
+    for run in lm.a[:-1]:
+        if time < run:
+            return slot + time, "E", 0
+        if time < run + l_k:
+            return slot + run, "C", time - run
+        time -= run + l_k
+        slot += run + 1
+    return slot + time, "E", 0
+
+
 def _descend(spec: CoveringSpec, seed: PointSeed) -> tuple[int, str]:
     """Validate a seed and return (absolute position, base block kind)."""
     if not 1 <= seed.base_level <= seed.top_level <= spec.depth + 1:
@@ -108,14 +139,12 @@ def _descend(spec: CoveringSpec, seed: PointSeed) -> tuple[int, str]:
             if slot != 0:
                 raise UsageError(f"level-{k} slot must be 0 under a loop block, got {slot}")
             continue
-        word = level_map(spec, k).word()
-        if not 0 <= slot < len(word):
-            raise UsageError(f"level-{k} slot {slot} outside 0..{len(word) - 1}")
-        l_k = circuit_length(spec, k)
-        prefix = word[:slot]
-        n_c = prefix.count("C")
-        pos += (len(prefix) - n_c) + n_c * l_k
-        kind = word[slot]
+        lm = level_map(spec, k)
+        symbols = lm.a_total + lm.b
+        if not 0 <= slot < symbols:
+            raise UsageError(f"level-{k} slot {slot} outside 0..{symbols - 1}")
+        time, kind = _slot_time(lm, circuit_length(spec, k), slot)
+        pos += time
     base_span = circuit_length(spec, seed.base_level) if kind == "C" else 1
     if not 0 <= seed.offset < base_span:
         raise UsageError(
@@ -151,15 +180,8 @@ def seed_from_position(
         if kind == "E":
             slots.append(0)
             continue
-        word = level_map(spec, k).word()
-        l_k = circuit_length(spec, k)
-        for slot, ch in enumerate(word):
-            span = l_k if ch == "C" else 1
-            if rem < span:
-                slots.append(slot)
-                kind = ch
-                break
-            rem -= span
+        slot, kind, rem = _time_slot(level_map(spec, k), circuit_length(spec, k), rem)
+        slots.append(slot)
     slots.reverse()
     return PointSeed(top_level=top_level, slot_path=tuple(slots), offset=rem, base_level=base_level)
 

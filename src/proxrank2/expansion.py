@@ -335,8 +335,7 @@ def _strip_segments(
             segs.append(np.concatenate([tail, core[1:w1 + 1]]))
         else:
             segs.append(np.concatenate([tail, np.zeros(g - 1, dtype=dt), head]))
-    lead = sum(level_map(spec, k).a[0] for k in range(k0, m))
-    trail = sum(level_map(spec, k).a[-1] for k in range(k0, m))
+    lead, trail = e_run_margins(spec, m, k0)
     if overflow or lead > window:
         segs.append(np.concatenate([np.zeros(w1, dtype=dt), head]))
     else:
@@ -424,10 +423,10 @@ def gap_structure_report(spec: CoveringSpec, m: int, n: int, cap: int | None = N
     interior = sorted({len(p) for p in pieces})
     realized = set(interior)
     taus = []
+    tau = 0  # running e_run_margins(spec, k + 1, n), both margins summed
     for k in range(n, m - 1):
-        lead = sum(level_map(spec, i).a[0] for i in range(n, k + 1))
-        trail = sum(level_map(spec, i).a[-1] for i in range(n, k + 1))
-        tau = lead + trail
+        lm = level_map(spec, k)
+        tau += lm.a[0] + lm.a[-1]
         taus.append((k, tau, tau in realized))
     cc_present = "CC" in compose_word(spec, m, m - 1, cap=cap)
     return GapStructureReport(

@@ -82,13 +82,12 @@ class MeasureVector:
 def r_value(spec: CoveringSpec, n: int) -> Fraction:
     """Circuit mass of one refinement step: ``r(n) = b(n) l_n / l_{n+1}``."""
     lm = level_map(spec, n)
-    l_n = circuit_length(spec, n)
-    return Fraction(lm.b * l_n, lm.next_length(l_n))
+    return Fraction(lm.b * circuit_length(spec, n), circuit_length(spec, n + 1))
 
 
 def one_minus_r(spec: CoveringSpec, n: int) -> Fraction:
     """Loop mass of one refinement step: ``sum(a(n)) / l_{n+1}``."""
-    return 1 - r_value(spec, n)
+    return Fraction(level_map(spec, n).a_total, circuit_length(spec, n + 1))
 
 
 def r_product(spec: CoveringSpec, m: int, n: int) -> Fraction:
@@ -99,10 +98,7 @@ def r_product(spec: CoveringSpec, m: int, n: int) -> Fraction:
     """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
-    prod = Fraction(1)
-    for i in range(n, m):
-        prod *= r_value(spec, i)
-    return prod
+    return Fraction(winding_product(spec, m, n) * circuit_length(spec, n), circuit_length(spec, m))
 
 
 def xi_project(spec: CoveringSpec, m: int, n: int, point: SimplexPoint) -> SimplexPoint:
@@ -257,11 +253,12 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         raise UsageError("need at least one presented level")
     rows = []
     psum = Fraction(0)
-    pprod = Fraction(1)
+    big_b = 1  # winding product B(i + 1, 1)
     for i in range(1, top + 1):
         x = one_minus_r(spec, i)
         psum += x
-        pprod *= 1 - x
+        big_b *= spec.levels[i - 1].b
+        pprod = Fraction(big_b * spec.l1, circuit_length(spec, i + 1))  # r(i + 1, 1)
         rows.append(ErgodicityRow(i=i, one_minus_r=x, partial_sum=psum, partial_product=pprod))
     rows = tuple(rows)
 

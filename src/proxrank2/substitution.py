@@ -66,6 +66,9 @@ def iterate(sub: Substitution, letter: str, k: int, cap: int | None = None) -> s
     """The word ``sub^k(letter)`` (``k >= 0``), capped in length."""
     if k < 0:
         raise UsageError(f"k must be >= 0, got {k}")
+    bad = sub.problems()
+    if bad:
+        raise UsageError("; ".join(bad))
     limit = expansion_cap(cap)
     word = letter
     if any(ch not in sub.rules for ch in word):

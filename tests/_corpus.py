@@ -4,10 +4,14 @@ Two shapes are produced: specs whose every level is in the restricted form
 (so the margin-stripping recursion applies), and plain reduced specs with
 arbitrary loop exponents.  Both keep circuit lengths small enough to
 materialize, and both are deterministic in the supplied RNG.
+:data:`reduced_specs` is a hypothesis strategy for deep reduced specs whose
+lengths are never materialized.
 """
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from proxrank2 import CoveringSpec, LevelMap, RestrictedLevelMap
 
@@ -65,3 +69,30 @@ def random_plain_spec(
         else:
             break
     return CoveringSpec(l1=l1, levels=tuple(levels))
+
+
+def _level_maps(b: int):
+    inner = st.lists(st.integers(0, 5), min_size=b - 1, max_size=b - 1)
+    return st.tuples(st.integers(1, 5), inner, st.integers(1, 5)).map(
+        lambda t: LevelMap(a=(t[0], *t[1], t[2]), b=b)
+    )
+
+
+#: Reduced specs of 1-40 levels with windings 1-4 and margins >= 1.
+reduced_specs = st.builds(
+    lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+    st.integers(2, 9),
+    st.integers(1, 40).flatmap(
+        lambda depth: st.lists(
+            st.integers(1, 4).flatmap(_level_maps), min_size=depth, max_size=depth
+        )
+    ),
+)
+
+
+def raw_lengths(spec: CoveringSpec) -> list[int]:
+    """Circuit lengths ``l_1 .. l_{depth+1}`` by the recurrence, from scratch."""
+    out = [spec.l1]
+    for lm in spec.levels:
+        out.append(sum(lm.a) + lm.b * out[-1])
+    return out

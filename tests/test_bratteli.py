@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     Edge,
@@ -30,7 +32,7 @@ from proxrank2 import (
     vershik_successor,
 )
 
-from _corpus import random_plain_spec, random_restricted_spec
+from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
 
 BASE = gen_substitution_family(depth=6)
 DIAG = covering_to_diagram(BASE, rows=4)
@@ -50,6 +52,20 @@ def test_spans_equal_circuit_lengths():
     for row in range(1, 5):
         assert DIAG.span(row, "c") == circuit_length(BASE, row)
         assert DIAG.span(row, "e") == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduced_specs, st.data())
+def test_span_table_matches_lengths_and_inverts_positions(spec, data):
+    diagram = covering_to_diagram(spec)
+    for row in range(1, diagram.rows + 1):
+        assert diagram.span(row, "c") == circuit_length(spec, row)
+        assert diagram.span(row, "e") == 1
+        assert diagram.span_table(row) == {"c": circuit_length(spec, row), "e": 1}
+    row = data.draw(st.integers(1, diagram.rows))
+    pos = data.draw(st.integers(0, circuit_length(spec, row) - 1))
+    path = path_from_position(diagram, row, "c", pos)
+    assert position_of_path(diagram, path) == pos
 
 
 def test_validate_diagram_passes_translated_specs():

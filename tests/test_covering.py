@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     CoveringSpec,
@@ -19,7 +21,9 @@ from proxrank2 import (
     gen_substitution_family,
     gen_uniquely_ergodic_family,
     gen_weakmix_not_mix_family,
+    spec_from_dict,
     spec_from_json,
+    spec_to_dict,
     spec_to_json,
     symbol_count,
     telescope,
@@ -27,7 +31,7 @@ from proxrank2 import (
     winding_product,
 )
 
-from _corpus import random_plain_spec, random_restricted_spec
+from _corpus import random_plain_spec, random_restricted_spec, raw_lengths, reduced_specs
 
 
 def test_base_family_lengths_follow_recurrence():
@@ -38,6 +42,32 @@ def test_base_family_lengths_follow_recurrence():
     assert lengths[1] == 3 + 2 * lengths[0]
     for prev, nxt in zip(lengths[1:], lengths[2:]):
         assert nxt == 3 + 4 * prev
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduced_specs, st.data())
+def test_length_table_matches_raw_recurrence(spec, data):
+    raw = raw_lengths(spec)
+    assert [circuit_length(spec, n) for n in range(1, spec.depth + 2)] == raw
+    back = spec_from_dict(spec_to_dict(spec))
+    assert [circuit_length(back, n) for n in range(1, back.depth + 2)] == raw
+    # keep levels at most three apart so the composed words stay small
+    keep = [data.draw(st.integers(1, spec.depth + 1))]
+    while keep[-1] < spec.depth + 1:
+        keep.append(min(spec.depth + 1, keep[-1] + data.draw(st.integers(1, 3))))
+    tele = telescope(spec, keep)
+    assert [circuit_length(tele, j) for j in range(1, tele.depth + 2)] == [
+        raw[k - 1] for k in keep
+    ]
+    for bad in (0, spec.depth + 2):
+        with pytest.raises(UsageError):
+            circuit_length(spec, bad)
+
+
+def test_length_table_rejects_non_numeric_levels():
+    bad = spec_from_json('{"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}, {"a": [1, "x"], "b": 1}]}')
+    with pytest.raises(UsageError, match="level 2"):
+        circuit_length(bad, 1)
 
 
 def test_validate_accepts_generated_families():
@@ -186,6 +216,13 @@ def test_weakmix_family_records_stage_numbers():
     assert stages[1]["len_d"] == "216181" and stages[1]["s"] == "324272"
     lengths = [circuit_length(spec, i) for i in range(1, 9)]
     assert lengths == [3, 17, 87, 1729, 8647, 43237, 864729, 4323647]
+
+
+def test_json_round_trip_keeps_giant_margins_symbolic():
+    spec = gen_weakmix_not_mix_family(depth=12)
+    back = spec_from_json(spec_to_json(spec))
+    assert back.levels == spec.levels
+    assert circuit_length(back, 13) == circuit_length(spec, 13)
 
 
 def test_weakmix_family_extends_without_materializing_margins():

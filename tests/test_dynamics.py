@@ -1,6 +1,7 @@
 """Symbolic dynamics on the covering: languages, arrays, witnesses, scans."""
 from __future__ import annotations
 
+import bisect
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from proxrank2 import (
     circuit_length,
     complexity_profile,
     forbidden_window_report,
+    gen_family,
     gen_mixing_family,
     gen_not_weakmix_family,
     gen_substitution_family,
@@ -41,6 +43,15 @@ from proxrank2 import (
 BASE = gen_substitution_family(depth=6)
 
 
+_FAMILIES = (
+    gen_substitution_family,
+    gen_mixing_family,
+    gen_weakmix_not_mix_family,
+    gen_not_weakmix_family,
+    gen_uniquely_ergodic_family,
+)
+
+
 # ----------------------------------------------------------------- seeds ---
 
 def test_seed_position_bijection_on_level_four():
@@ -53,6 +64,52 @@ def test_seed_position_bijection_on_level_four():
         assert back == pos
         seen.add(seed)
     assert len(seen) == l4
+
+
+@pytest.mark.parametrize("top", (20, 84, 247, 451))
+@pytest.mark.parametrize(
+    "tag, params", [("weakmix_not_mix", {}), ("custom", {"kind": "uniquely_ergodic"})]
+)
+def test_seed_round_trip_with_giant_margins(tag, params, top):
+    # margins here grow with the circuit lengths; the descent reads runs only
+    spec = gen_family(tag, depth=800, **params)
+    l_top = circuit_length(spec, top)
+    for pos in (0, 1, l_top // 3, l_top // 2, l_top - 1):
+        seed = seed_from_position(spec, top, pos)
+        assert position_of_seed(spec, seed) == pos
+
+
+def _block_starts(row: str, l_k: int) -> list[int]:
+    """Times where a level-``k`` block starts in a time row (E: one step)."""
+    starts = []
+    run = 0
+    for t, ch in enumerate(row):
+        if ch == "E":
+            starts.append(t)
+            run = 0
+        else:
+            if run % l_k == 0:
+                starts.append(t)
+            run += 1
+    return starts
+
+
+@pytest.mark.parametrize("gen", _FAMILIES)
+def test_seed_slots_match_time_word_decode(gen):
+    spec = gen(depth=4)
+    top = max(m for m in range(2, spec.depth + 2) if circuit_length(spec, m) <= 4000)
+    starts = {
+        k: _block_starts(time_word(spec, top, k), circuit_length(spec, k))
+        for k in range(1, top)
+    }
+    starts[top] = [0]
+    for pos in range(circuit_length(spec, top)):
+        seed = seed_from_position(spec, top, pos)
+        ends = {k: bisect.bisect_right(starts[k], pos) for k in starts}
+        for k in range(1, top):
+            first = bisect.bisect_left(starts[k], starts[k + 1][ends[k + 1] - 1])
+            assert seed.slot_at(k) == ends[k] - first - 1
+        assert seed.offset == pos - starts[1][ends[1] - 1]
 
 
 def test_stable_and_unstable_seed_positions():
@@ -86,9 +143,15 @@ def test_language_matches_substitution_after_relettering():
         relettered = {w.replace("E", "1").replace("C", "0") for w in lang.words}
         assert relettered == set(factor_language(BETA, "0", length).factors), length
     # anchor against a directly materialized iterate: at width 10 every word
-    # is already realized by the twelfth image
+    # is already realized by the twelfth image (windows read as 10-bit codes)
     word = iterate(BETA, "0", 12)
-    direct = {word[i: i + 10] for i in range(len(word) - 9)}
+    bits = np.frombuffer(word.encode("ascii"), dtype=np.uint8) - ord("0")
+    count = bits.size - 9
+    codes = np.zeros(count, dtype=np.uint16)
+    for j in range(10):
+        codes <<= 1
+        codes |= bits[j: j + count]
+    direct = {format(c, "010b") for c in np.flatnonzero(np.bincount(codes, minlength=1024))}
     lang10 = language(BASE, 1, 10)
     assert {w.replace("E", "1").replace("C", "0") for w in lang10.words} == direct
 
@@ -110,15 +173,6 @@ def test_language_unstabilized_for_hand_spec(capsys):
     lang = language(hand, 1, 4)
     assert not lang.stabilized
     assert lang.stabilized_at is None
-
-
-_FAMILIES = (
-    gen_substitution_family,
-    gen_mixing_family,
-    gen_weakmix_not_mix_family,
-    gen_not_weakmix_family,
-    gen_uniquely_ergodic_family,
-)
 
 
 @settings(max_examples=60, deadline=None)

@@ -163,6 +163,13 @@ def test_factor_language_equals_brute_force_union(drawn, data, length):
     assert union == lang.factors
 
 
+def test_iterate_rejects_malformed_substitutions():
+    with pytest.raises(UsageError, match="outside the alphabet"):
+        iterate(Substitution({"0": "0x", "1": "1"}), "0", 3)
+    with pytest.raises(UsageError, match="nonempty"):
+        iterate(Substitution({"0": "", "1": "10"}), "1", 2)
+
+
 def test_factor_language_rejects_malformed_substitutions():
     with pytest.raises(UsageError):
         factor_language(Substitution({"0": "0x", "1": "1"}), "0", 3)
