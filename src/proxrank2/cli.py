@@ -42,6 +42,7 @@ from .expansion import (
 from .families import gen_family
 from .measures import (
     classify_ergodicity,
+    decimal_str,
     one_minus_r,
     r_value,
     vertex_measure,
@@ -84,7 +85,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def cmd_liyorke(args) -> int:
 
 def cmd_mixcheck(args) -> int:
     spec = _load_spec(args)
-    report = dyn.mixing_window_check(spec, args.m, args.n, cap=args.cap, threads=args.threads)
+    report = dyn.mixing_window_check(spec, args.m, args.n, cap=args.cap)
     if args.json:
         _print_json(report.to_dict())
     else:
@@ -581,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", help="covering spec JSON file, or - for stdin")
     common.add_argument("--cap", type=int, help="expansion cap override")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for sampling commands")
-    common.add_argument("--threads", type=int, default=1, help="worker threads where supported")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
         "--json-errors", action="store_true", help="report errors as JSON on stderr"

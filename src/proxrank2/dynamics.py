@@ -592,7 +592,7 @@ class MixingWindowReport:
 
 
 def mixing_window_check(
-    spec: CoveringSpec, m: int, n: int, cap: int | None = None, threads: int = 1
+    spec: CoveringSpec, m: int, n: int, cap: int | None = None
 ) -> MixingWindowReport:
     """Verify the gap window ``[3 l_n, 2(m - n)]`` is full for every vertex pair.
 
@@ -615,24 +615,14 @@ def mixing_window_check(
     if lo > hi:
         violations.append(f"window [3*l_n, 2(m-n)] = [{lo}, {hi}] is empty")
     table, engine = realized_gap_table(spec, m, n, max(hi, 1), cap=cap)
-
-    def scan_row(u: int) -> list[tuple[int, int, tuple[int, ...]]]:
-        row_failures = []
-        for v in range(l_n):
-            if lo <= hi:
-                missing = np.flatnonzero(~table[u, v, lo: hi + 1])
-                if missing.size:
-                    row_failures.append((u, v, tuple(int(lo + g) for g in missing)))
-        return row_failures
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(scan_row, range(l_n))
-    else:
-        rows = map(scan_row, range(l_n))
-    failures = [f for row in rows for f in row]
+    # (u, v, gap - lo) of every missing gap, sorted by pair, then by gap.
+    missing = np.argwhere(~table[:, :, lo: hi + 1])
+    cuts = np.flatnonzero(np.any(missing[1:, :2] != missing[:-1, :2], axis=1)) + 1
+    failures = [
+        (int(run[0, 0]), int(run[0, 1]), tuple(int(lo + g) for g in run[:, 2]))
+        for run in np.split(missing, cuts)
+        if run.size
+    ]
     return MixingWindowReport(
         m=m,
         n=n,

@@ -290,19 +290,20 @@ def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:
 
 def _strip_segments(
     spec: CoveringSpec, m: int, n: int, window: int, cap: int | None = None
-) -> tuple[list[np.ndarray], str]:
-    """Segments whose pair scan is exhaustive for gaps ``<= window`` in circuit ``m``.
+) -> tuple[np.ndarray, tuple[int, ...], tuple[np.ndarray, ...]]:
+    """What the strip engine scans for gaps ``<= window`` in circuit ``m``.
 
     Picks the lowest level ``k0 >= n`` whose circuit length exceeds the
-    window, materializes that one walk, and adds short strips for every
-    distinct loop run separating consecutive level-``k0`` traversals (runs at
-    least ``window + 1`` long are never bridged: both sides are emitted
-    separately, padded by enough central vertices) plus the two margin strips.
+    window and materializes that one walk, the *core*.  Returns the core, the
+    distinct loop runs ``g <= window`` separating consecutive level-``k0``
+    traversals (the run strips ``tail ‖ 0^(g-1) ‖ head`` are never built;
+    :func:`_mark_runs` marks them), and the two margin strips.  Runs at least
+    ``window + 1`` long are never bridged: they are dropped, and both margin
+    strips are padded by enough central vertices to cover either side of
+    them.  Memory: the core walk, at most ``expansion_cap(cap)`` entries.
     """
     l_m = circuit_length(spec, m)
     limit = expansion_cap(cap)
-    if l_m + 1 <= limit and l_m < window + 1:
-        return [_walk_array(spec, m, n, cap=cap)], "materialized"
     k0 = None
     for k in range(n, m + 1):
         if circuit_length(spec, k) >= window + 1:
@@ -311,40 +312,103 @@ def _strip_segments(
     if k0 is None:
         raise ExpansionTooLarge(l_m + 1, limit, what=f"gap scan of circuit {m} over level {n}")
     core = _walk_array(spec, k0, n, cap=cap)
-    w1 = window + 1
-    segs = [core]
     if m == k0:
-        return segs, "strips"
+        return core, (), ()
+    w1 = window + 1
     dt = core.dtype
     head = core[:w1]
     tail = core[-w1:]
-    runs: set[int] = set()
-    overflow = False
+    # Bit g of ``runs``: a run of g loops; bit w1: a run of at least w1 loops.
+    full = (1 << w1) - 1
+    runs = 0
     for k in range(m - 1, k0 - 1, -1):
         lm = level_map(spec, k)
-        lifted = set()
-        for g in runs:
-            val = lm.a[-1] + g + lm.a[0]
-            lifted.add(min(val, w1))
-        runs = lifted | {min(x, w1) for x in lm.a[1:-1]}
-    for g in sorted(runs):
-        if g >= w1:
-            overflow = True
-            continue
-        if g == 0:
-            segs.append(np.concatenate([tail, core[1:w1 + 1]]))
-        else:
-            segs.append(np.concatenate([tail, np.zeros(g - 1, dtype=dt), head]))
+        lifted = runs << min(lm.a[-1] + lm.a[0], w1)
+        runs = (lifted & full) | (lifted > full) << w1
+        for x in lm.a[1:-1]:
+            runs |= 1 << min(x, w1)
+    overflow = bool(runs >> w1)
     lead, trail = e_run_margins(spec, m, k0)
-    if overflow or lead > window:
-        segs.append(np.concatenate([np.zeros(w1, dtype=dt), head]))
-    else:
-        segs.append(np.concatenate([np.zeros(lead, dtype=dt), head]))
-    if overflow or trail > window:
-        segs.append(np.concatenate([tail, np.zeros(w1, dtype=dt)]))
-    else:
-        segs.append(np.concatenate([tail, np.zeros(trail, dtype=dt)]))
-    return segs, "strips"
+    lead = w1 if overflow or lead > window else lead
+    trail = w1 if overflow or trail > window else trail
+    margins = (
+        np.concatenate([np.zeros(lead, dtype=dt), head]),
+        np.concatenate([tail, np.zeros(trail, dtype=dt)]),
+    )
+    return core, tuple(g for g in range(w1) if runs >> g & 1), margins
+
+
+_PAIR_BLOCK = 1 << 18  # (L*, R*) index pairs per block of _mark_runs: about 10 MB
+
+
+def _zero_block_cover(
+    rows: np.ndarray, starts: np.ndarray, g: int, size: int, width: int
+) -> np.ndarray:
+    """Bool ``(size, width + 1)``: row ``r`` covers ``s .. s + g`` for each ``(r, s)`` pair."""
+    hits = np.zeros((size, width + 1), dtype=np.int32)
+    hits[rows, starts] = 1
+    cs = np.cumsum(hits, axis=1)
+    covered = cs.copy()
+    covered[:, g + 1:] -= cs[:, : width - g]
+    return covered > 0
+
+
+def _mark_runs(
+    table: np.ndarray,
+    core: np.ndarray,
+    runs: tuple[int, ...],
+    u: int | None = None,
+    v: int | None = None,
+) -> None:
+    """OR the gaps of every run strip ``tail ‖ 0^(g-1) ‖ head`` into ``table``.
+
+    ``table`` is ``T[u, v, gap]`` for all pairs, or ``(1, 1, W + 1)`` for the
+    one pair ``(u, v)`` when both are given.  With ``W = window``,
+    ``L* = tail[:-1]`` and ``R* = head[1:]`` (``W`` entries each, the same for
+    every run), the strip of run ``g >= 0`` is ``L* ‖ 0^(g+1) ‖ R*``.  Pairs
+    inside ``tail`` or ``head`` are core pairs.  The rest:
+
+    * ``(L*[i], R*[j])`` sits at gap ``D + g`` with ``D = (W - i) + (j + 1)``:
+      one cross table over ``D``, OR-ed in shifted by ``g`` per run;
+    * ``(L*[i], 0)`` covers ``δ .. δ + g`` with ``δ = W - i``, ``(0, R*[j])``
+      covers ``ε .. ε + g`` with ``ε = j + 1``, and ``(0, 0)`` covers
+      ``1 .. g``.  These intervals grow with ``g``, so the largest run covers
+      those of every other run: one cumulative-sum window each.
+
+    Memory: the cross table has the shape of ``table``, ``l_n² (W + 1)``
+    bytes for all pairs, plus index blocks of at most ``_PAIR_BLOCK`` pairs.
+    Time: one pass over the pairs of occurrences of ``u`` in ``L*`` and ``v``
+    in ``R*`` (``W²`` for all pairs) and one slice-OR per run, so the
+    single-pair form costs O(runs · W) beyond that pass.
+    """
+    if not runs:
+        return
+    size_u, size_v, w1 = table.shape
+    window = w1 - 1
+    left, right = core[-w1:-1], core[1:w1]
+    rows = left.astype(np.intp) if u is None else np.where(left == u, 0, -1)
+    cols = right.astype(np.intp) if v is None else np.where(right == v, 0, -1)
+    zero_row = 0 if u is None or u == 0 else -1
+    zero_col = 0 if v is None or v == 0 else -1
+    i = np.flatnonzero(rows >= 0)
+    j = np.flatnonzero(cols >= 0)
+    delta = window - i
+    eps = j + 1
+    cross = np.zeros_like(table)
+    step = max(1, _PAIR_BLOCK // max(j.size, 1))
+    for lo in range(0, i.size, step):
+        dist = delta[lo: lo + step, None] + eps[None, :]
+        a, b = np.nonzero(dist <= window)
+        cross[rows[i[lo + a]], cols[j[b]], dist[a, b]] = True
+    for g in runs:
+        table[:, :, g:] |= cross[:, :, : w1 - g]
+    g = runs[-1]
+    if zero_col >= 0:
+        table[:, zero_col, :] |= _zero_block_cover(rows[i], delta, g, size_u, window)
+    if zero_row >= 0:
+        table[zero_row, :, :] |= _zero_block_cover(cols[j], eps, g, size_v, window)
+        if zero_col >= 0:
+            table[zero_row, zero_col, 1: g + 1] = True
 
 
 def gap_set(
@@ -361,7 +425,9 @@ def gap_set(
 
     Gaps of size 0 (a vertex paired with itself at the same time) are excluded
     unless ``include_zero`` is set.  When the full walk exceeds the cap the
-    exact strip engine is used instead of failing.
+    exact strip engine is used instead of failing: it scans the core and the
+    margin strips for this pair and marks the run strips with
+    :func:`_mark_runs` restricted to row ``u`` and column ``v``.
     """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
@@ -377,10 +443,13 @@ def gap_set(
         mask = _occurrence_gap_mask(_walk_array(spec, m, n, cap=cap), u, v, max_gap)
         engine = "materialized"
     else:
-        segs, engine = _strip_segments(spec, m, n, max_gap, cap=cap)
-        mask = np.zeros(max_gap + 1, dtype=bool)
-        for seg in segs:
+        core, runs, margins = _strip_segments(spec, m, n, max_gap, cap=cap)
+        pair = np.zeros((1, 1, max_gap + 1), dtype=bool)
+        _mark_runs(pair, core, runs, u, v)
+        mask = pair[0, 0]
+        for seg in (core, *margins):
             mask |= _occurrence_gap_mask(seg, u, v, max_gap)
+        engine = "strips"
     gaps = [int(g) for g in np.flatnonzero(mask) if g >= 1]
     if include_zero and u == v:
         gaps = [0] + gaps
@@ -390,7 +459,12 @@ def gap_set(
 def realized_gap_table(
     spec: CoveringSpec, m: int, n: int, max_gap: int, cap: int | None = None
 ) -> tuple[np.ndarray, str]:
-    """All-pairs realized-gap table ``T[u, v, gap]`` for gaps ``1 .. max_gap``."""
+    """All-pairs realized-gap table ``T[u, v, gap]`` for gaps ``1 .. max_gap``.
+
+    Memory: the table has ``l_n² (max_gap + 1)`` bytes; the strip engine
+    adds a cross table of the same size (see :func:`_mark_runs`) and the
+    core walk of :func:`_strip_segments`.
+    """
     l_n = circuit_length(spec, n)
     if l_n > 2048:
         raise UsageError(f"all-pairs table only supported for l_n <= 2048, got {l_n}")
@@ -400,10 +474,11 @@ def realized_gap_table(
     if l_m + 1 <= limit:
         _mark_pair_table(_walk_array(spec, m, n, cap=cap), table, max_gap)
         return table, "materialized"
-    segs, engine = _strip_segments(spec, m, n, max_gap, cap=cap)
-    for seg in segs:
+    core, runs, margins = _strip_segments(spec, m, n, max_gap, cap=cap)
+    for seg in (core, *margins):
         _mark_pair_table(seg, table, max_gap)
-    return table, engine
+    _mark_runs(table, core, runs)
+    return table, "strips"
 
 
 def gap_structure_report(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> GapStructureReport:

@@ -30,16 +30,13 @@ from .covering import (
     validate,
 )
 from .errors import UsageError
+from .measures import rat_to_json
 
 TAG_SUBSTITUTION = "substitution"
 TAG_MIXING = "mixing"
 TAG_WEAKMIX_NOT_MIX = "weakmix_not_mix"
 TAG_NOT_WEAKMIX = "not_weakmix"
 TAG_CUSTOM = "custom"
-
-
-def _rat(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _finish(l1: int, levels: list[LevelMap], tag: str, params: dict) -> CoveringSpec:
@@ -74,8 +71,8 @@ def gen_substitution_family(depth: int = 6) -> CoveringSpec:
         "level_checks": checks,
         "bound": {
             "type": "convergence",
-            "scale": _rat(Fraction(12, 7)),
-            "ratio": _rat(Fraction(1, 4)),
+            "scale": rat_to_json(Fraction(12, 7)),
+            "ratio": rat_to_json(Fraction(1, 4)),
         },
     }
     return _finish(2, levels, TAG_SUBSTITUTION, params)
@@ -115,8 +112,8 @@ def gen_mixing_family(l1: int = 11, depth: int = 6) -> CoveringSpec:
         "level_checks": checks,
         "bound": {
             "type": "convergence",
-            "scale": _rat(Fraction(12, l2)),
-            "ratio": _rat(Fraction(1, 4)),
+            "scale": rat_to_json(Fraction(12, l2)),
+            "ratio": rat_to_json(Fraction(1, 4)),
         },
     }
     return _finish(l1, levels, TAG_MIXING, params)
@@ -177,7 +174,7 @@ def gen_weakmix_not_mix_family(l1: int = 3, depth: int = 7) -> CoveringSpec:
         "stages": stages,
         "bound": {
             "type": "divergence_on_levels",
-            "delta": _rat(Fraction(1, 2)),
+            "delta": rat_to_json(Fraction(1, 2)),
             "levels": [st["m"] for st in stages],
         },
     }
@@ -226,8 +223,8 @@ def gen_not_weakmix_family(
         "level_checks": checks,
         "bound": {
             "type": "convergence",
-            "scale": _rat(Fraction(s + s2, l1)),
-            "ratio": _rat(Fraction(1, t_bar)),
+            "scale": rat_to_json(Fraction(s + s2, l1)),
+            "ratio": rat_to_json(Fraction(1, t_bar)),
         },
     }
     return _finish(l1, levels, TAG_NOT_WEAKMIX, params)
@@ -257,7 +254,7 @@ def gen_uniquely_ergodic_family(l1: int = 2, depth: int = 5) -> CoveringSpec:
     params = {
         "gen": {"kind": "uniquely_ergodic", "l1": l1, "depth": depth},
         "level_checks": checks,
-        "bound": {"type": "divergence", "delta": _rat(Fraction(1, 2))},
+        "bound": {"type": "divergence", "delta": rat_to_json(Fraction(1, 2))},
     }
     return _finish(l1, levels, TAG_CUSTOM, params)
 

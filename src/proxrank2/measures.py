@@ -9,8 +9,9 @@ with zero tolerance; floats appear only in rendered output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .covering import (
     CoveringSpec,
@@ -21,8 +22,25 @@ from .covering import (
 from .errors import UsageError
 
 
+def decimal_str(x: int) -> str:
+    """Decimal digits of ``x`` at any size.
+
+    ``str(x)`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    digits (4300 by default, never fewer than 640); that limit stays in place
+    for parsing input.  Here ``x`` is split by divmod over a power of ten
+    until each part is short enough for ``str``.
+    """
+    if x < 0:
+        return "-" + decimal_str(-x)
+    if x.bit_length() <= 2000:  # at most 603 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digit count
+    hi, lo = divmod(x, 10**k)
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
 def rat_to_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
 
 
 def rat_from_json(d: dict) -> Fraction:
@@ -178,12 +196,45 @@ def push_measure_down(spec: CoveringSpec, vec: MeasureVector) -> MeasureVector:
 # Ergodicity classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+class _RunningSums:
+    """Exact running sums of a report's loop masses, filled in one pass on first read."""
+
+    def __init__(self, terms: list[Fraction]):
+        self._terms = terms
+        self._sums: list[Fraction] | None = None
+
+    def __getitem__(self, k: int) -> Fraction:
+        if self._sums is None:
+            self._sums = list(accumulate(self._terms))
+        return self._sums[k]
+
+
+@dataclass(frozen=True, eq=False)
 class ErgodicityRow:
+    """One level of the loop-mass series; ``partial_sum`` is read from ``sums``."""
+
     i: int
     one_minus_r: Fraction
-    partial_sum: Fraction
     partial_product: Fraction
+    sums: _RunningSums = field(repr=False)
+
+    @property
+    def partial_sum(self) -> Fraction:
+        """``sum(1 - r(j) for j <= i)``, exact."""
+        return self.sums[self.i - 1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErgodicityRow):
+            return NotImplemented
+        return (
+            self.i == other.i
+            and self.one_minus_r == other.one_minus_r
+            and self.partial_product == other.partial_product
+            and self.partial_sum == other.partial_sum
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.one_minus_r, self.partial_product))
 
     def to_dict(self) -> dict:
         return {
@@ -215,11 +266,14 @@ class ErgodicityReport:
         }
 
     def to_csv(self) -> str:
+        def cell(x: Fraction) -> str:  # str(x) at any size
+            num = decimal_str(x.numerator)
+            return num if x.denominator == 1 else f"{num}/{decimal_str(x.denominator)}"
+
         lines = ["i,one_minus_r,partial_sum,partial_product"]
         for row in self.rows:
-            lines.append(
-                f"{row.i},{row.one_minus_r},{row.partial_sum},{row.partial_product}"
-            )
+            cells = (row.one_minus_r, row.partial_sum, row.partial_product)
+            lines.append(",".join([str(row.i), *map(cell, cells)]))
         return "\n".join(lines) + "\n"
 
 
@@ -237,6 +291,15 @@ def _kept_intervals(spec: CoveringSpec) -> list[tuple[int, int]] | None:
 def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> ErgodicityReport:
     """Tabulate the loop-mass series and give a verdict.
 
+    Each row holds ``1 - r(i)`` and the partial product ``r(i + 1, 1)``,
+    built here in O(depth) exact operations.  The partial sums are not built
+    here: the rows share one running-sum table, filled in a single pass the
+    first time any row's ``partial_sum`` is read (``to_dict``, ``to_csv``,
+    the ``ergodic`` CLI).  That pass costs O(depth) additions of fractions
+    whose denominators grow toward ``lcm(l_2 .. l_{top+1})`` (hundreds of
+    thousands of bits at depth 800), so it dominates whenever it runs; the
+    verdict reads only ``one_minus_r`` and never triggers it.
+
     A certified verdict needs a generator bound in the family metadata:
 
     * divergence (``1 - r(i) >= delta`` everywhere, or on recorded boundary
@@ -251,15 +314,14 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
         raise UsageError("need at least one presented level")
+    xs = [one_minus_r(spec, i) for i in range(1, top + 1)]
+    sums = _RunningSums(xs)
     rows = []
-    psum = Fraction(0)
     big_b = 1  # winding product B(i + 1, 1)
-    for i in range(1, top + 1):
-        x = one_minus_r(spec, i)
-        psum += x
+    for i, x in enumerate(xs, start=1):
         big_b *= spec.levels[i - 1].b
         pprod = Fraction(big_b * spec.l1, circuit_length(spec, i + 1))  # r(i + 1, 1)
-        rows.append(ErgodicityRow(i=i, one_minus_r=x, partial_sum=psum, partial_product=pprod))
+        rows.append(ErgodicityRow(i=i, one_minus_r=x, partial_product=pprod, sums=sums))
     rows = tuple(rows)
 
     fam = spec.family

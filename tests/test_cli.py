@@ -2,10 +2,18 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from proxrank2 import cli, gen_substitution_family, spec_to_json
+from proxrank2 import (
+    classify_ergodicity,
+    cli,
+    gen_mixing_family,
+    gen_substitution_family,
+    spec_to_json,
+)
+from proxrank2.measures import rat_from_json
 
 
 @pytest.fixture
@@ -56,6 +64,34 @@ def test_ergodic_json_mode(base_spec_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "TwoErgodic"
+
+
+def test_ergodic_prints_sums_longer_than_the_digit_limit(tmp_path, capsys):
+    spec_file = tmp_path / "mix200.json"
+    code, _, _ = run(capsys, ["family", "gen", "mixing", "--depth", "200", "-o", str(spec_file)])
+    assert code == 0
+    code, out, err = run(capsys, ["ergodic", "--spec", str(spec_file)])
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("i=200 ")
+    code, out, err = run(capsys, ["ergodic", "--spec", str(spec_file), "--json"])
+    assert code == 0, err
+    last = json.loads(out)["rows"][-1]
+    assert len(last["partial_sum"]["den"]) > sys.get_int_max_str_digits()
+    expected = classify_ergodicity(gen_mixing_family(depth=200)).rows[-1]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parsed = {
+            key: rat_from_json(last[key])
+            for key in ("one_minus_r", "partial_sum", "partial_product")
+        }
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert parsed == {
+        "one_minus_r": expected.one_minus_r,
+        "partial_sum": expected.partial_sum,
+        "partial_product": expected.partial_product,
+    }
 
 
 def test_array_accepts_equals_window_syntax(base_spec_file, capsys):

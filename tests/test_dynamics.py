@@ -327,14 +327,6 @@ def test_mixing_window_check_flags_even_lengths():
     assert any("even" in v for v in report.precondition_violations)
 
 
-def test_mixing_window_check_threads_agree():
-    mix = gen_mixing_family(depth=20)
-    solo = mixing_window_check(mix, 21, 1)
-    multi = mixing_window_check(mix, 21, 1, threads=4)
-    assert solo.ok == multi.ok
-    assert solo.failures == multi.failures
-
-
 def test_not_weakmix_fails_mixing_window():
     nw = gen_not_weakmix_family(3, depth=8)
     report = mixing_window_check(nw, 9, 1)

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     CoveringSpec,
@@ -12,6 +14,7 @@ from proxrank2 import (
     LevelMap,
     RestrictedFormRequired,
     circuit_length,
+    compose_word,
     cumulative_runs,
     d_word,
     e_run_margins,
@@ -26,7 +29,7 @@ from proxrank2 import (
     time_word,
 )
 
-from _corpus import random_restricted_spec
+from _corpus import random_plain_spec, random_restricted_spec
 
 BASE = gen_substitution_family(depth=6)
 
@@ -153,6 +156,90 @@ def test_realized_gap_table_matches_single_pair_scans():
         for v in range(l2):
             gaps = gap_set(BASE, 4, 2, u, v, max_gap=25).gaps
             assert set(np.flatnonzero(table[u, v])) == set(gaps)
+
+
+def _strips_agree_with_materialized(spec, m, n, window):
+    """Force the strip engine and compare it with the materialized scan.
+
+    Returns the loop runs between consecutive level-``k0`` traversals and the
+    two margins, read off the symbol word of circuit ``m`` over ``k0``.
+    """
+    k0 = next(k for k in range(n, m + 1) if circuit_length(spec, k) > window)
+    assert k0 < m
+    cap = circuit_length(spec, k0) + 1  # room for the core walk only
+    full, engine = realized_gap_table(spec, m, n, window, cap=10**8)
+    assert engine == "materialized"
+    forced, engine = realized_gap_table(spec, m, n, window, cap=cap)
+    assert engine == "strips"
+    assert np.array_equal(forced, full)
+    l_n = circuit_length(spec, n)
+    vertices = sorted({0, 1, l_n // 2, l_n - 1})
+    for u in vertices:
+        for v in vertices:
+            got = gap_set(spec, m, n, u, v, window, cap=cap)
+            assert got.engine == "strips"
+            assert got.gaps == tuple(int(g) for g in np.flatnonzero(full[u, v])), (u, v)
+    word = compose_word(spec, m, k0)
+    inner = word.strip("E")
+    runs = {len(piece) for piece in inner.split("C")[1:-1]}
+    return runs, len(word) - len(word.lstrip("E")), len(word) - len(word.rstrip("E"))
+
+
+def _small_level(b):
+    inner = st.lists(st.integers(0, 6), min_size=b - 1, max_size=b - 1)
+    return st.tuples(st.integers(1, 3), inner, st.integers(1, 3)).map(
+        lambda t: LevelMap(a=(t[0], *t[1], t[2]), b=b)
+    )
+
+
+_materializable_specs = st.one_of(
+    st.builds(
+        lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+        st.integers(2, 5),
+        st.lists(st.integers(1, 3).flatmap(_small_level), min_size=2, max_size=6),
+    ),
+    st.integers(0, 2**32).map(
+        lambda seed: random_restricted_spec(random.Random(seed), max_depth=5, max_length=20_000)
+    ),
+).filter(lambda spec: spec.depth >= 2 and circuit_length(spec, spec.depth + 1) <= 20_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_materializable_specs, st.data())
+def test_strip_engine_equals_materialized_scan(spec, data):
+    m = spec.depth + 1
+    n = data.draw(st.integers(1, min(2, spec.depth - 1)), label="n")
+    top = circuit_length(spec, m - 1) - 1
+    assume(top >= 1)
+    window = data.draw(st.integers(1, min(top, 3 * circuit_length(spec, n + 1))), label="window")
+    _strips_agree_with_materialized(spec, m, n, window)
+
+
+def test_strip_engine_covers_every_run_shape():
+    # A fixed corpus that must reach adjacent traversals (run 0), runs longer
+    # than the window, margins longer than the window, and a run longer than
+    # the window between margins that are not (only the padded margin strips
+    # cover that run's zero block).
+    rng = random.Random(0x5721)
+    seen = {"run 0": 0, "run > window": 0, "margin > window": 0, "run > window >= margins": 0}
+    specs = [gen_mixing_family(depth=6), gen_substitution_family(depth=8)]
+    long_inner_run = (LevelMap(a=(1, 2, 1), b=2), LevelMap(a=(1, 5, 1), b=2))
+    specs.append(CoveringSpec(l1=7, levels=long_inner_run))
+    specs += [random_restricted_spec(rng, max_depth=5, max_length=20_000) for _ in range(6)]
+    specs += [random_plain_spec(rng, depth=5, max_length=20_000) for _ in range(6)]
+    for spec in specs:
+        m = spec.depth + 1
+        for n in (1, 2):
+            l_n = circuit_length(spec, n)
+            for window in sorted({1, 2, 3, 4, 5, 6, l_n, 2 * l_n + 1}):
+                if n >= m - 1 or circuit_length(spec, m - 1) <= window:
+                    continue
+                runs, lead, trail = _strips_agree_with_materialized(spec, m, n, window)
+                seen["run 0"] += 0 in runs
+                seen["run > window"] += any(g > window for g in runs)
+                seen["margin > window"] += max(lead, trail) > window
+                seen["run > window >= margins"] += max(runs, default=0) > window >= max(lead, trail)
+    assert all(seen.values()), seen
 
 
 def test_gap_structure_report_of_base_family():

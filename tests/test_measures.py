@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     CoveringSpec,
@@ -29,7 +33,9 @@ from proxrank2 import (
     xi_project,
 )
 
-from _corpus import random_restricted_spec
+from proxrank2.measures import decimal_str, rat_from_json
+
+from _corpus import random_restricted_spec, reduced_specs
 
 BASE = gen_substitution_family(depth=6)
 
@@ -168,3 +174,54 @@ def test_usage_errors_on_bad_levels():
         r_product(BASE, 1, 2)
     with pytest.raises(UsageError):
         vertex_measure(BASE, 5, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduced_specs, st.data())
+def test_partial_sums_in_any_read_order(spec, data):
+    rows = classify_ergodicity(spec).rows
+    for k in data.draw(st.permutations(range(len(rows))), label="read order"):
+        expected = sum((row.one_minus_r for row in rows[: k + 1]), Fraction(0))
+        assert rows[k].partial_sum == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_specs, st.data())
+def test_report_output_does_not_depend_on_earlier_reads(spec, data):
+    untouched = classify_ergodicity(spec)
+    read = classify_ergodicity(spec)
+    picks = st.lists(st.integers(0, len(read.rows) - 1), max_size=4)
+    for k in data.draw(picks, label="rows read first"):
+        read.rows[k].partial_sum
+    assert read.to_dict() == untouched.to_dict()
+    assert read.to_csv() == untouched.to_csv()
+    assert read.rows == untouched.rows
+
+
+@contextmanager
+def _no_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_decimal_str_matches_str_at_any_size():
+    samples = [0, 7, -12, 10**603, 10**604 - 1, -(10**4299), 3**20_000, -(7**9_000), 10**12_345]
+    with _no_digit_limit():
+        expected = [str(x) for x in samples]
+    assert [decimal_str(x) for x in samples] == expected
+
+
+def test_report_prints_sums_past_the_digit_limit():
+    report = classify_ergodicity(gen_mixing_family(depth=200))
+    last = report.rows[-1]
+    assert len(decimal_str(last.partial_sum.denominator)) > 4300
+    cells = report.to_csv().splitlines()[-1].split(",")
+    row = report.to_dict()["rows"][-1]
+    with _no_digit_limit():
+        expected = (last.one_minus_r, last.partial_sum, last.partial_product)
+        assert cells == ["200", *map(str, expected)]
+        assert rat_from_json(row["partial_sum"]) == last.partial_sum

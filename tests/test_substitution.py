@@ -1,6 +1,7 @@
 """The two-letter substitution model and its bridge to the covering rows."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -85,8 +86,15 @@ def test_factor_language_window_engine_matches_direct_scan():
     # feasible iterate must be a subset, and the union engine must certify
     lang = factor_language(BETA, "0", 24)
     assert lang.stabilized and lang.stabilized_at == 13
+    # windows of the twelfth image, read as 24-bit codes
     word = iterate(BETA, "0", 12)
-    direct = {word[i: i + 24] for i in range(len(word) - 23)}
+    bits = np.frombuffer(word.encode("ascii"), dtype=np.uint8) - ord("0")
+    count = bits.size - 23
+    codes = np.zeros(count, dtype=np.uint32)
+    for j in range(24):
+        codes <<= 1
+        codes |= bits[j: j + count]
+    direct = {format(c, "024b") for c in np.unique(codes)}
     assert direct < set(lang.factors)
     assert set(lang.factors) - direct == {"1" * 24}
 
