@@ -35,11 +35,11 @@ from .errors import (
 )
 from .expansion import (
     _occurrence_gap_mask,
+    _time_row,
     _walk_array,
     cumulative_runs,
     d_word,
     realized_gap_table,
-    time_word,
 )
 from .families import TAG_WEAKMIX_NOT_MIX, extend_family
 from .substitution import windows
@@ -213,7 +213,13 @@ def unstable_point(spec: CoveringSpec, top_level: int) -> PointSeed:
 def level_walks(
     spec: CoveringSpec, top_level: int, base_level: int = 1, cap: int | None = None
 ) -> dict[int, np.ndarray]:
-    """Vertex walks of the top circuit through every graph ``base..top``."""
+    """Vertex walks of the top circuit through every graph ``base..top``.
+
+    Each walk takes its dtype's itemsize per step (``int8`` up to ``l_k =
+    128``), plus one level copy while it is built on ``b = 1`` levels: at the
+    default cap of 1e8 steps about 100 MB per ``int8`` walk and 400 MB per
+    ``int32`` walk, all levels held at once.
+    """
     return {
         k: _walk_array(spec, top_level, k, cap=cap)
         for k in range(base_level, top_level + 1)
@@ -693,8 +699,8 @@ def residue_obstruction(
     if circuit_length(spec, n) < 3:
         raise UsageError("need l_n >= 3 so that the vertices v1 and v2 exist")
     walk = _walk_array(spec, m, n, cap=cap)
-    occ1 = np.flatnonzero(walk == 1).astype(np.int64)
-    occ2 = np.flatnonzero(walk == 2).astype(np.int64)
+    occ1 = np.flatnonzero(walk == 1).astype(np.int64, copy=False)
+    occ2 = np.flatnonzero(walk == 2).astype(np.int64, copy=False)
     classes1 = tuple(int(x) for x in np.unique(occ1 % p))
     classes2 = tuple(int(x) for x in np.unique(occ2 % p))
     class_ok = (
@@ -828,14 +834,14 @@ def forbidden_window_report(
     len_measured = (len(dw) - n_c) + n_c * circuit_length(spec, n)
     top = spec.depth + 1
     walk = _walk_array(spec, top, n, cap=cap)
-    noncenter = np.flatnonzero(walk != 0).astype(np.int64)
+    noncenter = np.flatnonzero(walk != 0).astype(np.int64, copy=False)
     first = _first_gap_above(noncenter, noncenter, len_arith)
     width = None if first is None else first - len_arith - 1
     l_n = circuit_length(spec, n)
     per_pair: list[tuple[int, int, int | None]] = []
     if (l_n - 1) ** 2 <= 36:
         occ = {
-            u: np.flatnonzero(walk == u).astype(np.int64) for u in range(1, l_n)
+            u: np.flatnonzero(walk == u).astype(np.int64, copy=False) for u in range(1, l_n)
         }
         for u in range(1, l_n):
             for v in range(1, l_n):
@@ -913,9 +919,10 @@ def level1_separation_check(
     l_top = circuit_length(spec, top)
     if l_top < length + 2 * pad + 2:
         raise UsageError("top circuit too short for the requested length and padding")
+    # A level-n segment is its walk slice: the vertices fix the cut pattern
+    # and, for l_n >= 2, each step symbol (only a loop step stays on 0).
     walk_n = _walk_array(spec, top, n, cap=cap)
-    row1 = np.frombuffer(time_word(spec, top, 1, cap=cap).encode("ascii"), dtype=np.uint8)
-    row_n = _step_symbols(walk_n, 0, l_top)
+    row1 = _time_row(spec, top, 1, cap=cap)
     rng = random.Random(rng_seed)
     skipped = 0
     max_padding = 0
@@ -926,9 +933,7 @@ def level1_separation_check(
         attempts += 1
         t1 = rng.randrange(pad, l_top - length - pad)
         t2 = rng.randrange(pad, l_top - length - pad)
-        seg1 = (row_n[t1: t1 + length].tobytes(), walk_n[t1: t1 + length + 1].tobytes())
-        seg2 = (row_n[t2: t2 + length].tobytes(), walk_n[t2: t2 + length + 1].tobytes())
-        if seg1 == seg2:
+        if walk_n[t1: t1 + length + 1].tobytes() == walk_n[t2: t2 + length + 1].tobytes():
             skipped += 1
             continue
         done += 1

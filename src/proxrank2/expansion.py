@@ -12,6 +12,12 @@ Granularity conventions
   vertex (where the loop sits); a circuit traversal visits ``0, 1, ..,
   l_n - 1, 0``.
 
+Time words and vertex walks come from one run builder, :func:`_fill_runs`:
+it writes one level-``n`` circuit block into a preallocated row, then copies
+the growing prefix into the circuit slots of each level map in turn, leaving
+the loop runs as fill.  A walk costs its dtype's itemsize per step (1 byte
+for ``l_n <= 128``); no string or index array is built on the way.
+
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
 between occurrences of two vertices in a walk.  Two exact engines are
 provided: a materialized bitset scan, and a strip engine that never
@@ -128,16 +134,86 @@ def expand_circuit_word(spec: CoveringSpec, m: int, n: int, cap: int | None = No
     return CircuitWord(level=n, m=m, symbols=compose_word(spec, m, n, cap=cap))
 
 
-def time_word(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> str:
-    """Time word of circuit ``m`` over graph ``n``: one letter per edge, ``l_m`` total."""
+_SLOT_BLOCK = 1 << 16  # slot starts per strided write of _fill_runs
+_E, _C = ord("E"), ord("C")  # time-word letters: one loop step, one circuit step
+
+
+def _fill_runs(
+    spec: CoveringSpec, m: int, n: int, row: np.ndarray, block: np.ndarray, fill: int
+) -> np.ndarray:
+    """Write the level-``n`` time row of circuit ``m`` into ``row`` (``l_m`` entries).
+
+    ``row`` must arrive set to ``fill``, the entry of one loop step, and
+    ``block`` holds the ``l_n`` entries of one level-``n`` circuit traversal.
+    The block goes first.  Then each level ``k = n .. m - 1`` copies the
+    level-``k`` prefix ``row[:l_k]`` by slice into every circuit slot of its
+    map ``a`` (slot ``j`` follows the loop runs ``a[0] .. a[j]`` and ``j``
+    earlier slots); the loop runs keep the fill.  Slots ``1 .. b - 1`` are
+    written first and slot 0 is taken from slot 1, so source and target never
+    overlap.  Only on ``b = 1`` levels does slot 0 overlap the prefix, and
+    numpy then buffers one level-``k`` copy.  The part of the old prefix in
+    front of slot 0 is reset to the fill.
+
+    A level with more slots than prefix entries (``b > l_k``, as after
+    telescoping) writes the same slots the other way round: one strided
+    assignment per prefix entry over the slot starts, ``_SLOT_BLOCK`` slots
+    at a time.
+
+    Memory: ``row`` itself, plus one level copy on ``b = 1`` levels and at
+    most ``_SLOT_BLOCK`` slot starts and one shifted copy of them (1 MB).
+    Time: ``min(b, l_k)`` numpy calls per level and block of slots.
+    """
+    l_k = block.size
+    row[:l_k] = block
+    for k in range(n, m):
+        lm = spec.levels[k - 1]
+        a = lm.a
+        if lm.b < 1:
+            raise UsageError(f"level {k}: winding number b must be >= 1, got {lm.b}")
+        first = a[0] + l_k + a[1]
+        if lm.b > l_k:  # many short slots: one strided write per prefix entry
+            starts = np.cumsum(np.asarray(a[1:-1], dtype=np.int64) + l_k) + a[0]
+            for lo in range(0, starts.size, _SLOT_BLOCK):
+                block_starts = starts[lo: lo + _SLOT_BLOCK]
+                for i in range(l_k):
+                    row[block_starts + i] = row[i]
+        else:
+            off = first
+            for j in range(2, lm.b + 1):
+                row[off: off + l_k] = row[:l_k]
+                off += l_k + a[j]
+        if a[0]:
+            row[a[0]: a[0] + l_k] = row[first: first + l_k] if lm.b > 1 else row[:l_k]
+            row[: min(a[0], l_k)] = fill
+        l_k = lm.next_length(l_k)
+    return row
+
+
+def _time_row(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """Time word of circuit ``m`` over graph ``n`` as ``uint8`` codes of ``E``/``C``.
+
+    Built by :func:`_fill_runs` with block ``C * l_n`` and fill ``E``: 1 byte
+    per step (about 100 MB at the default cap of 1e8), plus one level copy
+    on ``b = 1`` levels.
+    """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
     limit = expansion_cap(cap)
     l_m = circuit_length(spec, m)
     if l_m > limit:
         raise ExpansionTooLarge(l_m, limit, what=f"time word of circuit {m} over level {n}")
-    word = compose_word(spec, m, n, cap=limit)
-    return word.replace("C", "C" * circuit_length(spec, n))
+    row = np.full(l_m, _E, dtype=np.uint8)
+    return _fill_runs(spec, m, n, row, np.full(circuit_length(spec, n), _C, dtype=np.uint8), _E)
+
+
+def time_word(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> str:
+    """Time word of circuit ``m`` over graph ``n``: one letter per edge, ``l_m`` total.
+
+    Decoded once from :func:`_time_row`: the ``uint8`` row and the ASCII
+    string take 1 byte per step each (about 200 MB together at the default
+    cap of 1e8), plus one level copy on ``b = 1`` levels.
+    """
+    return str(_time_row(spec, m, n, cap=cap), "ascii")
 
 
 def _walk_dtype(l_n: int) -> np.dtype:
@@ -151,30 +227,33 @@ def _walk_dtype(l_n: int) -> np.dtype:
 
 
 def _walk_array(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> np.ndarray:
-    """Vertex walk of circuit ``m`` through graph ``n`` (``m == n`` allowed)."""
+    """Vertex walk of circuit ``m`` through graph ``n`` (``m == n`` allowed).
+
+    Entry 0 is the central vertex and ``walk[1:]`` is the time row of
+    :func:`_fill_runs` with block ``1, 2, .., l_n - 1, 0`` and fill 0 (the
+    vertex after each step).  Memory: the itemsize of :func:`_walk_dtype`
+    per step, plus one level copy on ``b = 1`` levels; at the default cap of
+    1e8 that is about 100 MB for ``int8`` and about 400 MB for ``int32``.
+    """
     limit = expansion_cap(cap)
     l_m = circuit_length(spec, m)
     l_n = circuit_length(spec, n)
     if l_m + 1 > limit:
         raise ExpansionTooLarge(l_m + 1, limit, what=f"vertex walk of circuit {m} over level {n}")
-    tw = time_word(spec, m, n, cap=limit)
-    steps = np.frombuffer(tw.encode("ascii"), dtype=np.uint8)
-    is_c = steps == ord("C")
-    # Every maximal C-run has length a multiple of l_n (concatenated traversals
-    # sharing the central vertex), so the vertex after step p is the offset of
-    # p inside its run, plus one, mod l_n.
-    idx = np.arange(l_m, dtype=np.int64)
-    run_starts = is_c & ~np.concatenate(([False], is_c[:-1]))
-    start_pos = np.where(run_starts, idx, -1)
-    np.maximum.accumulate(start_pos, out=start_pos)
+    if not 1 <= n <= m <= spec.depth + 1:
+        raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
     walk = np.zeros(l_m + 1, dtype=_walk_dtype(l_n))
-    offs = (idx - start_pos + 1) % l_n
-    walk[1:] = np.where(is_c, offs, 0).astype(walk.dtype)
+    _fill_runs(spec, m, n, walk[1:], np.roll(np.arange(l_n, dtype=walk.dtype), -1), 0)
     return walk
 
 
 def expand_vertex_walk(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> VertexWalk:
-    """Vertex walk of circuit ``m`` through graph ``n`` (requires ``n < m``)."""
+    """Vertex walk of circuit ``m`` through graph ``n`` (requires ``n < m``).
+
+    Built by :func:`_walk_array`: the walk dtype's itemsize per step, plus one
+    level copy on ``b = 1`` levels (about 100 MB for ``int8`` and 400 MB for
+    ``int32`` at the default cap of 1e8).
+    """
     if not 1 <= n < m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")
     return VertexWalk(level=n, m=m, vertices=_walk_array(spec, m, n, cap=cap))
@@ -252,16 +331,18 @@ def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.n
     w = min(max_gap, walk.size - 1)
     if w < 1:
         return mask
-    occ_u = np.flatnonzero(walk == u)
-    occ_v = np.flatnonzero(walk == v)
-    if occ_u.size == 0 or occ_v.size == 0:
+    is_u = walk == u
+    is_v = is_u if v == u else walk == v
+    count_u = int(np.count_nonzero(is_u))
+    count_v = int(np.count_nonzero(is_v))
+    if count_u == 0 or count_v == 0:
         return mask
     # Sparse path: windowed join of the occurrence lists.
-    density = occ_v.size / walk.size
-    expected_pairs = occ_u.size * max(1.0, density * w)
+    density = count_v / walk.size
+    expected_pairs = count_u * max(1.0, density * w)
     if expected_pairs <= 2_000_000:
-        occ_u = occ_u.astype(np.int64)
-        occ_v = occ_v.astype(np.int64)
+        occ_u = np.flatnonzero(is_u)
+        occ_v = np.flatnonzero(is_v)
         lo = np.searchsorted(occ_v, occ_u + 1)
         hi = np.searchsorted(occ_v, occ_u + w, side="right")
         counts = hi - lo
@@ -271,9 +352,15 @@ def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.n
             flat = np.arange(total, dtype=np.int64) + np.repeat(lo - starts, counts)
             mask[occ_v[flat] - np.repeat(occ_u, counts)] = True
         return mask
-    # Dense path: packed bitset shift-AND, one pass per gap value.
-    bits_u = np.packbits(walk == u)
-    shifted_v = [np.packbits((walk == v)[r:]) for r in range(8)]
+    # Dense path: packed bitset shift-AND, one pass per gap value.  The bits
+    # of v are packed once; shifting that byte row left by r bits (the low
+    # bits come from the next byte) packs ``(walk == v)[r:]``, plus at most
+    # one trailing zero byte.
+    bits_u = np.packbits(is_u)
+    bits_v = np.packbits(is_v)
+    del is_u, is_v
+    next_v = np.append(bits_v[1:], np.uint8(0))
+    shifted_v = [bits_v] + [(bits_v << r) | (next_v >> (8 - r)) for r in range(1, 8)]
     for gap in range(1, w + 1):
         q, r = divmod(gap, 8)
         pb = shifted_v[r]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from proxrank2 import (
     realized_gap_table,
     time_word,
 )
+from proxrank2.expansion import _occurrence_gap_mask, _time_row, _walk_array
 
-from _corpus import random_plain_spec, random_restricted_spec
+from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
 
 BASE = gen_substitution_family(depth=6)
 
@@ -253,3 +255,137 @@ def test_expansion_cap_is_enforced():
         time_word(BASE, 6, 1, cap=100)
     assert info.value.needed == circuit_length(BASE, 6)
     assert info.value.cap == 100
+
+
+# --------------------------------------------------------------------------
+# The run builder against the time-word pipeline it replaced
+# --------------------------------------------------------------------------
+
+def _reference_time_word(spec, m, n):
+    """The time word spelled out: the symbol word with each C widened to l_n steps."""
+    return compose_word(spec, m, n, cap=10**9).replace("C", "C" * circuit_length(spec, n))
+
+
+def _reference_dtype(l_n):
+    for dt in (np.int8, np.int16, np.int32):
+        if l_n <= np.iinfo(dt).max + 1:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
+def _reference_walk(spec, m, n):
+    """The vertex walk from run offsets: the vertex after step p is its offset
+    inside its run of circuit steps, plus one, mod ``l_n``."""
+    l_m, l_n = circuit_length(spec, m), circuit_length(spec, n)
+    is_c = np.frombuffer(_reference_time_word(spec, m, n).encode("ascii"), np.uint8) == ord("C")
+    idx = np.arange(l_m, dtype=np.int64)
+    run_start = np.where(is_c & ~np.concatenate(([False], is_c[:-1])), idx, -1)
+    np.maximum.accumulate(run_start, out=run_start)
+    walk = np.zeros(l_m + 1, dtype=_reference_dtype(l_n))
+    walk[1:] = np.where(is_c, (idx - run_start + 1) % l_n, 0)
+    return walk
+
+
+def _assert_builder_matches_reference(spec, m, n):
+    ref = _reference_walk(spec, m, n)
+    got = _walk_array(spec, m, n)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref), (m, n)
+    assert time_word(spec, m, n) == _reference_time_word(spec, m, n), (m, n)
+    l_m = circuit_length(spec, m)
+    with pytest.raises(ExpansionTooLarge) as info:
+        _walk_array(spec, m, n, cap=l_m)
+    assert str(info.value) == (
+        f"vertex walk of circuit {m} over level {n} needs {l_m + 1} materialized entries, "
+        f"cap is {l_m}"
+    )
+    assert np.array_equal(_walk_array(spec, m, n, cap=l_m + 1), ref)
+    assert time_word(spec, m, n, cap=l_m) == time_word(spec, m, n, cap=l_m + 1)
+    if l_m > 1:
+        with pytest.raises(ExpansionTooLarge) as info:
+            time_word(spec, m, n, cap=l_m - 1)
+        assert (info.value.needed, info.value.what) == (l_m, f"time word of circuit {m} over level {n}")
+
+
+def _permissive_level(b):
+    # zero margins and zero inner runs allowed; b = 1 levels included
+    return st.lists(st.integers(0, 3), min_size=b + 1, max_size=b + 1).map(
+        lambda a: LevelMap(a=tuple(a), b=b)
+    )
+
+
+_builder_specs = st.one_of(
+    reduced_specs,
+    st.integers(0, 2**32).map(
+        lambda seed: random_restricted_spec(random.Random(seed), max_depth=5, max_length=20_000)
+    ),
+    st.builds(
+        lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+        st.integers(1, 6),
+        st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=1, max_size=6),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_builder_specs, st.data())
+def test_run_builder_equals_time_word_pipeline(spec, data):
+    lengths = [circuit_length(spec, k) for k in range(1, spec.depth + 2)]
+    top = max(k for k in range(1, spec.depth + 2) if lengths[k - 1] <= 20_000)
+    m = data.draw(st.integers(1, top), label="m")
+    n = data.draw(st.integers(1, m), label="n")
+    _assert_builder_matches_reference(spec, m, n)
+
+
+@pytest.mark.parametrize("edge", [127, 128, 129, 32767, 32768, 32769])
+def test_run_builder_at_walk_dtype_edges(edge):
+    deeper = (LevelMap(a=(1, 1), b=1), LevelMap(a=(2, 0, 1), b=2))
+    # l_1 at the edge, and l_2 at the edge from a b = 1 level over l_1 = 3
+    for spec in (
+        CoveringSpec(l1=edge, levels=deeper),
+        CoveringSpec(l1=3, levels=(LevelMap(a=(edge - 4, 1), b=1), *deeper)),
+    ):
+        n = 1 if spec.l1 == edge else 2
+        assert circuit_length(spec, n) == edge
+        for m in range(n, spec.depth + 2):
+            _assert_builder_matches_reference(spec, m, n)
+
+
+def test_walk_and_time_row_stay_under_two_bytes_per_step():
+    spec = gen_mixing_family(l1=11, depth=12)
+    steps = circuit_length(spec, 11)
+    for build in (_walk_array, _time_row):
+        tracemalloc.start()
+        try:
+            row = build(spec, 11, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.size >= steps
+        assert peak <= 2 * steps, (build.__name__, peak / steps)
+
+
+def _direct_gap_mask(walk, u, v, max_gap):
+    is_u, is_v = walk == u, walk == v
+    return [False] + [bool(np.any(is_u[:-g] & is_v[g:])) for g in range(1, max_gap + 1)]
+
+
+@pytest.mark.parametrize("shift", range(8))
+def test_dense_gap_mask_matches_direct_scan(shift):
+    # Both walks send the scan down the dense path (over 2M expected pairs),
+    # and their lengths run through every residue mod 8.
+    rng = np.random.default_rng(shift)
+    # Vertex 1 only at times = 0 mod 3 and vertex 2 only at times = 1 mod 3,
+    # each with probability 1/2: gaps 1->2 are realized exactly at 1 mod 3.
+    walk = np.zeros(800_000 + shift, dtype=np.int8)
+    walk[0::3] = rng.integers(0, 2, walk[0::3].size)
+    walk[1::3] = 2 * rng.integers(0, 2, walk[1::3].size)
+    for u, v in ((1, 2), (1, 1), (2, 1), (0, 2)):
+        assert list(_occurrence_gap_mask(walk, u, v, 100)) == _direct_gap_mask(walk, u, v, 100)
+    # Vertex 1 almost everywhere and vertex 2 once: every gap 1->2 is
+    # realized at most once, so no single lost bit goes unseen.
+    walk = np.ones(2_100_000 + shift, dtype=np.int8)
+    p = walk.size - 20 - shift
+    walk[p - 100 + np.flatnonzero(rng.integers(0, 2, 100))] = 0
+    walk[p] = 2
+    assert list(_occurrence_gap_mask(walk, 1, 2, 100)) == _direct_gap_mask(walk, 1, 2, 100)
