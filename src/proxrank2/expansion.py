@@ -134,7 +134,6 @@ def expand_circuit_word(spec: CoveringSpec, m: int, n: int, cap: int | None = No
     return CircuitWord(level=n, m=m, symbols=compose_word(spec, m, n, cap=cap))
 
 
-_SLOT_BLOCK = 1 << 16  # slot starts per strided write of _fill_runs
 _E, _C = ord("E"), ord("C")  # time-word letters: one loop step, one circuit step
 
 
@@ -154,14 +153,8 @@ def _fill_runs(
     numpy then buffers one level-``k`` copy.  The part of the old prefix in
     front of slot 0 is reset to the fill.
 
-    A level with more slots than prefix entries (``b > l_k``, as after
-    telescoping) writes the same slots the other way round: one strided
-    assignment per prefix entry over the slot starts, ``_SLOT_BLOCK`` slots
-    at a time.
-
-    Memory: ``row`` itself, plus one level copy on ``b = 1`` levels and at
-    most ``_SLOT_BLOCK`` slot starts and one shifted copy of them (1 MB).
-    Time: ``min(b, l_k)`` numpy calls per level and block of slots.
+    Memory: ``row`` itself, plus one level copy on ``b = 1`` levels.
+    Time: ``b`` slice copies per level.
     """
     l_k = block.size
     row[:l_k] = block
@@ -171,17 +164,10 @@ def _fill_runs(
         if lm.b < 1:
             raise UsageError(f"level {k}: winding number b must be >= 1, got {lm.b}")
         first = a[0] + l_k + a[1]
-        if lm.b > l_k:  # many short slots: one strided write per prefix entry
-            starts = np.cumsum(np.asarray(a[1:-1], dtype=np.int64) + l_k) + a[0]
-            for lo in range(0, starts.size, _SLOT_BLOCK):
-                block_starts = starts[lo: lo + _SLOT_BLOCK]
-                for i in range(l_k):
-                    row[block_starts + i] = row[i]
-        else:
-            off = first
-            for j in range(2, lm.b + 1):
-                row[off: off + l_k] = row[:l_k]
-                off += l_k + a[j]
+        off = first
+        for j in range(2, lm.b + 1):
+            row[off: off + l_k] = row[:l_k]
+            off += l_k + a[j]
         if a[0]:
             row[a[0]: a[0] + l_k] = row[first: first + l_k] if lm.b > 1 else row[:l_k]
             row[: min(a[0], l_k)] = fill
