@@ -108,6 +108,7 @@ from .families import (
     TAG_NOT_WEAKMIX,
     TAG_SUBSTITUTION,
     TAG_WEAKMIX_NOT_MIX,
+    FamilyRecord,
     extend_family,
     gen_family,
     gen_mixing_family,
@@ -115,6 +116,7 @@ from .families import (
     gen_substitution_family,
     gen_uniquely_ergodic_family,
     gen_weakmix_not_mix_family,
+    recognize,
 )
 from .measures import (
     ErgodicityReport,

@@ -687,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("forbidden", cmd_forbidden, "empty gap window at a stage boundary")
     p.add_argument("m", type=int)
-    p.add_argument("--base", type=int, help="stage base level (default: recorded)")
+    p.add_argument("--base", type=int, help="stage base level (default: the construction's)")
 
     p = add("sep1", cmd_sep1, "level-1 separation of distinct segments")
     p.add_argument("n", type=int)

@@ -212,9 +212,11 @@ class LevelMap:
 class FamilyInfo:
     """Optional provenance of a generated spec: a tag plus generator parameters.
 
-    ``params`` may carry machine-checkable per-level constraint records and a
-    certified bound on the loop mass ``1 - r(n)`` that the ergodicity
-    classifier can verify and extend.
+    ``params`` holds the generator's arguments (``gen``) and, after
+    :func:`telescope`, the original level of each kept circuit
+    (``original_levels``).  It certifies nothing by itself:
+    :func:`proxrank2.families.recognize` regenerates the construction and
+    checks the presented levels against it.  Other keys are kept and ignored.
     """
 
     tag: str
@@ -231,7 +233,8 @@ class CoveringSpec:
 
     The spec is immutable, so its circuit lengths are tabulated once:
     :attr:`lengths` holds ``l_1 .. l_{D+1}`` (one int per level), built on
-    first use and read by :func:`circuit_length`.
+    first use and read by :func:`circuit_length`; :attr:`family_record` holds
+    what the family construction certifies, checked once.
     """
 
     l1: int
@@ -252,6 +255,12 @@ class CoveringSpec:
             except TypeError as exc:
                 raise UsageError(f"level {n}: cannot compute a circuit length: {exc}") from exc
         return tuple(out)
+
+    @cached_property
+    def family_record(self):
+        """:func:`proxrank2.families.recognize` of this spec, computed once."""
+        from .families import recognize  # families imports this module
+        return recognize(self)
 
 
 @dataclass(frozen=True)
@@ -435,7 +444,13 @@ def spec_from_dict(d: dict) -> CoveringSpec:
     family = None
     fam = d.get("family")
     if fam:
-        family = FamilyInfo(tag=fam["tag"], params=dict(fam.get("params") or {}))
+        if not (
+            isinstance(fam, dict)
+            and isinstance(fam.get("tag"), str)
+            and isinstance(fam.get("params"), dict)
+        ):
+            raise UsageError("family metadata needs a string 'tag' and a dict 'params'")
+        family = FamilyInfo(tag=fam["tag"], params=dict(fam["params"]))
     return CoveringSpec(l1=l1, levels=levels, family=family)
 
 

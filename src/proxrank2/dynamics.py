@@ -41,7 +41,7 @@ from .expansion import (
     d_word,
     realized_gap_table,
 )
-from .families import TAG_WEAKMIX_NOT_MIX, extend_family
+from .families import extend_family
 from .substitution import windows
 
 
@@ -811,19 +811,22 @@ def forbidden_window_report(
     d-word, then the top presented circuit is scanned: for non-central vertex
     pairs no gap in ``[len+1, ...]`` is realized until the copies separate.
     Central pairs sit inside loop runs and realize every small gap, so the
-    window statement quantifies over the non-central pairs.
+    window statement quantifies over the non-central pairs.  The stage base
+    ``n`` comes from the spec's recognized construction
+    (:attr:`~proxrank2.covering.CoveringSpec.family_record`), never from JSON.
     """
-    fam = spec.family
-    if fam is None or fam.tag != TAG_WEAKMIX_NOT_MIX:
-        raise MissingStageMetadata("forbidden-window analysis needs a staged-family spec")
-    stages = fam.params.get("stages") or []
-    stage = next((st for st in stages if st["m"] == m), None)
-    if stage is None:
-        raise MissingStageMetadata(f"level {m} is not a recorded stage boundary")
+    rec = spec.family_record
+    if rec.problem is not None:
+        raise MissingStageMetadata(
+            f"forbidden-window analysis needs a recognized staged-family spec ({rec.problem})"
+        )
+    base = rec.stages.get(m)
+    if base is None:
+        raise MissingStageMetadata(f"level {m} is not a stage boundary of this spec")
     if n is None:
-        n = stage["n"]
-    elif n != stage["n"]:
-        raise UsageError(f"stage boundary {m} has base level {stage['n']}, got n={n}")
+        n = base
+    elif n != base:
+        raise UsageError(f"stage boundary {m} has base level {base}, got n={n}")
     rm = level_map(spec, m).restricted
     if rm is None:
         raise MissingStageMetadata(f"level {m} lacks restricted-form data")

@@ -9,6 +9,7 @@ with zero tolerance; floats appear only in rendered output.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -277,17 +278,6 @@ class ErgodicityReport:
         return "\n".join(lines) + "\n"
 
 
-def _kept_intervals(spec: CoveringSpec) -> list[tuple[int, int]] | None:
-    """For a telescoped family spec, the original-level interval of each map."""
-    fam = spec.family
-    if fam is None:
-        return None
-    kept = fam.params.get("original_levels")
-    if kept is None:
-        return None
-    return [(kept[j], kept[j + 1]) for j in range(len(kept) - 1)]
-
-
 def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> ErgodicityReport:
     """Tabulate the loop-mass series and give a verdict.
 
@@ -300,16 +290,21 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     thousands of bits at depth 800), so it dominates whenever it runs; the
     verdict reads only ``one_minus_r`` and never triggers it.
 
-    A certified verdict needs a generator bound in the family metadata:
+    A certified verdict needs a recognized family spec
+    (:attr:`~proxrank2.covering.CoveringSpec.family_record`): ``l1`` and every
+    presented level must equal the regenerated construction of the family
+    tag.  The construction's loop-mass bound, derived in code from the tag,
+    then decides:
 
-    * divergence (``1 - r(i) >= delta`` everywhere, or on recorded boundary
-      levels) certifies unique ergodicity;
+    * divergence (``1 - r(i) >= delta`` everywhere, or at the boundary
+      levels of a staged construction) certifies unique ergodicity;
     * geometric convergence (``1 - r(i) <= scale * ratio^i``) certifies two
       ergodic measures.
 
-    The bound is re-verified on every presented level (for telescoped specs,
-    through the kept-level intervals).  Finite data alone never certifies:
-    without a bound the verdict is ``Undetermined``.
+    The bound is re-verified on every presented level as a cross-check (for
+    telescoped specs, through the original-level interval of each map).
+    Finite data alone never certifies: an unrecognized spec is
+    ``Undetermined``, and its certificate names the check that failed.
     """
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
@@ -324,110 +319,47 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         rows.append(ErgodicityRow(i=i, one_minus_r=x, partial_product=pprod, sums=sums))
     rows = tuple(rows)
 
-    fam = spec.family
-    bound = fam.params.get("bound") if fam is not None else None
-    if not bound:
-        return ErgodicityReport(
-            verdict="Undetermined",
-            certified=False,
-            certificate=(
-                "no generator bound: a finite prefix cannot decide whether the "
-                "loop-mass series converges"
-            ),
-            rows=rows,
+    rec = spec.family_record
+    if rec.problem is not None:
+        return _undetermined(
+            rows,
+            f"not a recognized family construction ({rec.problem}): a finite prefix "
+            "cannot decide whether the loop-mass series converges",
         )
-    intervals = _kept_intervals(spec)
-    kind = bound.get("type")
-
-    if kind == "divergence":
-        delta = rat_from_json(bound["delta"])
-        ok = all(row.one_minus_r >= delta for row in rows)
-        if ok:
-            return ErgodicityReport(
-                verdict="UniquelyErgodic",
-                certified=True,
-                certificate=(
-                    f"generator divergence bound 1-r(i) >= {delta} verified on all "
-                    f"{top} presented levels; the construction extends it to every "
-                    "level, so the loop-mass series diverges"
-                ),
-                rows=rows,
-            )
-        return _bound_failed(rows, "divergence")
-
-    if kind == "divergence_on_levels":
-        delta = rat_from_json(bound["delta"])
-        marked = list(bound.get("levels", []))
-        checked = 0
-        ok = True
-        if intervals is None:
-            for m in marked:
-                if m <= top:
-                    checked += 1
-                    ok = ok and rows[m - 1].one_minus_r >= delta
-        else:
-            for j, (p, q) in enumerate(intervals[:top], start=1):
-                if any(p <= m < q for m in marked):
-                    checked += 1
-                    ok = ok and rows[j - 1].one_minus_r >= delta
-        if ok and checked:
-            return ErgodicityReport(
-                verdict="UniquelyErgodic",
-                certified=True,
-                certificate=(
-                    f"generator boundary bound 1-r >= {delta} verified on {checked} "
-                    "presented boundary level(s); the staged construction repeats "
-                    "boundaries forever, so the loop-mass series diverges"
-                ),
-                rows=rows,
-            )
-        if ok:
-            return ErgodicityReport(
-                verdict="Undetermined",
-                certified=False,
-                certificate="no recorded boundary level is presented; cannot verify the bound",
-                rows=rows,
-            )
-        return _bound_failed(rows, "boundary divergence")
-
-    if kind == "convergence":
-        scale = rat_from_json(bound["scale"])
-        ratio = rat_from_json(bound["ratio"])
-        if not 0 < ratio < 1:
-            return _bound_failed(rows, "convergence (ratio outside (0,1))")
-        ok = True
-        for j, row in enumerate(rows, start=1):
-            if intervals is None:
-                limit = scale * ratio**j
-            else:
-                p, q = intervals[j - 1]
-                limit = scale * (ratio**p - ratio**q) / (1 - ratio)
-            ok = ok and row.one_minus_r <= limit
-        if ok:
-            return ErgodicityReport(
-                verdict="TwoErgodic",
-                certified=True,
-                certificate=(
-                    f"generator geometric bound 1-r(i) <= {scale} * {ratio}^i verified "
-                    f"on all {top} presented levels; the construction extends it, so "
-                    "the loop-mass series converges and both extreme measures survive"
-                ),
-                rows=rows,
-            )
-        return _bound_failed(rows, "convergence")
-
+    spans = list(zip(rec.levels, rec.levels[1:]))  # original-level interval [p, q) of each map
+    if rec.kind == "convergence":  # 0 < ratio < 1
+        r = rec.ratio
+        limits = (rec.scale * (r**p if q == p + 1 else (r**p - r**q) / (1 - r)) for p, q in spans)
+        if not all(row.one_minus_r <= limit for row, limit in zip(rows, limits)):
+            return _undetermined(rows, "the construction's convergence bound FAILED verification")
+        return ErgodicityReport(
+            "TwoErgodic",
+            True,
+            f"{rec.evidence}; its geometric bound 1-r(i) <= {rec.scale} * {r}^i verified on "
+            f"all {top} presented levels; the construction extends it, so the loop-mass "
+            "series converges and both extreme measures survive",
+            rows,
+        )
+    marked = rec.boundaries
+    checked = [
+        row
+        for row, (p, q) in zip(rows, spans)
+        if rec.kind == "divergence" or bisect_left(marked, q) > bisect_left(marked, p)
+    ]
+    if not all(row.one_minus_r >= rec.delta for row in checked):
+        return _undetermined(rows, f"the construction's {rec.kind} bound FAILED verification")
+    if not checked:
+        return _undetermined(rows, f"{rec.evidence}; no boundary level is presented to verify")
+    where = "" if rec.kind == "divergence" else "boundary "
     return ErgodicityReport(
-        verdict="Undetermined",
-        certified=False,
-        certificate=f"unknown bound type {kind!r}",
-        rows=rows,
+        "UniquelyErgodic",
+        True,
+        f"{rec.evidence}; its bound 1-r >= {rec.delta} verified on {len(checked)} presented "
+        f"{where}level(s); the construction repeats it at every further {where}level, so "
+        "the loop-mass series diverges",
+        rows,
     )
 
 
-def _bound_failed(rows, what: str) -> ErgodicityReport:
-    return ErgodicityReport(
-        verdict="Undetermined",
-        certified=False,
-        certificate=f"recorded {what} bound FAILED verification on the presented levels",
-        rows=rows,
-    )
+def _undetermined(rows, certificate: str) -> ErgodicityReport:
+    return ErgodicityReport("Undetermined", False, certificate, rows)

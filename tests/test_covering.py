@@ -16,6 +16,7 @@ from proxrank2 import (
     circuit_length,
     classify_ergodicity,
     compose_word,
+    cumulative_runs,
     gen_mixing_family,
     gen_not_weakmix_family,
     gen_substitution_family,
@@ -208,12 +209,18 @@ def test_json_round_trip_plain_and_family_specs():
         assert spec_to_json(back) == text
 
 
+def _stage_numbers(spec, m, n):
+    """``(len_d, s)`` of boundary ``m``: ``t_bar(m) l_m - tau(m - 1, n)`` and its margin."""
+    rm = spec.levels[m - 1].restricted
+    return rm.t_bar * circuit_length(spec, m) - cumulative_runs(spec, m - 1, n).tau, rm.s
+
+
 def test_weakmix_family_records_stage_numbers():
     spec = gen_weakmix_not_mix_family(depth=7)
-    stages = spec.family.params["stages"]
-    assert [st["m"] for st in stages] == [3, 6]
-    assert stages[0]["len_d"] == "431" and stages[0]["s"] == "647"
-    assert stages[1]["len_d"] == "216181" and stages[1]["s"] == "324272"
+    stages = spec.family_record.stages
+    assert stages == {3: 1, 6: 4}
+    assert _stage_numbers(spec, 3, 1) == (431, 647)
+    assert _stage_numbers(spec, 6, 4) == (216181, 324272)
     lengths = [circuit_length(spec, i) for i in range(1, 9)]
     assert lengths == [3, 17, 87, 1729, 8647, 43237, 864729, 4323647]
 
@@ -231,7 +238,7 @@ def test_weakmix_family_extends_without_materializing_margins():
     spec = gen_weakmix_not_mix_family(depth=7)
     ext = extend_family(spec, 14)
     assert ext is not None and ext.depth == 14
-    assert [st["m"] for st in ext.family.params["stages"]] == [3, 6, 9, 12]
+    assert list(ext.family_record.stages) == [3, 6, 9, 12]
     assert circuit_length(ext, 15) > 10**12
 
 
@@ -258,4 +265,6 @@ def test_generated_specs_json_keeps_family_metadata():
     back = spec_from_json(spec_to_json(spec))
     assert back.family is not None
     assert back.family.tag == spec.family.tag
-    assert back.family.params["stages"] == spec.family.params["stages"]
+    assert back.family.params == spec.family.params == {"gen": {"l1": 3, "depth": 7}}
+    assert back.family_record == spec.family_record
+    assert back.family_record.stages == {3: 1, 6: 4}
