@@ -18,7 +18,6 @@ from . import substitution as sb
 from .covering import (
     CoveringSpec,
     circuit_length,
-    compose_word,
     spec_from_json,
     spec_to_json,
     telescope,
@@ -244,9 +243,7 @@ def cmd_measure(args) -> int:
 
 def cmd_language(args) -> int:
     spec = _load_spec(args)
-    res = dyn.language(
-        spec, args.n, args.length, stabilize_window=args.window, cap=args.cap
-    )
+    res = dyn.language(spec, args.n, args.length, cap=args.cap)
     if args.json:
         _print_json(
             {
@@ -648,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("language", cmd_language, "stabilized factor language of a row")
     p.add_argument("n", type=int)
     p.add_argument("length", type=int)
-    p.add_argument("--window", type=int, default=2, help="stabilization window")
     p.add_argument("--words", action="store_true", help="list the words")
 
     p = add("complexity", cmd_complexity, "word-count profile of the level-1 rows")

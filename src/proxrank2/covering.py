@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .errors import ExpansionTooLarge, UsageError
 
@@ -48,6 +48,10 @@ def expansion_cap(override: int | None = None) -> int:
             raise UsageError(f"{CAP_ENV_VAR} must be positive, got {val}")
         return val
     return DEFAULT_EXPANSION_CAP
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class RestrictedLevelMap:
         out = []
         for name in ("s", "t", "t2", "s2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 out.append(f"restricted field {name} must be an int, got {v!r}")
         if not out:
             if self.s < 1 or self.s2 < 1:
@@ -185,14 +189,14 @@ class LevelMap:
 
     def problems(self) -> list[str]:
         out = []
-        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
+        if not _is_int(self.b) or self.b < 1:
             out.append(f"winding number b must be an int >= 1, got {self.b!r}")
             return out
         if not isinstance(self.a, tuple) or len(self.a) != self.b + 1:
             out.append(f"a must be a tuple of b+1={self.b + 1} entries, got {self.a!r}")
             return out
         for j, v in enumerate(self.a):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_int(v) or v < 0:
                 out.append(f"a[{j}] must be a nonnegative int, got {v!r}")
         if not out:
             if self.a[0] < 1:
@@ -249,11 +253,10 @@ class CoveringSpec:
     def lengths(self) -> tuple[int, ...]:
         """Circuit lengths ``l_1 .. l_{depth+1}`` by ``l_{n+1} = sum(a) + b l_n``."""
         out = [self.l1]
-        for n, lm in enumerate(self.levels, start=1):
-            try:
-                out.append(lm.next_length(out[-1]))
-            except TypeError as exc:
-                raise UsageError(f"level {n}: cannot compute a circuit length: {exc}") from exc
+        for lm in self.levels:
+            out.append(lm.next_length(out[-1]))
+        if min(out) < 1:
+            raise UsageError(f"circuit {out.index(min(out)) + 1} has length < 1 (see validate)")
         return tuple(out)
 
     @cached_property
@@ -289,7 +292,7 @@ def validate(spec: CoveringSpec) -> ValidationReport:
     problems: list[str] = []
     warnings: list[str] = []
     summaries: list[str] = []
-    if not isinstance(spec.l1, int) or isinstance(spec.l1, bool) or spec.l1 < 2:
+    if not _is_int(spec.l1) or spec.l1 < 2:
         problems.append(f"l1 must be an int >= 2, got {spec.l1!r}")
     for idx, lm in enumerate(spec.levels, start=1):
         lp = lm.problems()
@@ -409,18 +412,23 @@ def level_map_to_dict(lm: LevelMap) -> dict:
 
 
 def level_map_from_dict(d: dict) -> LevelMap:
+    """A level map from JSON, type-checked; value ranges are :func:`validate`'s."""
+    if not isinstance(d, dict):
+        raise UsageError(f"a level map must be a JSON object, got {type(d).__name__}")
     if "s" in d:
-        r = RestrictedLevelMap(
-            s=d["s"], t=d["t"], a_mid=d.get("a_mid", ""), t2=d["t'"], s2=d["s'"]
-        )
+        if not {"t", "t'", "s'"} <= d.keys():
+            raise UsageError("a restricted level map needs keys s, t, t' and s'")
+        r = RestrictedLevelMap(s=d["s"], t=d["t"], a_mid=d.get("a_mid", ""), t2=d["t'"], s2=d["s'"])
         bad = r.problems()
+        if not bad and r.t_bar > expansion_cap():
+            bad.append("restricted map winds more often than the expansion cap allows")
         if bad:
             raise UsageError("; ".join(bad))
         return r.to_level_map()
-    try:
-        return LevelMap(a=tuple(d["a"]), b=d["b"])
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"level map dict needs 'a'/'b' or restricted keys, got {d!r}") from exc
+    a, b = d.get("a"), d.get("b")
+    if not (isinstance(a, list) and a and all(map(_is_int, a)) and _is_int(b)):
+        raise UsageError("a level map needs 'a', a nonempty list of ints, and 'b', an int")
+    return LevelMap(a=tuple(a), b=b)
 
 
 def spec_to_dict(spec: CoveringSpec) -> dict:
@@ -435,12 +443,19 @@ def spec_to_dict(spec: CoveringSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> CoveringSpec:
-    try:
-        l1 = d["l1"]
-        raw_levels = d["levels"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"spec dict needs 'l1' and 'levels', got {d!r}") from exc
-    levels = tuple(level_map_from_dict(x) for x in raw_levels)
+    if not (isinstance(d, dict) and {"l1", "levels"} <= d.keys()):
+        raise UsageError("a spec needs keys 'l1' and 'levels'")
+    l1, raw_levels = d["l1"], d["levels"]
+    if not _is_int(l1):
+        raise UsageError(f"l1 must be an int, got {type(l1).__name__}")
+    if not isinstance(raw_levels, list):
+        raise UsageError(f"'levels' must be a list, got {type(raw_levels).__name__}")
+    levels = []
+    for idx, raw in enumerate(raw_levels, start=1):
+        try:
+            levels.append(level_map_from_dict(raw))
+        except UsageError as exc:
+            raise UsageError(f"level {idx}: {exc}") from exc
     family = None
     fam = d.get("family")
     if fam:
@@ -451,7 +466,7 @@ def spec_from_dict(d: dict) -> CoveringSpec:
         ):
             raise UsageError("family metadata needs a string 'tag' and a dict 'params'")
         family = FamilyInfo(tag=fam["tag"], params=dict(fam["params"]))
-    return CoveringSpec(l1=l1, levels=levels, family=family)
+    return CoveringSpec(l1=l1, levels=tuple(levels), family=family)
 
 
 def spec_to_json(spec: CoveringSpec) -> str:
@@ -461,6 +476,6 @@ def spec_to_json(spec: CoveringSpec) -> str:
 def spec_from_json(text: str) -> CoveringSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise UsageError(f"invalid spec JSON: {exc}") from exc
     return spec_from_dict(data)

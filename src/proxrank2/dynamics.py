@@ -28,7 +28,6 @@ from .covering import (
     level_map,
 )
 from .errors import (
-    ExpansionTooLarge,
     MissingStageMetadata,
     UsageError,
     WindowUndetermined,
@@ -243,32 +242,30 @@ class LanguageResult:
         return sorted(self.words)
 
 
-_MAX_LANGUAGE_LEVELS = 4096
-
-
 def language(
-    spec: CoveringSpec,
-    n: int,
-    length: int,
-    stabilize_window: int = 2,
-    cap: int | None = None,
+    spec: CoveringSpec, n: int, length: int, cap: int | None = None
 ) -> LanguageResult:
-    """Length-``length`` factors of the level-``n`` rows, with stabilization check.
+    """Length-``length`` factors of the level-``n`` rows, closed by a proof.
 
-    The level-``n`` row of circuit ``n`` is ``C^l_n``; the row of circuit
-    ``m + 1`` is ``E^a0 X E^a1 X ... X E^ab`` with ``X`` the row of circuit
-    ``m`` and ``(a, b)`` the level-``m`` map.  The engine takes the union of
-    the windows of the rows of deeper and deeper circuits until it is
-    unchanged for ``stabilize_window`` consecutive levels.  Each level's union
-    is exactly the union of the windows of all rows so far: a row is kept as
-    a string (loop runs capped at ``length``, which changes no window) while
-    it is shorter than ``length``; after that a window crosses at most one
-    junction, so only the row's first and last ``length`` letters are kept
-    and each level adds the windows of its junction words
-    ``tail + E^r + head`` (one per distinct loop run ``r``) and of its two
-    margin words.  Family-generated specs are extended on demand; a
-    hand-entered spec that runs out of levels returns the partial set
-    flagged unstabilized.
+    Circuit ``n``'s row is ``C^l_n``; circuit ``m + 1``'s is ``E^a0 X E^a1
+    ... X E^ab`` with ``X`` circuit ``m``'s row and ``(a, b)`` the level-``m``
+    map.  A row is kept whole (loop runs capped at ``length``) while shorter
+    than ``length``.  Once it has ``length`` letters, starting ``H`` and
+    ending ``T``, only ``head = (E^K H)[:length]`` and ``tail = (T
+    E^K')[-length:]`` are kept, ``K`` and ``K'`` summing the margins ``a[0]``
+    and ``a[-1]`` read since; each level adds the windows of its junction
+    words ``tail + E^r + head`` and of its two margin words.
+
+    The stop is a proof: a later junction word has at least ``K + K'`` loops
+    between its ``T`` and ``H`` parts, so once ``K + K' >= length - 1`` every
+    later window lies in ``E^length + head`` or ``tail + E^length``.  Both
+    words occur in every reduced continuation (``a[0], a[-1] >= 1``), so
+    adding their windows gives the final set.  Rows grow and margins add up
+    by at least 2 per level, so ``stabilized_at``, the circuit whose row closed
+    the proof, is at most ``max(1, length - 1)`` levels above ``n``.  Family
+    specs are extended on demand.  For a hand-entered spec ``stabilized``
+    means the set is final for every reduced continuation of its levels; if
+    they run out first the partial set is returned unstabilized.
 
     Memory bound: the word set holds at most ``expansion_cap(cap)`` letters
     (``len(words) * length``; one byte per letter plus about 50 bytes of
@@ -280,8 +277,6 @@ def language(
         raise UsageError(f"factor length must be >= 1, got {length}")
     if length > 65536:
         raise UsageError(f"factor length {length} is too large for the window engine")
-    if stabilize_window < 1:
-        raise UsageError(f"stabilize_window must be >= 1, got {stabilize_window}")
     if not 1 <= n <= spec.depth:
         raise UsageError(f"need 1 <= n <= {spec.depth}, got {n}")
     limit = expansion_cap(cap)
@@ -290,17 +285,18 @@ def language(
     row: str | None = "C" * l_n if l_n < length else None
     head = tail = "C" * length
     words: set[str] = set()
-    prev_size: int | None = None
-    agree = 0
-    m = n + 1
-    while m - n <= _MAX_LANGUAGE_LEVELS and len(words) * length <= limit:
-        if m > current.depth + 1:
+    margins = 0
+    m = n  # the circuit whose row was read last
+    closed_at = None
+    while closed_at is None and len(words) * length <= limit:
+        if m > current.depth:
             deeper = extend_family(current, current.depth * 2)
             if deeper is None:
                 break
             current = deeper
             continue
-        a = level_map(current, m - 1).a
+        a = level_map(current, m).a
+        m += 1
         if row is not None:
             # Windows can chain across several copies of a short row.
             row = "C".join("E" * min(r, length) for r in a).replace("C", row)
@@ -313,29 +309,18 @@ def language(
             lead, trail = "E" * min(a[0], length), "E" * min(a[-1], length)
             words |= windows(lead + head, length) | windows(tail + trail, length)
             head, tail = (lead + head)[:length], (tail + trail)[-length:]
-        if row is None:
-            if prev_size is not None and len(words) == prev_size:
-                agree += 1
-                if agree >= stabilize_window:
-                    return LanguageResult(
-                        words=frozenset(words),
-                        length=length,
-                        level=n,
-                        stabilized=True,
-                        stabilized_at=m - stabilize_window,
-                        top_level_used=m,
-                    )
-            else:
-                agree = 0
-            prev_size = len(words)
-        m += 1
+            margins += a[0] + a[-1]
+        if row is None and margins >= length - 1:
+            loops = "E" * length
+            words |= windows(loops + head, length) | windows(tail + loops, length)
+            closed_at = m
     return LanguageResult(
         words=frozenset(words),
         length=length,
         level=n,
-        stabilized=False,
-        stabilized_at=None,
-        top_level_used=m - 1,
+        stabilized=closed_at is not None,
+        stabilized_at=closed_at,
+        top_level_used=m,
     )
 
 
@@ -361,16 +346,18 @@ class ComplexityRow:
 def complexity_profile(
     spec: CoveringSpec, max_length: int, cap: int | None = None
 ) -> tuple[ComplexityRow, ...]:
-    """Word counts ``p(L)`` of the level-1 language for ``L = 1 .. max_length``."""
-    if max_length < 1:
-        raise UsageError(f"max_length must be >= 1, got {max_length}")
-    rows = []
-    for length in range(1, max_length + 1):
-        res = language(spec, 1, length, cap=cap)
-        rows.append(
-            ComplexityRow(length=length, count=len(res.words), stabilized=res.stabilized)
-        )
-    return tuple(rows)
+    """Word counts ``p(L)`` of the level-1 language for ``L = 1 .. max_length``.
+
+    One :func:`language` closure at ``max_length``: every window of a row
+    extends to the right inside a deeper row, so the length-``L`` factors are
+    the length-``L`` prefixes of the length-``max_length`` ones.  Every row
+    shares that closure's ``stabilized`` flag.
+    """
+    res = language(spec, 1, max_length, cap=cap)
+    return tuple(
+        ComplexityRow(length, len({w[:length] for w in res.words}), res.stabilized)
+        for length in range(1, max_length + 1)
+    )
 
 
 # --------------------------------------------------------------------------

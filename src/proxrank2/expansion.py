@@ -38,7 +38,6 @@ from .covering import (
     expansion_cap,
     level_map,
     symbol_count,
-    winding_product,
 )
 from .errors import ExpansionTooLarge, RestrictedFormRequired, UsageError
 

@@ -13,7 +13,7 @@ what :func:`substitution_bridge` checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .covering import expansion_cap
 from .errors import ExpansionTooLarge, UsageError

@@ -195,6 +195,12 @@ def test_language_command_exit_reflects_stabilization(base_spec_file, capsys, tm
     assert code == 1
 
 
+def test_language_has_no_window_flag(base_spec_file, capsys):
+    code, _, err = run(capsys, ["language", "1", "4", "--window", "2", "--spec", base_spec_file])
+    assert code == 2
+    assert "--window" in err
+
+
 @pytest.mark.parametrize("rules", ['{"0":"0x","1":"1"}', '{"0":"","1":"10"}'])
 def test_malformed_substitution_exits_two(capsys, rules):
     code, out, err = run(capsys, ["subst", "lang", rules, "0", "3"])

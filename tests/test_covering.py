@@ -66,9 +66,9 @@ def test_length_table_matches_raw_recurrence(spec, data):
 
 
 def test_length_table_rejects_non_numeric_levels():
-    bad = spec_from_json('{"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}, {"a": [1, "x"], "b": 1}]}')
+    text = '{"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}, {"a": [1, "x"], "b": 1}]}'
     with pytest.raises(UsageError, match="level 2"):
-        circuit_length(bad, 1)
+        circuit_length(spec_from_json(text), 1)  # the loader refuses it before the table
 
 
 def test_validate_accepts_generated_families():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from proxrank2 import (
     BETA,
+    CoveringSpec,
+    LevelMap,
     MissingStageMetadata,
     PointSeed,
     UsageError,
@@ -167,31 +169,121 @@ def test_language_at_higher_base_level():
 
 
 def test_language_unstabilized_for_hand_spec(capsys):
-    from proxrank2 import CoveringSpec, LevelMap
-
     hand = CoveringSpec(l1=2, levels=(LevelMap(a=(1, 1, 1), b=2),))
     lang = language(hand, 1, 4)
     assert not lang.stabilized
     assert lang.stabilized_at is None
 
 
-@settings(max_examples=60, deadline=None)
+def _windows(word: str, length: int) -> set[str]:
+    return {word[i: i + length] for i in range(len(word) - length + 1)}
+
+
+def _reference_language(levels, l_n: int, length: int) -> frozenset:
+    """Windows of the rows ``C^l_n``, ``E^a0 X E^a1 ... X E^ab`` over ``levels``.
+
+    Reads levels until the first and last ``length`` letters of the row are
+    both ``E^length``: every later junction and margin word then has only
+    that window, so the set is final.  Fails if ``levels`` ends first.
+    """
+    loops = "E" * length
+    row, head, tail = "C" * l_n, None, None
+    words: set[str] = set()
+    for lm in levels:
+        runs = ["E" * min(r, length) for r in lm.a]
+        if head is None:
+            row = "C".join(runs).replace("C", row)
+            words |= _windows(row, length)
+            if len(row) >= length:
+                head, tail = row[:length], row[-length:]
+            continue
+        for run in set(runs[1:-1]):
+            words |= _windows(tail + run + head, length)
+        words |= _windows(runs[0] + head, length) | _windows(tail + runs[-1], length)
+        head, tail = (runs[0] + head)[:length], (tail + runs[-1])[-length:]
+        if head == tail == loops:
+            return frozenset(words)
+    raise AssertionError("levels ran out before the reference closed")
+
+
+def _continuations(length: int):
+    """Three reduced continuations, long enough for the reference to close."""
+    count = 2 * length + 2
+    return (
+        [LevelMap(a=(1, 1), b=1)] * count,
+        [LevelMap(a=(1, 0, 0, 2), b=3)] * count,
+        [LevelMap(a=(length + 1, 3, length + 1), b=2)] * count,
+    )
+
+
+# A valid hand spec on which stopping once the set is unchanged for two
+# levels returned 10 of the 13 length-7 words every reduced continuation has.
+_COUNTEREXAMPLE = CoveringSpec(
+    l1=3,
+    levels=(LevelMap(a=(9, 3, 1), b=2), LevelMap(a=(2, 1), b=1), LevelMap(a=(9, 1), b=1)),
+)
+
+
+def test_language_proof_closes_the_counterexample():
+    lang = language(_COUNTEREXAMPLE, 1, 7)
+    assert lang.stabilized and len(lang.words) == 13
+    assert {"CCCEEEE", "CCEEEEE", "CEEEEEE"} <= lang.words
+    for tail in _continuations(7):
+        assert lang.words == _reference_language(_COUNTEREXAMPLE.levels + tuple(tail), 3, 7)
+
+
+@st.composite
+def _reduced_hand_specs(draw):
+    margin = st.one_of(st.integers(1, 3), st.integers(1, 12))
+
+    def level():
+        b = draw(st.integers(1, 3))
+        inner = [draw(st.integers(0, 4)) for _ in range(b - 1)]
+        return LevelMap(a=(draw(margin), *inner, draw(margin)), b=b)
+
+    levels = tuple(level() for _ in range(draw(st.integers(1, 5))))
+    return CoveringSpec(l1=draw(st.integers(2, 6)), levels=levels), draw(st.integers(1, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_reduced_hand_specs())
+def test_stabilized_hand_language_holds_in_every_continuation(case):
+    spec, length = case
+    lang = language(spec, 1, length)
+    for tail in _continuations(length):
+        ref = _reference_language(spec.levels + tuple(tail), spec.l1, length)
+        if lang.stabilized:
+            assert lang.words == ref
+        else:
+            assert lang.words <= ref
+
+
+def test_family_languages_equal_the_reference_within_the_level_bound():
+    for gen in _FAMILIES:
+        spec, deep = gen(depth=4), gen(depth=3 + 2 * 64 + 1)
+        for n in (1, 2, 3):
+            for length in range(1, 65):
+                lang = language(spec, n, length)
+                assert lang.stabilized
+                assert lang.stabilized_at - n <= max(1, length - 1), (gen, n, length)
+                ref = _reference_language(deep.levels[n - 1:], circuit_length(deep, n), length)
+                assert lang.words == ref, (gen, n, length)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(_FAMILIES), st.integers(1, 3), st.integers(1, 24))
 def test_language_equals_windows_of_materialized_rows(gen, n, length):
     lang = language(gen(depth=4), n, length)
     assert lang.stabilized
-    spec = gen(depth=lang.top_level_used)
+    spec = gen(depth=n + 2 * length + 1)
+    # rows below and above the closing level realize no window outside the set
     union: set[str] = set()
-    for m in range(n + 1, lang.top_level_used + 1):
+    for m in range(n + 1, spec.depth + 2):
         if circuit_length(spec, m) > 1 << 17:
             break
-        row = time_word(spec, m, n)
-        union |= {row[i: i + length] for i in range(len(row) - length + 1)}
+        union |= _windows(time_word(spec, m, n), length)
         assert union <= lang.words
-        if m == lang.stabilized_at:
-            assert union == lang.words
-    else:
-        assert union == lang.words
+    assert lang.words == _reference_language(spec.levels[n - 1:], circuit_length(spec, n), length)
 
 
 def test_language_at_deep_base_level():
@@ -206,6 +298,16 @@ def test_complexity_profile_counts_and_decay():
     counts = [row.count for row in prof]
     assert counts == [2, 4, 6, 9, 13, 17, 22, 28]
     assert all(row.stabilized for row in prof)
+
+
+@pytest.mark.parametrize("gen", _FAMILIES)
+def test_complexity_profile_equals_one_closure_per_length(gen):
+    spec = gen(depth=4)
+    prof = complexity_profile(spec, 16)
+    assert [row.length for row in prof] == list(range(1, 17))
+    for row in prof:
+        lang = language(spec, 1, row.length)
+        assert (row.count, row.stabilized) == (len(lang.words), lang.stabilized)
 
 
 # ---------------------------------------------------------------- arrays ---

@@ -385,3 +385,90 @@ def test_hostile_family_metadata_never_crashes_or_forges(tmp_path, capsys, case)
     code, out, err = _run(capsys, ["forbidden", "3", *spec])
     assert code in (0, 1, 2), err
     assert not out or _genuine(d)
+
+
+# ------------------------------------------------------- hostile level JSON ---
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"l1": 2, "levels": 5}',
+        '{"l1": 2, "levels": [7]}',
+        '{"l1": ' + "9" * 5000 + ', "levels": []}',
+        '{"l1": 2, "levels": [{"a": [1, 1, 1], "b": [2]}]}',
+        '{"l1": 2.5, "levels": []}',
+        '{"l1": 2, "levels": [{"a": [1, true], "b": 1}]}',
+        '{"l1": 2, "levels": [{"s": 1, "t": 2, "s\'": 1}]}',
+        '{"l1": 2, "levels": [{"s": 1, "t": 1000000000000, "t\'": 2, "s\'": 1}]}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=[
+        "levels-int", "level-int", "l1-5000-digits", "b-list", "l1-float", "a-bool",
+        "restricted-missing-key", "restricted-huge-t", "deep-nesting",
+    ],
+)
+def test_malformed_level_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(UsageError):
+        spec_from_json(text)
+    code, _, err = _run(capsys, ["validate", "--spec", str(path)])
+    assert code == 2 and err.startswith("error: ")
+
+
+_HUGE = st.sampled_from([10**18, -(10**40), 10**300, 10**4000])
+
+
+def _slots(d) -> list:
+    """Every (container, key) of ``l1`` and ``levels`` that a mutation may hit."""
+    out = [(d, key) for key in ("l1", "levels") if key in d]
+    levels = d.get("levels")
+    if isinstance(levels, list):
+        for i, level in enumerate(levels):
+            out.append((levels, i))
+            if isinstance(level, dict):
+                out.extend((level, key) for key in level)
+                if isinstance(level.get("a"), list):
+                    out.extend((level["a"], j) for j in range(len(level["a"])))
+    return out
+
+
+@st.composite
+def _mutated_levels(draw):
+    """A generated spec's JSON with mutated ``l1`` and ``levels``."""
+    d = copy.deepcopy(_BASES[draw(st.sampled_from(sorted(_BASES)))][0])
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(d)
+        if not slots:
+            break
+        where, key = slots[draw(st.integers(0, len(slots) - 1))]
+        action = draw(st.sampled_from(["retype", "drop", "nest", "int", "int"]))
+        if action == "drop":
+            del where[key]
+        elif action == "retype":
+            where[key] = draw(_JUNK)
+        elif action == "nest":
+            old = where[key]
+            where[key] = draw(st.sampled_from([[old], {"a": old, "b": old}, [[old], 1]]))
+        else:
+            where[key] = draw(st.one_of(st.integers(-3, 12), _HUGE))
+    return d
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(d=_mutated_levels())
+def test_hostile_levels_never_crash(tmp_path, capsys, monkeypatch, d):
+    # a small cap keeps any walk or restricted run form a mutation reaches small
+    monkeypatch.setenv("PROXRANK2_CAP", "100000")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    spec = ["--spec", str(path)]
+    for argv in (["validate"], ["language", "1", "6"], ["complexity", "5"], ["ergodic"]):
+        code, _, err = _run(capsys, [*argv, *spec])
+        assert code in (0, 1, 2), (argv, err)
+        assert code != 2 or err.startswith("error: ")
