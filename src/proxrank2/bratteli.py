@@ -15,8 +15,16 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .covering import CoveringSpec, LevelMap, circuit_length, level_map, validate
+from .covering import (
+    CoveringSpec,
+    LevelMap,
+    checked_level_map,
+    circuit_length,
+    expansion_cap,
+    validate,
+)
 from .errors import (
+    ExpansionTooLarge,
     NotRank2Proximal,
     NotReducedForm,
     TruncatedMaximal,
@@ -126,12 +134,21 @@ class FinitePath:
 def covering_to_diagram(
     spec: CoveringSpec, rows: int | None = None, certify: bool = True
 ) -> OrderedBratteliDiagram:
-    """Ordered diagram of the covering with ``rows`` vertex rows (default: all)."""
+    """Ordered diagram of the covering with ``rows`` vertex rows (default: all).
+
+    Builds one edge per letter of each level word plus ``l1`` root edges;
+    raises :class:`ExpansionTooLarge` when that count exceeds the expansion cap.
+    """
     max_rows = spec.depth + 1
     if rows is None:
         rows = max_rows
     if not 1 <= rows <= max_rows:
         raise UsageError(f"rows must be in 1..{max_rows}, got {rows}")
+    maps = [checked_level_map(spec, n) for n in range(1, rows)]
+    need = spec.l1 + sum(lm.b + lm.a_total for lm in maps)
+    limit = expansion_cap()
+    if need > limit:
+        raise ExpansionTooLarge(need, limit, what=f"ordered diagram with {rows} rows")
     vertex_rows: list[tuple[str, ...]] = [(ROOT,)]
     edge_rows = []
     vertex_rows.append((CIRCUIT, LOOP))
@@ -141,8 +158,8 @@ def covering_to_diagram(
             (LOOP, (Edge(ROOT, 1),)),
         )
     )
-    for n in range(1, rows):
-        word = level_map(spec, n).word()
+    for lm in maps:
+        word = lm.word()
         vertex_rows.append((CIRCUIT, LOOP))
         edge_rows.append(
             (

@@ -323,6 +323,23 @@ def level_map(spec: CoveringSpec, n: int) -> LevelMap:
     return spec.levels[n - 1]
 
 
+def checked_level_map(spec: CoveringSpec, n: int) -> LevelMap:
+    """:func:`level_map` ``n``, checked to have ``b >= 1`` slots and ``b + 1`` loop runs ``>= 0``.
+
+    Loading lets through maps that :func:`validate` rejects; code that walks
+    the slots of a map calls this to fail with a :class:`UsageError` naming
+    the level instead of an ``IndexError`` or a misplaced slot.
+    """
+    lm = level_map(spec, n)
+    if lm.b < 1:
+        raise UsageError(f"level {n}: winding number b must be >= 1, got {lm.b}")
+    if len(lm.a) != lm.b + 1:
+        raise UsageError(f"level {n}: a must have b+1={lm.b + 1} entries, got {len(lm.a)}")
+    if min(lm.a) < 0:
+        raise UsageError(f"level {n}: loop runs a must be >= 0, got {min(lm.a)}")
+    return lm
+
+
 def circuit_length(spec: CoveringSpec, n: int) -> int:
     """Length of the level-``n`` circuit; presented levels are ``1 .. depth+1``.
 
@@ -360,7 +377,7 @@ def compose_word(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> 
         raise ExpansionTooLarge(need, limit, what=f"word of circuit {m} over level {n}")
     word = "C"
     for k in range(m - 1, n - 1, -1):
-        word = word.replace("C", spec.levels[k - 1].word())
+        word = word.replace("C", checked_level_map(spec, k).word())
     return word
 
 

@@ -33,6 +33,9 @@ from .errors import (
     WindowUndetermined,
 )
 from .expansion import (
+    _block_difference_work,
+    _block_start_differences,
+    _gap_mask_work,
     _occurrence_gap_mask,
     _time_row,
     _walk_array,
@@ -676,11 +679,24 @@ def residue_obstruction(
 
     Proves the claim for *all* gaps by occurrence residue classes (every
     occurrence of ``v1`` in one class, every occurrence of ``v2`` in the
-    next), then scans the realized gaps up to ``max_gap`` literally.  On
+    next), then lists the realized gaps up to ``max_gap`` exactly.  On
     failure, concrete witness gaps are reported.
+
+    The walk is built for the classes and the witnesses.  The realized gaps
+    come from whichever engine :func:`~proxrank2.expansion._block_difference_work`
+    and :func:`~proxrank2.expansion._gap_mask_work` estimate to be cheaper:
+    the difference set of the level-``n`` block starts, built from the level
+    maps (:func:`~proxrank2.expansion._block_start_differences`), or two
+    occurrence scans of the walk (:func:`~proxrank2.expansion._occurrence_gap_mask`),
+    which a spec with a very large winding number ``b`` keeps.  Memory: the
+    walk, plus two bool rows of at most ``l_m + 1`` bytes (about 200 MB
+    together at the default cap of 1e8), the distinct slot offsets of one
+    level and offset blocks of ``_PAIR_BLOCK`` pairs for the difference set.
     """
     if p < 1:
         raise UsageError(f"p must be >= 1, got {p}")
+    if max_gap < 0:
+        raise UsageError(f"max_gap must be >= 0, got {max_gap}")
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
     if circuit_length(spec, n) < 3:
@@ -712,12 +728,21 @@ def residue_obstruction(
                 f"v1 at {int(occ1[0])}, v2 at {int(occ2[j])}: gap "
                 f"{int(occ2[j] - occ1[0])} != 1 mod {p}"
             )
-    mask11 = _occurrence_gap_mask(walk, 1, 1, max_gap)
-    mask12 = _occurrence_gap_mask(walk, 1, 2, max_gap)
-    gaps11 = np.flatnonzero(mask11)
-    gaps12 = np.flatnonzero(mask12)
-    bad11 = tuple(int(g) for g in gaps11 if g % p != 0)[:8]
-    bad12 = tuple(int(g) for g in gaps12 if g % p != 1 % p)[:8]
+    mask_work = sum(
+        _gap_mask_work(walk.size, occ1.size, occ.size, max_gap) for occ in (occ1, occ2)
+    )
+    if _block_difference_work(spec, m, n) <= mask_work:
+        # v1 and v2 sit at block start + 1 and + 2: gap g is realized from
+        # v1 to v1 when blocks start g apart, and from v1 to v2 at g - 1.
+        w = min(max_gap, walk.size - 1)
+        dist = _block_start_differences(spec, m, n)[: w + 1]
+        gaps11 = np.flatnonzero(dist[1:]) + 1
+        gaps12 = np.flatnonzero(dist[:w]) + 1
+    else:
+        gaps11 = np.flatnonzero(_occurrence_gap_mask(walk, 1, 1, max_gap))
+        gaps12 = np.flatnonzero(_occurrence_gap_mask(walk, 1, 2, max_gap))
+    bad11 = tuple(gaps11[gaps11 % p != 0][:8].tolist())
+    bad12 = tuple(gaps12[gaps12 % p != 1 % p][:8].tolist())
     for g in bad11[:1]:
         witnesses.append(f"realized v1->v1 gap {g} != 0 mod {p}")
     for g in bad12[:1]:

@@ -19,11 +19,13 @@ the loop runs as fill.  A walk costs its dtype's itemsize per step (1 byte
 for ``l_n <= 128``); no string or index array is built on the way.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
-between occurrences of two vertices in a walk.  Two exact engines are
-provided: a materialized bitset scan, and a strip engine that never
+between occurrences of two vertices in a walk.  Three exact engines are
+provided: a materialized bitset scan; a strip engine that never
 materializes the full walk (windows of width ``W`` cross at most one circuit
 join once some circuit is longer than ``W``, so scanning one full copy plus
-short join/margin strips is exhaustive).
+short join/margin strips is exhaustive); and the difference set of the
+level-``n`` block starts, built from the level maps alone, which answers
+every pair of nonzero vertices at once (:func:`_block_start_differences`).
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from .covering import (
     CoveringSpec,
+    checked_level_map,
     circuit_length,
     compose_word,
     expansion_cap,
@@ -158,10 +161,8 @@ def _fill_runs(
     l_k = block.size
     row[:l_k] = block
     for k in range(n, m):
-        lm = spec.levels[k - 1]
+        lm = checked_level_map(spec, k)
         a = lm.a
-        if lm.b < 1:
-            raise UsageError(f"level {k}: winding number b must be >= 1, got {lm.b}")
         first = a[0] + l_k + a[1]
         off = first
         for j in range(2, lm.b + 1):
@@ -310,6 +311,30 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engines
 # --------------------------------------------------------------------------
 
+_SPARSE_PAIRS = 2_000_000  # expected joined pairs up to which _occurrence_gap_mask joins
+
+
+def _join_pairs(size: int, count_u: int, count_v: int, w: int) -> float:
+    """Expected pairs of the windowed join of ``count_u`` and ``count_v`` occurrences."""
+    return count_u * max(1.0, count_v / size * w)
+
+
+def _gap_mask_work(size: int, count_u: int, count_v: int, max_gap: int) -> float:
+    """Estimated nanoseconds of :func:`_occurrence_gap_mask` on a walk of ``size`` entries.
+
+    16 per entry for the occurrence scans, plus 20 per joined pair on the
+    sparse path, or per gap one pass of 4000 plus 1/64 per entry (1/8 per
+    packed byte) on the dense path.  The rates were timed with numpy on a
+    2-core x86 machine; only their ratio to :func:`_block_difference_work`
+    matters.
+    """
+    w = min(max_gap, size - 1)
+    pairs = _join_pairs(size, count_u, count_v, w)
+    if pairs <= _SPARSE_PAIRS:
+        return 16 * size + 20 * pairs
+    return 16 * size + w * (4000 + size / 64)
+
+
 def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.ndarray:
     """Bool mask over 0..max_gap marking realized gaps from u to v (exact)."""
     mask = np.zeros(max_gap + 1, dtype=bool)
@@ -323,9 +348,7 @@ def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.n
     if count_u == 0 or count_v == 0:
         return mask
     # Sparse path: windowed join of the occurrence lists.
-    density = count_v / walk.size
-    expected_pairs = count_u * max(1.0, density * w)
-    if expected_pairs <= 2_000_000:
+    if _join_pairs(walk.size, count_u, count_v, w) <= _SPARSE_PAIRS:
         occ_u = np.flatnonzero(is_u)
         occ_v = np.flatnonzero(is_v)
         lo = np.searchsorted(occ_v, occ_u + 1)
@@ -353,6 +376,78 @@ def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.n
         if nb > 0 and np.bitwise_and(bits_u[:nb], pb[q:q + nb]).any():
             mask[gap] = True
     return mask
+
+
+def _slot_offsets(starts: np.ndarray, size: int) -> np.ndarray:
+    """Distinct differences ``c_j - c_i >= 0`` of the increasing slot starts, ascending.
+
+    Marked in a bool row of ``size`` entries, in blocks of at most
+    ``_PAIR_BLOCK`` slot pairs.
+    """
+    marks = np.zeros(size, dtype=bool)
+    step = max(1, _PAIR_BLOCK // starts.size)
+    for lo in range(0, starts.size, step):
+        diff = starts[None, :] - starts[lo: lo + step, None]
+        marks[diff[diff >= 0]] = True
+    return np.flatnonzero(marks)
+
+
+def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
+    """Estimated nanoseconds of :func:`_block_start_differences`, in the units of
+    :func:`_gap_mask_work`.
+
+    Per level 8 per slot pair, plus two slice-ORs of 1000 and 1/16 per byte
+    for each distinct offset; the offsets are counted as one per slot pair,
+    but no more than the row has entries.
+    """
+    l_n = circuit_length(spec, n)
+    l_k, work = l_n, 0
+    for k in range(n, m):
+        lm = checked_level_map(spec, k)
+        pairs = lm.b * (lm.b + 1) // 2
+        l_up = lm.next_length(l_k)
+        work += 8 * pairs + min(pairs, l_up - l_n + 1) * 2 * (1000 + (l_k - l_n + 1) // 16)
+        l_k = l_up
+    return work
+
+
+def _block_start_differences(spec: CoveringSpec, m: int, n: int) -> np.ndarray:
+    """Distances between the level-``n`` circuit blocks in the walk of circuit ``m``.
+
+    A bool row over ``0 .. l_m - l_n``: entry ``d`` is set when two level-``n``
+    blocks of the walk start ``d`` steps apart.  Vertex ``u != 0`` sits at
+    (block start + ``u``), so for ``u, v != 0`` the gap ``g`` from ``u`` to
+    ``v`` is realized exactly when entry ``|g - (v - u)|`` is set.
+
+    Built from the level maps, never from the walk: the set is ``{0}`` on
+    level ``n`` and the union of ``±D + c_j - c_i`` one level up, over the
+    slot starts ``c_j = a[0] + .. + a[j] + j l_k`` of map ``k``.  It is
+    symmetric, so one row of distances ``>= 0`` is kept.  Slots are at least
+    ``l_k`` apart, more than any distance in ``D`` (at most ``l_k - l_n``),
+    so ``|±D + d|`` is ``d + D`` and ``d - D``: each distinct offset
+    ``d = c_j - c_i > 0`` costs two slice-ORs.  Memory: two bool rows of at most ``l_m - l_n + 1`` bytes, the
+    distinct offsets of one level (at most one per slot pair) and index
+    blocks of at most ``_PAIR_BLOCK`` pairs; the row is not checked against
+    the expansion cap, so callers bound ``l_m`` first (as building the walk
+    does).  Time: per level, ``b (b + 1) / 2`` slot pairs and two slice-ORs
+    per distinct offset.
+    """
+    l_n = circuit_length(spec, n)
+    l_k = l_n
+    dist = np.ones(1, dtype=bool)
+    for k in range(n, m):
+        lm = checked_level_map(spec, k)
+        starts = np.cumsum(lm.a[:-1], dtype=np.int64) + l_k * np.arange(lm.b, dtype=np.int64)
+        l_k = lm.next_length(l_k)
+        offsets = _slot_offsets(starts, l_k - l_n + 1).tolist()
+        up = np.zeros(l_k - l_n + 1, dtype=bool)
+        size = dist.size
+        for d in offsets:
+            up[d: d + size] |= dist
+            if d:
+                up[d - size + 1: d + 1] |= dist[::-1]
+        dist = up
+    return dist
 
 
 def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:

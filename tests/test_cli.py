@@ -10,6 +10,7 @@ from proxrank2 import (
     classify_ergodicity,
     cli,
     gen_mixing_family,
+    gen_not_weakmix_family,
     gen_substitution_family,
     spec_to_json,
 )
@@ -51,6 +52,28 @@ def test_gaps_command_lists_realized_gaps(base_spec_file, capsys):
     code, out, _ = run(capsys, ["gaps", "3", "2", "1", "1", "--max-gap", "20", "--spec", base_spec_file])
     assert code == 0
     assert "7" in out and "8" in out and "15" in out
+
+
+def test_residue_command_on_p3_family(tmp_path, capsys):
+    path = tmp_path / "nw.json"
+    path.write_text(spec_to_json(gen_not_weakmix_family(3, depth=15)))
+    argv = ["residue", "1", "3", "16", "--max-gap", "30000", "--spec", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        "classes v1=[1] v2=[2] mod 3\n"
+        "scanned v1v1=9999 v1v2=9999 up to 30000\n"
+        "passed\n"
+    )
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    assert out == (
+        '{"classes_v1":[1],"classes_v2":[2],"m":16,"n":1,"p":3,"passed":true,'
+        '"scan_max_gap":30000,"scanned_v1v1":9999,"scanned_v1v2":9999,'
+        '"violations_v1v1":[],"violations_v1v2":[],"witnesses":[]}\n'
+    )
+    code, _, err = run(capsys, [*argv[:4], "--max-gap", "-5", *argv[6:]])
+    assert (code, err) == (2, "error: max_gap must be >= 0, got -5\n")
 
 
 def test_ergodic_command_prints_label(base_spec_file, capsys):

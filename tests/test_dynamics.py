@@ -37,10 +37,13 @@ from proxrank2 import (
     residue_obstruction,
     seed_from_position,
     stable_point,
+    telescope,
     time_word,
     unstable_point,
     validate_seed,
 )
+from proxrank2 import dynamics
+from proxrank2.expansion import _occurrence_gap_mask, _walk_array
 
 BASE = gen_substitution_family(depth=6)
 
@@ -458,6 +461,85 @@ def test_residue_obstruction_fails_on_mixing_family():
     report = residue_obstruction(mix, 1, 2, 9)
     assert not report.passed
     assert report.witnesses
+
+
+def _residue_reference(spec, n, p, m, max_gap):
+    """``residue_obstruction(...).to_dict()`` with both gap scans read off the walk."""
+    walk = _walk_array(spec, m, n)
+    occ1 = [int(x) for x in np.flatnonzero(walk == 1)]
+    occ2 = [int(x) for x in np.flatnonzero(walk == 2)]
+    classes1 = sorted({x % p for x in occ1})
+    classes2 = sorted({x % p for x in occ2})
+    class_ok = len(classes1) == len(classes2) == 1 and (classes2[0] - classes1[0]) % p == 1 % p
+    witnesses = []
+    if len(classes1) > 1:
+        x, y = next((x, y) for x, y in zip(occ1, occ1[1:]) if (y - x) % p)
+        witnesses.append(f"v1 at {x} and {y}: gap {y - x} != 0 mod {p}")
+    later = [y for y in occ2 if y > occ1[0]]
+    if not class_ok and later and (later[0] - occ1[0]) % p != 1 % p:
+        witnesses.append(f"v1 at {occ1[0]}, v2 at {later[0]}: gap {later[0] - occ1[0]} != 1 mod {p}")
+    gaps11 = [int(g) for g in np.flatnonzero(_occurrence_gap_mask(walk, 1, 1, max_gap))]
+    gaps12 = [int(g) for g in np.flatnonzero(_occurrence_gap_mask(walk, 1, 2, max_gap))]
+    bad11 = [g for g in gaps11 if g % p != 0][:8]
+    bad12 = [g for g in gaps12 if g % p != 1 % p][:8]
+    witnesses += [f"realized v1->v1 gap {g} != 0 mod {p}" for g in bad11[:1]]
+    witnesses += [f"realized v1->v2 gap {g} != 1 mod {p}" for g in bad12[:1]]
+    return {
+        "n": n,
+        "m": m,
+        "p": p,
+        "passed": class_ok and not bad11 and not bad12,
+        "classes_v1": classes1,
+        "classes_v2": classes2,
+        "scan_max_gap": max_gap,
+        "scanned_v1v1": len(gaps11),
+        "scanned_v1v2": len(gaps12),
+        "violations_v1v1": bad11,
+        "violations_v1v2": bad12,
+        "witnesses": witnesses,
+    }
+
+
+_RESIDUE_SPECS = (
+    gen_not_weakmix_family(3, depth=12),
+    telescope(gen_not_weakmix_family(3, depth=12), [1, 3, 7, 13]),
+    gen_mixing_family(depth=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RESIDUE_SPECS), st.sampled_from([1, 2, 3, 5]), st.data())
+def test_residue_obstruction_matches_walk_scan_reference(spec, p, data):
+    m = data.draw(st.integers(1, spec.depth + 1), label="m")
+    n = data.draw(st.integers(1, m), label="n")
+    if circuit_length(spec, n) < 3:
+        n = 1
+    max_gap = data.draw(st.integers(1, 2 * circuit_length(spec, m)), label="max_gap")
+    got = residue_obstruction(spec, n, p, m, max_gap=max_gap).to_dict()
+    assert got == _residue_reference(spec, n, p, m, max_gap)
+
+
+def test_residue_obstruction_takes_each_engine(monkeypatch):
+    nw = gen_not_weakmix_family(3, depth=15)
+    wide = telescope(nw, [1, 12, 16])  # circuit 16 again, with b = 2048 on level 1
+    calls = []
+
+    def spy(name):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *args: calls.append(name) or real(*args))
+
+    spy("_block_start_differences")
+    spy("_occurrence_gap_mask")
+    far = residue_obstruction(nw, 1, 3, 16, max_gap=30_000)
+    assert calls == ["_block_start_differences"]
+    calls.clear()
+    near = residue_obstruction(wide, 1, 3, 3, max_gap=50)
+    assert calls == ["_occurrence_gap_mask"] * 2
+    assert far.passed and near.passed
+    assert (far.classes_v1, far.classes_v2) == (near.classes_v1, near.classes_v2) == ((1,), (2,))
+    calls.clear()
+    assert near.to_dict() == {**residue_obstruction(nw, 1, 3, 16, max_gap=50).to_dict(), "m": 3}
+    assert calls == ["_block_start_differences"]
 
 
 # ------------------------------------------------------ forbidden window ---

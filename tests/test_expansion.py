@@ -27,9 +27,15 @@ from proxrank2 import (
     gen_substitution_family,
     level_walks,
     realized_gap_table,
+    telescope,
     time_word,
 )
-from proxrank2.expansion import _occurrence_gap_mask, _time_row, _walk_array
+from proxrank2.expansion import (
+    _block_start_differences,
+    _occurrence_gap_mask,
+    _time_row,
+    _walk_array,
+)
 
 from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
 
@@ -389,3 +395,29 @@ def test_dense_gap_mask_matches_direct_scan(shift):
     walk[p - 100 + np.flatnonzero(rng.integers(0, 2, 100))] = 0
     walk[p] = 2
     assert list(_occurrence_gap_mask(walk, 1, 2, 100)) == _direct_gap_mask(walk, 1, 2, 100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_builder_specs, st.data())
+def test_block_start_differences_equal_occurrence_masks(spec, data):
+    # Vertex u != 0 sits at (block start + u), so gap g from u to v is
+    # realized exactly when two blocks start |g - (v - u)| apart.
+    top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 5_000)
+    spec = CoveringSpec(l1=spec.l1, levels=spec.levels[: top - 1])
+    if top >= 3 and data.draw(st.booleans(), label="telescoped"):
+        inner = data.draw(st.sets(st.integers(2, top - 1), max_size=top - 2), label="keep")
+        spec = telescope(spec, [1, *sorted(inner), top])
+    m = data.draw(st.integers(1, spec.depth + 1), label="m")
+    n = data.draw(st.integers(1, m), label="n")
+    l_n, l_m = circuit_length(spec, n), circuit_length(spec, m)
+    assume(l_n >= 2)
+    u = data.draw(st.integers(1, l_n - 1), label="u")
+    v = data.draw(st.integers(1, l_n - 1), label="v")
+    max_gap = data.draw(st.integers(1, 2 * l_m), label="max_gap")
+    dist = _block_start_differences(spec, m, n)
+    assert dist.dtype == bool and dist.size == l_m - l_n + 1 and dist[0]
+    gaps = np.arange(1, max_gap + 1)
+    at = np.abs(gaps - (v - u))
+    got = np.zeros(max_gap + 1, dtype=bool)
+    got[gaps[at < dist.size]] = dist[at[at < dist.size]]
+    assert np.array_equal(got, _occurrence_gap_mask(_walk_array(spec, m, n), u, v, max_gap))

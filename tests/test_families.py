@@ -416,6 +416,26 @@ def test_malformed_level_json_exits_two(tmp_path, capsys, text):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gaps", "2", "1", "1", "1", "--max-gap", "5"], ["bratteli", "export", "--rows", "2"],
+     ["residue", "1", "3", "2"], ["expand", "2", "1"]],
+    ids=["gaps", "bratteli", "residue", "expand"],
+)
+def test_short_loop_run_list_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    path.write_text('{"l1": 4, "levels": [{"a": [1, 1], "b": 3}]}')
+    code, _, err = _run(capsys, [*argv, "--spec", str(path)])
+    assert (code, err) == (2, "error: level 1: a must have b+1=4 entries, got 2\n")
+
+
+def test_bratteli_export_stops_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"l1": 1000000000000, "levels": [{"a": [1, 1], "b": 1}]}')
+    code, _, err = _run(capsys, ["bratteli", "export", "--rows", "1", "--spec", str(path)])
+    assert code == 3 and err.startswith("error: ordered diagram with 1 rows needs")
+
+
 _HUGE = st.sampled_from([10**18, -(10**40), 10**300, 10**4000])
 
 
@@ -472,3 +492,12 @@ def test_hostile_levels_never_crash(tmp_path, capsys, monkeypatch, d):
         code, _, err = _run(capsys, [*argv, *spec])
         assert code in (0, 1, 2), (argv, err)
         assert code != 2 or err.startswith("error: ")
+    # these materialize walks or diagram rows, so they may also stop at the cap (exit 3)
+    for argv in (
+        ["gaps", "2", "1", "1", "1", "--max-gap", "5"],
+        ["bratteli", "export", "--rows", "2"],
+        ["residue", "1", "3", "2"],
+    ):
+        code, _, err = _run(capsys, [*argv, *spec])
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert code < 2 or err.startswith("error: ")
