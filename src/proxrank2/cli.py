@@ -17,6 +17,7 @@ from . import dynamics as dyn
 from . import substitution as sb
 from .covering import (
     CoveringSpec,
+    checked_level_map,
     circuit_length,
     spec_from_json,
     spec_to_json,
@@ -232,6 +233,9 @@ def cmd_ergodic(args) -> int:
 def cmd_measure(args) -> int:
     spec = _load_spec(args)
     vec = vertex_measure(spec, args.n, args.horizon, which=args.which)
+    # The weights rest on l_n, l_horizon and the winding numbers below the horizon.
+    for k in range(1, args.horizon):
+        checked_level_map(spec, k)
     if args.json:
         _print_json(vec.to_dict())
     else:

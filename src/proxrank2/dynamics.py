@@ -28,6 +28,7 @@ from .covering import (
     level_map,
 )
 from .errors import (
+    ExpansionTooLarge,
     MissingStageMetadata,
     UsageError,
     WindowUndetermined,
@@ -667,6 +668,17 @@ class ResidueReport:
         }
 
 
+def _residue_classes(occ: np.ndarray, p: int, size: int) -> tuple[int, ...]:
+    """The residues mod ``p`` of the positions ``occ`` (all ``< size``), ascending.
+
+    Marked in a bool row of ``min(p, size)`` entries, not sorted: at most one
+    byte per walk entry, however large ``p`` is.
+    """
+    marks = np.zeros(min(p, size), dtype=bool)
+    marks[occ % p] = True
+    return tuple(np.flatnonzero(marks).tolist())
+
+
 def residue_obstruction(
     spec: CoveringSpec,
     n: int,
@@ -689,9 +701,10 @@ def residue_obstruction(
     maps (:func:`~proxrank2.expansion._block_start_differences`), or two
     occurrence scans of the walk (:func:`~proxrank2.expansion._occurrence_gap_mask`),
     which a spec with a very large winding number ``b`` keeps.  Memory: the
-    walk, plus two bool rows of at most ``l_m + 1`` bytes (about 200 MB
-    together at the default cap of 1e8), the distinct slot offsets of one
-    level and offset blocks of ``_PAIR_BLOCK`` pairs for the difference set.
+    walk, plus at most three bool rows of at most ``l_m + 1`` bytes (about
+    300 MB together at the default cap of 1e8), the distinct slot offsets of one
+    level and offset blocks of ``_PAIR_BLOCK`` pairs for the difference set,
+    and the residue classes in a bool row of ``min(p, l_m + 1)`` bytes.
     """
     if p < 1:
         raise UsageError(f"p must be >= 1, got {p}")
@@ -704,8 +717,8 @@ def residue_obstruction(
     walk = _walk_array(spec, m, n, cap=cap)
     occ1 = np.flatnonzero(walk == 1).astype(np.int64, copy=False)
     occ2 = np.flatnonzero(walk == 2).astype(np.int64, copy=False)
-    classes1 = tuple(int(x) for x in np.unique(occ1 % p))
-    classes2 = tuple(int(x) for x in np.unique(occ2 % p))
+    classes1 = _residue_classes(occ1, p, walk.size)
+    classes2 = _residue_classes(occ2, p, walk.size)
     class_ok = (
         len(classes1) == 1
         and len(classes2) == 1
@@ -801,16 +814,14 @@ class ForbiddenWindowReport:
         }
 
 
-def _first_gap_above(pos_u: np.ndarray, pos_v: np.ndarray, floor: int) -> int | None:
-    """Smallest realized gap ``> floor`` from positions ``pos_u`` to ``pos_v``."""
-    if pos_u.size == 0 or pos_v.size == 0:
+def _first_distance_above(dist: np.ndarray, floor: int) -> int | None:
+    """Least ``d > floor`` set in the bool row ``dist``, or ``None``."""
+    lo = max(floor + 1, 0)
+    if lo >= dist.size:
         return None
-    idx = np.searchsorted(pos_v, pos_u + floor + 1)
-    valid = idx < pos_v.size
-    if not valid.any():
-        return None
-    gaps = pos_v[idx[valid]] - pos_u[valid]
-    return int(gaps.min())
+    ahead = dist[lo:]
+    i = int(ahead.argmax())
+    return lo + i if ahead[i] else None
 
 
 def forbidden_window_report(
@@ -820,12 +831,23 @@ def forbidden_window_report(
 
     The stripped-word length ``len(d(m+1, n))`` is computed once by recursion
     arithmetic (``t_bar(m) * l_m - tau(m-1, n)``) and once by expanding the
-    d-word, then the top presented circuit is scanned: for non-central vertex
-    pairs no gap in ``[len+1, ...]`` is realized until the copies separate.
-    Central pairs sit inside loop runs and realize every small gap, so the
-    window statement quantifies over the non-central pairs.  The stage base
-    ``n`` comes from the spec's recognized construction
+    d-word.  Then the top presented circuit is checked: for non-central
+    vertex pairs no gap in ``[len+1, ...]`` is realized until the copies
+    separate.  Central pairs sit inside loop runs and realize every small
+    gap, so the window statement quantifies over the non-central pairs.  The
+    stage base ``n`` comes from the spec's recognized construction
     (:attr:`~proxrank2.covering.CoveringSpec.family_record`), never from JSON.
+
+    No walk is built.  Vertex ``u != 0`` sits at block start ``+ u``, and
+    distinct level-``n`` blocks start at least ``l_n`` apart, so the gaps
+    from ``u`` to ``v`` are ``d + (v - u)`` over the block-start distances
+    ``d >= 0`` of :func:`~proxrank2.expansion._block_start_differences`.  The
+    first one above ``floor`` is ``d* + (v - u)`` with ``d*`` the least
+    distance ``> floor - (v - u)``; over all non-central pairs it is
+    ``max(floor + 1, d* - (l_n - 2))`` with ``d*`` the least distance
+    ``> floor - (l_n - 2)``.  Memory: the distance row of ``l_top - l_n + 1``
+    bytes (and the builder's second row), still refused with exit 3 when the
+    top walk of ``l_top + 1`` entries would exceed the cap.
     """
     rec = spec.family_record
     if rec.problem is not None:
@@ -848,19 +870,25 @@ def forbidden_window_report(
     n_c = dw.count("C")
     len_measured = (len(dw) - n_c) + n_c * circuit_length(spec, n)
     top = spec.depth + 1
-    walk = _walk_array(spec, top, n, cap=cap)
-    noncenter = np.flatnonzero(walk != 0).astype(np.int64, copy=False)
-    first = _first_gap_above(noncenter, noncenter, len_arith)
-    width = None if first is None else first - len_arith - 1
+    limit = expansion_cap(cap)
+    l_top = circuit_length(spec, top)
+    if l_top + 1 > limit:
+        raise ExpansionTooLarge(
+            l_top + 1, limit, what=f"vertex walk of circuit {top} over level {n}"
+        )
+    dist = _block_start_differences(spec, top, n)
     l_n = circuit_length(spec, n)
+    first = None
+    if l_n >= 2:
+        d = _first_distance_above(dist, len_arith - (l_n - 2))
+        first = None if d is None else max(len_arith + 1, d - (l_n - 2))
+    width = None if first is None else first - len_arith - 1
     per_pair: list[tuple[int, int, int | None]] = []
     if (l_n - 1) ** 2 <= 36:
-        occ = {
-            u: np.flatnonzero(walk == u).astype(np.int64, copy=False) for u in range(1, l_n)
-        }
         for u in range(1, l_n):
             for v in range(1, l_n):
-                per_pair.append((u, v, _first_gap_above(occ[u], occ[v], len_arith)))
+                d = _first_distance_above(dist, len_arith - (v - u))
+                per_pair.append((u, v, None if d is None else d + (v - u)))
     all_empty = first is None or first > len_arith + 1
     return ForbiddenWindowReport(
         m=m,

@@ -311,7 +311,7 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engines
 # --------------------------------------------------------------------------
 
-_SPARSE_PAIRS = 2_000_000  # expected joined pairs up to which _occurrence_gap_mask joins
+_SPARSE_PAIRS = 2_000_000  # most expected joined pairs that _occurrence_gap_mask joins
 
 
 def _join_pairs(size: int, count_u: int, count_v: int, w: int) -> float:
@@ -319,24 +319,43 @@ def _join_pairs(size: int, count_u: int, count_v: int, w: int) -> float:
     return count_u * max(1.0, count_v / size * w)
 
 
+def _sparse_join_cheaper(size: int, count_u: int, count_v: int, w: int) -> bool:
+    """Whether :func:`_occurrence_gap_mask` joins occurrence lists rather than scanning bitsets.
+
+    The join is taken when its expected pairs stay at most ``_SPARSE_PAIRS``
+    (its index arrays take about 32 bytes per joined pair, so about 64 MB)
+    and cost no more than the dense scan in the model of
+    :func:`_gap_mask_work`: ``20 pairs <= w (4000 + size / 64)``.
+    """
+    pairs = _join_pairs(size, count_u, count_v, w)
+    return pairs <= _SPARSE_PAIRS and 20 * pairs <= w * (4000 + size / 64)
+
+
 def _gap_mask_work(size: int, count_u: int, count_v: int, max_gap: int) -> float:
     """Estimated nanoseconds of :func:`_occurrence_gap_mask` on a walk of ``size`` entries.
 
     16 per entry for the occurrence scans, plus 20 per joined pair on the
     sparse path, or per gap one pass of 4000 plus 1/64 per entry (1/8 per
-    packed byte) on the dense path.  The rates were timed with numpy on a
-    2-core x86 machine; only their ratio to :func:`_block_difference_work`
-    matters.
+    packed byte) on the dense path; :func:`_sparse_join_cheaper` picks the
+    path, so the estimate is the cost of the path taken.  The rates were
+    timed with numpy on a 2-core x86 machine; only their ratio to
+    :func:`_block_difference_work` matters.
     """
     w = min(max_gap, size - 1)
-    pairs = _join_pairs(size, count_u, count_v, w)
-    if pairs <= _SPARSE_PAIRS:
-        return 16 * size + 20 * pairs
+    if _sparse_join_cheaper(size, count_u, count_v, w):
+        return 16 * size + 20 * _join_pairs(size, count_u, count_v, w)
     return 16 * size + w * (4000 + size / 64)
 
 
 def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.ndarray:
-    """Bool mask over 0..max_gap marking realized gaps from u to v (exact)."""
+    """Bool mask over 0..max_gap marking realized gaps from u to v (exact).
+
+    Two exact paths, chosen by :func:`_sparse_join_cheaper`: a windowed join
+    of the occurrence lists (memory: the lists and index arrays of at most
+    ``_SPARSE_PAIRS`` expected pairs), or a packed bitset scan with one
+    shift-AND pass per gap (memory: two bool rows of the walk's size while
+    packing, then nine packed rows of 1/8 byte per entry).
+    """
     mask = np.zeros(max_gap + 1, dtype=bool)
     w = min(max_gap, walk.size - 1)
     if w < 1:
@@ -348,7 +367,7 @@ def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.n
     if count_u == 0 or count_v == 0:
         return mask
     # Sparse path: windowed join of the occurrence lists.
-    if _join_pairs(walk.size, count_u, count_v, w) <= _SPARSE_PAIRS:
+    if _sparse_join_cheaper(walk.size, count_u, count_v, w):
         occ_u = np.flatnonzero(is_u)
         occ_v = np.flatnonzero(is_v)
         lo = np.searchsorted(occ_v, occ_u + 1)
@@ -396,9 +415,10 @@ def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
     """Estimated nanoseconds of :func:`_block_start_differences`, in the units of
     :func:`_gap_mask_work`.
 
-    Per level 8 per slot pair, plus two slice-ORs of 1000 and 1/16 per byte
-    for each distinct offset; the offsets are counted as one per slot pair,
-    but no more than the row has entries.
+    Per level 8 per slot pair, 1/2 per byte for the reversed copy of the row
+    below, plus two slice-ORs of 1000 and 1/16 per byte for each distinct
+    offset; the offsets are counted as one per slot pair, but no more than
+    the row has entries.
     """
     l_n = circuit_length(spec, n)
     l_k, work = l_n, 0
@@ -406,7 +426,8 @@ def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
         lm = checked_level_map(spec, k)
         pairs = lm.b * (lm.b + 1) // 2
         l_up = lm.next_length(l_k)
-        work += 8 * pairs + min(pairs, l_up - l_n + 1) * 2 * (1000 + (l_k - l_n + 1) // 16)
+        size = l_k - l_n + 1
+        work += 8 * pairs + size // 2 + min(pairs, l_up - l_n + 1) * 2 * (1000 + size // 16)
         l_k = l_up
     return work
 
@@ -425,12 +446,14 @@ def _block_start_differences(spec: CoveringSpec, m: int, n: int) -> np.ndarray:
     symmetric, so one row of distances ``>= 0`` is kept.  Slots are at least
     ``l_k`` apart, more than any distance in ``D`` (at most ``l_k - l_n``),
     so ``|±D + d|`` is ``d + D`` and ``d - D``: each distinct offset
-    ``d = c_j - c_i > 0`` costs two slice-ORs.  Memory: two bool rows of at most ``l_m - l_n + 1`` bytes, the
-    distinct offsets of one level (at most one per slot pair) and index
-    blocks of at most ``_PAIR_BLOCK`` pairs; the row is not checked against
-    the expansion cap, so callers bound ``l_m`` first (as building the walk
-    does).  Time: per level, ``b (b + 1) / 2`` slot pairs and two slice-ORs
-    per distinct offset.
+    ``d = c_j - c_i > 0`` costs two slice-ORs.  Memory: the row being built,
+    of at most ``l_m - l_n + 1`` bytes, and the row below with its reversed
+    copy (each at most ``l_{m-1} - l_n + 1`` bytes), the distinct offsets of
+    one level (at most one per slot pair) and index blocks of at most
+    ``_PAIR_BLOCK`` pairs; the row is not checked against the expansion cap,
+    so callers bound ``l_m`` first (as building the walk does).  Time: per
+    level, ``b (b + 1) / 2`` slot pairs, one reversed copy and two
+    slice-ORs per distinct offset.
     """
     l_n = circuit_length(spec, n)
     l_k = l_n
@@ -442,17 +465,59 @@ def _block_start_differences(spec: CoveringSpec, m: int, n: int) -> np.ndarray:
         offsets = _slot_offsets(starts, l_k - l_n + 1).tolist()
         up = np.zeros(l_k - l_n + 1, dtype=bool)
         size = dist.size
+        rev = dist[::-1].copy()  # numpy ORs a reversed view about 30x slower than a copy
         for d in offsets:
             up[d: d + size] |= dist
             if d:
-                up[d - size + 1: d + 1] |= dist[::-1]
+                up[d - size + 1: d + 1] |= rev
         dist = up
     return dist
 
 
+_CODE_BLOCK = 1 << 16  # pair codes per np.bincount call of _mark_pair_table
+
+
 def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:
-    for gap in range(1, min(max_gap, seg.size - 1) + 1):
-        table[seg[:-gap], seg[gap:], gap] = True
+    """OR the gaps ``1 .. max_gap`` realized in ``seg`` into ``table[u, v, gap]``.
+
+    The pair ``(seg[i], seg[i + g])`` is counted as the int32 code
+    ``seg[i] (l_n + 1) + seg[i + g]`` by :func:`numpy.bincount`; positions
+    past the end of ``seg`` read the sentinel ``l_n``, whose column is
+    dropped (codes fit int32 for ``l_n <= 46340``; :func:`realized_gap_table`
+    allows ``l_n <= 2048``).  Codes are built over blocks of at most
+    ``_CODE_BLOCK`` positions.  A segment shorter than that (the strip cores
+    and margins of :func:`realized_gap_table`) shares one call among several
+    gaps, each offset by ``g l_n (l_n + 1)``, so that no gap pays a call of
+    its own.
+    Memory, independent of ``seg.size``: at most ``_CODE_BLOCK`` codes (4
+    bytes each, and 8 more in the copy numpy counts from), the counts of one
+    call (8 bytes each, at most ``max(_CODE_BLOCK, l_n (l_n + 1))``) and one
+    padded int32 row of the block plus ``max_gap`` entries.  Time: one code
+    per position and gap, and one pass over the counts of each call.
+    """
+    size = seg.size
+    w = min(max_gap, size - 1)
+    if w < 1:
+        return
+    l_n = table.shape[0]
+    row = l_n + 1
+    cell = l_n * row
+    span = min(size, _CODE_BLOCK)
+    batch = max(1, min(w, _CODE_BLOCK // span, _CODE_BLOCK // cell))
+    for lo in range(0, size - 1, span):
+        hi = min(lo + span, size)
+        left = seg[lo:hi].astype(np.int32) * row
+        right = np.full(hi - lo + w, l_n, dtype=np.int32)
+        ahead = seg[lo: hi + w]
+        right[: ahead.size] = ahead
+        windows = np.lib.stride_tricks.sliding_window_view(right, hi - lo)  # row g: seg[lo+g:hi+g]
+        for g0 in range(1, w + 1, batch):
+            g1 = min(g0 + batch, w + 1)
+            codes = windows[g0:g1] + left
+            codes += (np.arange(g1 - g0, dtype=np.int32) * cell)[:, None]
+            counts = np.bincount(codes.ravel(), minlength=(g1 - g0) * cell)
+            hits = counts.reshape(g1 - g0, l_n, row)[:, :, :l_n] > 0
+            table[:, :, g0:g1] |= hits.transpose(1, 2, 0)
 
 
 def _strip_segments(

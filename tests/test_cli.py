@@ -12,6 +12,7 @@ from proxrank2 import (
     gen_mixing_family,
     gen_not_weakmix_family,
     gen_substitution_family,
+    gen_weakmix_not_mix_family,
     spec_to_json,
 )
 from proxrank2.measures import rat_from_json
@@ -230,3 +231,56 @@ def test_malformed_substitution_exits_two(capsys, rules):
     assert code == 2
     assert out == ""
     assert "image of '0'" in err
+
+
+@pytest.fixture
+def staged_spec_file(tmp_path):
+    path = tmp_path / "wm.json"
+    path.write_text(spec_to_json(gen_weakmix_not_mix_family(depth=7)))
+    return str(path)
+
+
+_FORBIDDEN_OUT = {
+    "3": (
+        "len_arith=431 len_measured=431 agree=True\n"
+        "window_start=432 first_realized=1300 width=868\n"
+        "empty\n"
+        "  pair (1,1) first=1301\n"
+        "  pair (1,2) first=1302\n"
+        "  pair (2,1) first=1300\n"
+        "  pair (2,2) first=1301\n",
+        '{"all_pairs_empty":true,"first_realized":1300,"len_arith":431,"len_measured":431,'
+        '"lengths_agree":true,"m":3,"n":1,"noncenter_pairs":4,"per_pair":['
+        '{"first_realized":1301,"u":1,"v":1},{"first_realized":1302,"u":1,"v":2},'
+        '{"first_realized":1300,"u":2,"v":1},{"first_realized":1301,"u":2,"v":2}],'
+        '"top_level":8,"width":868,"window_start":432}\n',
+    ),
+    "6": (
+        "len_arith=216181 len_measured=216181 agree=True\n"
+        "window_start=216182 first_realized=648550 width=432368\n"
+        "empty\n",
+        '{"all_pairs_empty":true,"first_realized":648550,"len_arith":216181,'
+        '"len_measured":216181,"lengths_agree":true,"m":6,"n":4,"noncenter_pairs":2985984,'
+        '"per_pair":[],"top_level":8,"width":432368,"window_start":216182}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_FORBIDDEN_OUT))
+def test_forbidden_command_output_is_pinned(staged_spec_file, capsys, m):
+    text, js = _FORBIDDEN_OUT[m]
+    assert run(capsys, ["forbidden", m, "--spec", staged_spec_file]) == (0, text, "")
+    assert run(capsys, ["forbidden", m, "--json", "--spec", staged_spec_file]) == (0, js, "")
+
+
+def test_forbidden_command_stops_at_the_cap_of_the_top_walk(staged_spec_file, capsys, monkeypatch):
+    # the top circuit has 4323647 steps, so its walk has one entry more
+    monkeypatch.setenv("PROXRANK2_CAP", "4323648")
+    assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file])[0] == 0
+    monkeypatch.setenv("PROXRANK2_CAP", "4323647")
+    assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file]) == (
+        3,
+        "",
+        "error: vertex walk of circuit 8 over level 1 needs 4323648 materialized entries, "
+        "cap is 4323647\n",
+    )

@@ -20,6 +20,8 @@ from proxrank2 import (
     array_block,
     circuit_length,
     complexity_profile,
+    cumulative_runs,
+    d_word,
     forbidden_window_report,
     gen_family,
     gen_mixing_family,
@@ -30,6 +32,7 @@ from proxrank2 import (
     iterate,
     language,
     level1_separation_check,
+    level_map,
     li_yorke_witness,
     mixing_window_check,
     position_of_seed,
@@ -519,6 +522,15 @@ def test_residue_obstruction_matches_walk_scan_reference(spec, p, data):
     assert got == _residue_reference(spec, n, p, m, max_gap)
 
 
+@pytest.mark.parametrize("p", [10**12, 4603 + 2])
+def test_residue_classes_of_a_modulus_beyond_the_walk(p):
+    # the residue counts stop at the walk's size (4603 entries at m = 10)
+    spec = gen_not_weakmix_family(3, depth=12)
+    got = residue_obstruction(spec, 1, p, 10, max_gap=50).to_dict()
+    assert got == _residue_reference(spec, 1, p, 10, 50)
+    assert len(got["classes_v1"]) > 1
+
+
 def test_residue_obstruction_takes_each_engine(monkeypatch):
     nw = gen_not_weakmix_family(3, depth=15)
     wide = telescope(nw, [1, 12, 16])  # circuit 16 again, with b = 2048 on level 1
@@ -562,6 +574,70 @@ def test_forbidden_window_second_boundary():
     assert rep.len_arith == rep.len_measured == 216181
     assert rep.first_realized == 648550
     assert rep.width == 432368
+
+
+def _first_gap_above(pos_u, pos_v, floor):
+    """Smallest realized gap ``> floor`` from positions ``pos_u`` to ``pos_v``."""
+    if pos_u.size == 0 or pos_v.size == 0:
+        return None
+    idx = np.searchsorted(pos_v, pos_u + floor + 1)
+    valid = idx < pos_v.size
+    if not valid.any():
+        return None
+    return int((pos_v[idx[valid]] - pos_u[valid]).min())
+
+
+def _forbidden_reference(spec, m):
+    """``forbidden_window_report(spec, m).to_dict()`` with the gaps scanned off the top walk."""
+    n = spec.family_record.stages[m]
+    l_n = circuit_length(spec, n)
+    len_arith = (
+        level_map(spec, m).restricted.t_bar * circuit_length(spec, m)
+        - cumulative_runs(spec, m - 1, n).tau
+    )
+    dw = d_word(spec, m + 1, n)
+    len_measured = dw.count("E") + dw.count("C") * l_n
+    top = spec.depth + 1
+    walk = _walk_array(spec, top, n)
+    noncenter = np.flatnonzero(walk != 0)
+    first = _first_gap_above(noncenter, noncenter, len_arith)
+    per_pair = []
+    if (l_n - 1) ** 2 <= 36:
+        occ = {u: np.flatnonzero(walk == u) for u in range(1, l_n)}
+        per_pair = [
+            {"u": u, "v": v, "first_realized": _first_gap_above(occ[u], occ[v], len_arith)}
+            for u in range(1, l_n)
+            for v in range(1, l_n)
+        ]
+    return {
+        "m": m,
+        "n": n,
+        "top_level": top,
+        "len_arith": len_arith,
+        "len_measured": len_measured,
+        "lengths_agree": len_arith == len_measured,
+        "window_start": len_arith + 1,
+        "first_realized": first,
+        "width": None if first is None else first - len_arith - 1,
+        "all_pairs_empty": first is None or first > len_arith + 1,
+        "per_pair": per_pair,
+        "noncenter_pairs": (l_n - 1) ** 2,
+    }
+
+
+_STAGED = gen_weakmix_not_mix_family(depth=7)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_STAGED, telescope(_STAGED, (1, 2, 3, 4, 5, 7, 8)), telescope(_STAGED, (1, 2, 3, 4, 6, 8))],
+    ids=["family", "telescoped-7", "telescoped-6"],
+)
+def test_forbidden_window_equals_top_walk_scan(spec):
+    stages = spec.family_record.stages
+    assert stages
+    for m in stages:
+        assert forbidden_window_report(spec, m).to_dict() == _forbidden_reference(spec, m), m
 
 
 def test_forbidden_window_requires_stage_metadata():

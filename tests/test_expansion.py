@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,14 @@ from proxrank2 import (
     telescope,
     time_word,
 )
+from proxrank2 import expansion
 from proxrank2.expansion import (
+    _SPARSE_PAIRS,
     _block_start_differences,
+    _join_pairs,
+    _mark_pair_table,
     _occurrence_gap_mask,
+    _sparse_join_cheaper,
     _time_row,
     _walk_array,
 )
@@ -421,3 +427,68 @@ def test_block_start_differences_equal_occurrence_masks(spec, data):
     got = np.zeros(max_gap + 1, dtype=bool)
     got[gaps[at < dist.size]] = dist[at[at < dist.size]]
     assert np.array_equal(got, _occurrence_gap_mask(_walk_array(spec, m, n), u, v, max_gap))
+
+
+def _scatter_pair_table(seg, table, max_gap):
+    """One 3-D scatter per gap: the pair-table marking the code counts must equal."""
+    for gap in range(1, min(max_gap, seg.size - 1) + 1):
+        table[seg[:-gap], seg[gap:], gap] = True
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 11, 40]),
+    st.sampled_from([16, 64, 1 << 16]),
+    st.data(),
+)
+def test_pair_table_codes_equal_per_gap_scatter(l_n, block, data):
+    # A code block of 16 or 64 puts the drawn segments on both sides of the
+    # gap-batching cut (several gaps per count when the segment is shorter
+    # than the block) and splits the longer ones into position blocks.
+    size = data.draw(st.integers(0, 300), label="size")
+    max_gap = data.draw(st.integers(1, size + 3), label="max_gap")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    seg = np.random.default_rng(seed).integers(0, l_n, size).astype(expansion._walk_dtype(l_n))
+    want = np.zeros((l_n, l_n, max_gap + 1), dtype=bool)
+    _scatter_pair_table(seg, want, max_gap)
+    got = np.zeros_like(want)
+    with mock.patch.object(expansion, "_CODE_BLOCK", block):
+        _mark_pair_table(seg, got, max_gap)
+    assert np.array_equal(got, want)
+
+
+def test_pair_table_codes_equal_scatter_on_a_materialized_walk():
+    mix = gen_mixing_family(l1=11, depth=8)
+    walk = _walk_array(mix, 6, 1)
+    assert walk.size > expansion._CODE_BLOCK // 8
+    for block in (expansion._CODE_BLOCK, 1000):
+        want = np.zeros((11, 11, 33), dtype=bool)
+        _scatter_pair_table(walk, want, 32)
+        got = np.zeros_like(want)
+        with mock.patch.object(expansion, "_CODE_BLOCK", block):
+            _mark_pair_table(walk, got, 32)
+        assert np.array_equal(got, want), block
+
+
+def test_occurrence_mask_takes_dense_scan_when_it_is_cheaper():
+    # 3.1e6 steps with u = v = 6 and window 60: the join stays under the
+    # pair bound, but the model prices it above the dense scan.
+    walk = _walk_array(gen_mixing_family(l1=11, depth=12), 10, 1)
+    count = int(np.count_nonzero(walk == 6))
+    assert _join_pairs(walk.size, count, count, 60) <= _SPARSE_PAIRS
+    assert not _sparse_join_cheaper(walk.size, count, count, 60)
+    assert list(_occurrence_gap_mask(walk, 6, 6, 60)) == _direct_gap_mask(walk, 6, 6, 60)
+
+
+def test_occurrence_mask_takes_sparse_join_when_it_is_cheaper():
+    # Two rare vertices in a long walk: a few thousand pairs against a
+    # dense pass of the whole walk for each of the 400 gaps.
+    rng = np.random.default_rng(11)
+    walk = np.zeros(1_000_000, dtype=np.int8)
+    walk[rng.choice(walk.size, 2000, replace=False)] = rng.integers(1, 3, 2000)
+    walk[500_000: 500_400: 7] = 1
+    walk[500_003: 500_400: 11] = 2
+    counts = [int(np.count_nonzero(walk == x)) for x in (1, 2)]
+    for u, v in ((1, 2), (2, 1), (1, 1)):
+        assert _sparse_join_cheaper(walk.size, counts[u - 1], counts[v - 1], 400)
+        assert list(_occurrence_gap_mask(walk, u, v, 400)) == _direct_gap_mask(walk, u, v, 400)

@@ -419,8 +419,8 @@ def test_malformed_level_json_exits_two(tmp_path, capsys, text):
 @pytest.mark.parametrize(
     "argv",
     [["gaps", "2", "1", "1", "1", "--max-gap", "5"], ["bratteli", "export", "--rows", "2"],
-     ["residue", "1", "3", "2"], ["expand", "2", "1"]],
-    ids=["gaps", "bratteli", "residue", "expand"],
+     ["residue", "1", "3", "2"], ["expand", "2", "1"], ["measure", "1", "--horizon", "2"]],
+    ids=["gaps", "bratteli", "residue", "expand", "measure"],
 )
 def test_short_loop_run_list_exits_two(tmp_path, capsys, argv):
     path = tmp_path / "spec.json"
