@@ -18,7 +18,6 @@ from functools import cached_property
 from .covering import (
     CoveringSpec,
     LevelMap,
-    checked_level_map,
     circuit_length,
     expansion_cap,
     validate,
@@ -30,6 +29,7 @@ from .errors import (
     TruncatedMaximal,
     UsageError,
 )
+from .report import Report
 
 ROOT = "v0"
 LOOP = "e"
@@ -112,40 +112,35 @@ class OrderedBratteliDiagram:
 
 
 @dataclass(frozen=True)
-class FinitePath:
+class FinitePath(Report):
     """Edge ordinals from the root (index 0) up to the target vertex."""
 
     target_row: int
     target: str
     ordinals: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "target_row": self.target_row,
-            "target": self.target,
-            "ordinals": list(self.ordinals),
-        }
-
 
 # --------------------------------------------------------------------------
 # Construction from a covering
 # --------------------------------------------------------------------------
 
-def covering_to_diagram(
-    spec: CoveringSpec, rows: int | None = None, certify: bool = True
-) -> OrderedBratteliDiagram:
+def covering_to_diagram(spec: CoveringSpec, rows: int | None = None) -> OrderedBratteliDiagram:
     """Ordered diagram of the covering with ``rows`` vertex rows (default: all).
 
     Builds one edge per letter of each level word plus ``l1`` root edges;
     raises :class:`ExpansionTooLarge` when that count exceeds the expansion cap.
+    ``certified_max_min`` is set: in reduced form every map starts and ends
+    with a loop run, so the least and the greatest edge into each circuit
+    vertex come from the loop vertex.
     """
     max_rows = spec.depth + 1
     if rows is None:
         rows = max_rows
     if not 1 <= rows <= max_rows:
         raise UsageError(f"rows must be in 1..{max_rows}, got {rows}")
-    maps = [checked_level_map(spec, n) for n in range(1, rows)]
-    need = spec.l1 + sum(lm.b + lm.a_total for lm in maps)
+    l1 = circuit_length(spec, 1)  # checks the shape of every map first
+    maps = spec.levels[: rows - 1]
+    need = l1 + sum(lm.b + lm.a_total for lm in maps)
     limit = expansion_cap()
     if need > limit:
         raise ExpansionTooLarge(need, limit, what=f"ordered diagram with {rows} rows")
@@ -154,7 +149,7 @@ def covering_to_diagram(
     vertex_rows.append((CIRCUIT, LOOP))
     edge_rows.append(
         (
-            (CIRCUIT, tuple(Edge(ROOT, i) for i in range(1, circuit_length(spec, 1) + 1))),
+            (CIRCUIT, tuple(Edge(ROOT, i) for i in range(1, l1 + 1))),
             (LOOP, (Edge(ROOT, 1),)),
         )
     )
@@ -176,7 +171,7 @@ def covering_to_diagram(
     return OrderedBratteliDiagram(
         vertex_rows=tuple(vertex_rows),
         edge_rows=tuple(edge_rows),
-        certified_max_min=certify,
+        certified_max_min=True,
     )
 
 
@@ -185,17 +180,10 @@ def covering_to_diagram(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(Report):
     ok: bool
     problems: tuple[str, ...]
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "problems": list(self.problems),
-            "warnings": list(self.warnings),
-        }
 
 
 def validate_diagram(diagram: OrderedBratteliDiagram) -> DiagramReport:

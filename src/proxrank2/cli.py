@@ -17,7 +17,6 @@ from . import dynamics as dyn
 from . import substitution as sb
 from .covering import (
     CoveringSpec,
-    checked_level_map,
     circuit_length,
     spec_from_json,
     spec_to_json,
@@ -42,11 +41,11 @@ from .expansion import (
 from .families import gen_family
 from .measures import (
     classify_ergodicity,
-    decimal_str,
     one_minus_r,
     r_value,
     vertex_measure,
 )
+from .report import decimal_str
 
 
 def _canon(obj) -> str:
@@ -233,9 +232,6 @@ def cmd_ergodic(args) -> int:
 def cmd_measure(args) -> int:
     spec = _load_spec(args)
     vec = vertex_measure(spec, args.n, args.horizon, which=args.which)
-    # The weights rest on l_n, l_horizon and the winding numbers below the horizon.
-    for k in range(1, args.horizon):
-        checked_level_map(spec, k)
     if args.json:
         _print_json(vec.to_dict())
     else:
@@ -582,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", help="covering spec JSON file, or - for stdin")
     common.add_argument("--cap", type=int, help="expansion cap override")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampling commands")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
         "--json-errors", action="store_true", help="report errors as JSON on stderr"
@@ -695,6 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--top", type=int)
     p.add_argument("--pad-max", type=int)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled pairs")
 
     p = add("bratteli", cmd_bratteli, "ordered-diagram translation and Vershik map")
     p.add_argument("action", choices=("export", "roundtrip", "vershik"))

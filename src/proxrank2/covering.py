@@ -239,6 +239,11 @@ class CoveringSpec:
     :attr:`lengths` holds ``l_1 .. l_{D+1}`` (one int per level), built on
     first use and read by :func:`circuit_length`; :attr:`family_record` holds
     what the family construction certifies, checked once.
+
+    Loading lets through maps that :func:`validate` rejects.  Building
+    :attr:`lengths` checks the shape of every map once, so code that reads a
+    length may walk the slots of any map: ``b >= 1`` windings and ``b + 1``
+    loop runs ``>= 0``.
     """
 
     l1: int
@@ -251,9 +256,19 @@ class CoveringSpec:
 
     @cached_property
     def lengths(self) -> tuple[int, ...]:
-        """Circuit lengths ``l_1 .. l_{depth+1}`` by ``l_{n+1} = sum(a) + b l_n``."""
+        """Circuit lengths ``l_1 .. l_{depth+1}`` by ``l_{n+1} = sum(a) + b l_n``.
+
+        Raises :class:`UsageError` naming the first level whose map has no
+        winding, a loop-run list of the wrong size or a negative loop run.
+        """
         out = [self.l1]
-        for lm in self.levels:
+        for n, lm in enumerate(self.levels, start=1):
+            if lm.b < 1:
+                raise UsageError(f"level {n}: winding number b must be >= 1, got {lm.b}")
+            if len(lm.a) != lm.b + 1:
+                raise UsageError(f"level {n}: a must have b+1={lm.b + 1} entries, got {len(lm.a)}")
+            if min(lm.a) < 0:
+                raise UsageError(f"level {n}: loop runs a must be >= 0, got {min(lm.a)}")
             out.append(lm.next_length(out[-1]))
         if min(out) < 1:
             raise UsageError(f"circuit {out.index(min(out)) + 1} has length < 1 (see validate)")
@@ -323,23 +338,6 @@ def level_map(spec: CoveringSpec, n: int) -> LevelMap:
     return spec.levels[n - 1]
 
 
-def checked_level_map(spec: CoveringSpec, n: int) -> LevelMap:
-    """:func:`level_map` ``n``, checked to have ``b >= 1`` slots and ``b + 1`` loop runs ``>= 0``.
-
-    Loading lets through maps that :func:`validate` rejects; code that walks
-    the slots of a map calls this to fail with a :class:`UsageError` naming
-    the level instead of an ``IndexError`` or a misplaced slot.
-    """
-    lm = level_map(spec, n)
-    if lm.b < 1:
-        raise UsageError(f"level {n}: winding number b must be >= 1, got {lm.b}")
-    if len(lm.a) != lm.b + 1:
-        raise UsageError(f"level {n}: a must have b+1={lm.b + 1} entries, got {len(lm.a)}")
-    if min(lm.a) < 0:
-        raise UsageError(f"level {n}: loop runs a must be >= 0, got {min(lm.a)}")
-    return lm
-
-
 def circuit_length(spec: CoveringSpec, n: int) -> int:
     """Length of the level-``n`` circuit; presented levels are ``1 .. depth+1``.
 
@@ -377,7 +375,7 @@ def compose_word(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> 
         raise ExpansionTooLarge(need, limit, what=f"word of circuit {m} over level {n}")
     word = "C"
     for k in range(m - 1, n - 1, -1):
-        word = word.replace("C", checked_level_map(spec, k).word())
+        word = word.replace("C", level_map(spec, k).word())
     return word
 
 

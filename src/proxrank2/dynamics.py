@@ -45,6 +45,7 @@ from .expansion import (
     realized_gap_table,
 )
 from .families import extend_family
+from .report import Report
 from .substitution import windows
 
 
@@ -53,7 +54,7 @@ from .substitution import windows
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PointSeed:
+class PointSeed(Report):
     """A point pinned inside the level-``top_level`` circuit block.
 
     ``slot_path[i]`` is the block index chosen at level ``base_level + i``
@@ -71,14 +72,6 @@ class PointSeed:
         if not self.base_level <= level < self.top_level:
             raise UsageError(f"no slot at level {level} (base {self.base_level}, top {self.top_level})")
         return self.slot_path[level - self.base_level]
-
-    def to_dict(self) -> dict:
-        return {
-            "top_level": self.top_level,
-            "slot_path": list(self.slot_path),
-            "offset": self.offset,
-            "base_level": self.base_level,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PointSeed":
@@ -369,23 +362,15 @@ def complexity_profile(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ArrayRow:
+class ArrayRow(Report):
     level: int
     symbols: str
     cuts: tuple[int, ...]
     end_cut: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "symbols": self.symbols,
-            "cuts": list(self.cuts),
-            "end_cut": self.end_cut,
-        }
-
 
 @dataclass(frozen=True)
-class ArrayBlock:
+class ArrayBlock(Report):
     seed: PointSeed
     window: tuple[int, int]
     rows: tuple[ArrayRow, ...]  # ordered top level first
@@ -395,13 +380,6 @@ class ArrayBlock:
             if r.level == level:
                 return r
         raise UsageError(f"no row at level {level}")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed.to_dict(),
-            "window": list(self.window),
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def array_block(
@@ -430,14 +408,11 @@ def array_block(
     lo, hi = pos + t0, pos + t1
     for k in sorted(walks, reverse=True):
         walk = walks[k]
-        w0 = walk[lo: hi + 1]
-        w1 = walk[lo + 1: hi + 2]
-        chars = np.where((w0 == 0) & (w1 == 0), np.uint8(ord("E")), np.uint8(ord("C")))
-        cuts = tuple(int(t0 + i) for i in np.flatnonzero(w0 == 0))
+        cuts = tuple(int(t0 + i) for i in np.flatnonzero(walk[lo: hi + 1] == 0))
         rows.append(
             ArrayRow(
                 level=k,
-                symbols=chars.astype(np.uint8).tobytes().decode("ascii"),
+                symbols=_step_symbols(walk, lo, hi - lo + 1).tobytes().decode("ascii"),
                 cuts=cuts,
                 end_cut=bool(walk[hi + 1] == 0),
             )
@@ -464,7 +439,7 @@ def render_array_text(block: ArrayBlock) -> str:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LiYorkeWitness:
+class LiYorkeWitness(Report):
     seed_a: PointSeed
     seed_b: PointSeed
     horizon: int
@@ -473,18 +448,6 @@ class LiYorkeWitness:
     proximal_events: tuple[tuple[int, int], ...]  # (time, deepest shared level)
     separation_events: tuple[int, ...]
     best_k: int
-
-    def to_dict(self) -> dict:
-        return {
-            "seed_a": self.seed_a.to_dict(),
-            "seed_b": self.seed_b.to_dict(),
-            "horizon": self.horizon,
-            "direction": self.direction,
-            "k_target": self.k_target,
-            "proximal_events": [list(e) for e in self.proximal_events],
-            "separation_events": list(self.separation_events),
-            "best_k": self.best_k,
-        }
 
 
 def li_yorke_witness(
@@ -563,7 +526,7 @@ def _step_symbols(walk: np.ndarray, start: int, span: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MixingWindowReport:
+class MixingWindowReport(Report):
     m: int
     n: int
     window: tuple[int, int]
@@ -574,18 +537,8 @@ class MixingWindowReport:
     engine: str
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "window": list(self.window),
-            "ok": self.ok,
-            "precondition_violations": list(self.precondition_violations),
-            "failures": [
-                {"u": u, "v": v, "missing": list(miss)} for (u, v, miss) in self.failures
-            ],
-            "pairs_checked": self.pairs_checked,
-            "engine": self.engine,
-        }
+        failures = [{"u": u, "v": v, "missing": list(miss)} for (u, v, miss) in self.failures]
+        return {**super().to_dict(), "failures": failures}
 
 
 def mixing_window_check(
@@ -637,7 +590,7 @@ def mixing_window_check(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(Report):
     n: int
     m: int
     p: int
@@ -650,22 +603,6 @@ class ResidueReport:
     violations_v1v1: tuple[int, ...]
     violations_v1v2: tuple[int, ...]
     witnesses: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "passed": self.passed,
-            "classes_v1": list(self.classes_v1),
-            "classes_v2": list(self.classes_v2),
-            "scan_max_gap": self.scan_max_gap,
-            "scanned_v1v1": self.scanned_v1v1,
-            "scanned_v1v2": self.scanned_v1v2,
-            "violations_v1v1": list(self.violations_v1v1),
-            "violations_v1v2": list(self.violations_v1v2),
-            "witnesses": list(self.witnesses),
-        }
 
 
 def _residue_classes(occ: np.ndarray, p: int, size: int) -> tuple[int, ...]:
@@ -694,17 +631,26 @@ def residue_obstruction(
     next), then lists the realized gaps up to ``max_gap`` exactly.  On
     failure, concrete witness gaps are reported.
 
-    The walk is built for the classes and the witnesses.  The realized gaps
-    come from whichever engine :func:`~proxrank2.expansion._block_difference_work`
-    and :func:`~proxrank2.expansion._gap_mask_work` estimate to be cheaper:
-    the difference set of the level-``n`` block starts, built from the level
-    maps (:func:`~proxrank2.expansion._block_start_differences`), or two
-    occurrence scans of the walk (:func:`~proxrank2.expansion._occurrence_gap_mask`),
-    which a spec with a very large winding number ``b`` keeps.  Memory: the
-    walk, plus at most three bool rows of at most ``l_m + 1`` bytes (about
-    300 MB together at the default cap of 1e8), the distinct slot offsets of one
-    level and offset blocks of ``_PAIR_BLOCK`` pairs for the difference set,
-    and the residue classes in a bool row of ``min(p, l_m + 1)`` bytes.
+    Since ``l_n >= 3``, ``v2`` sits one step after ``v1`` in every level-``n``
+    block, so the classes and the gaps of both pairs are read off the
+    occurrences of ``v1``: the classes of ``v2`` are those of ``v1`` shifted
+    by one, and with ``dist`` the distances between occurrences of ``v1``
+    (0 included), gap ``g`` is realized from ``v1`` to ``v1`` when ``dist[g]``
+    is set and from ``v1`` to ``v2`` when ``dist[g - 1]`` is.
+
+    The walk is built for the classes and the witnesses.  ``dist`` comes from
+    whichever engine :func:`~proxrank2.expansion._block_difference_work` and
+    :func:`~proxrank2.expansion._gap_mask_work` estimate to be cheaper: the
+    difference set of the level-``n`` block starts, built from the level
+    maps (:func:`~proxrank2.expansion._block_start_differences`; ``v1`` sits
+    at block start + 1), or one occurrence scan of the walk
+    (:func:`~proxrank2.expansion._occurrence_gap_mask`), which a spec with a
+    very large winding number ``b`` keeps.  Memory: the walk, the positions
+    of ``v1`` (8 bytes each), at most two bool rows of at most ``l_m + 1``
+    bytes (about 200 MB together at the default cap of 1e8), the distinct
+    slot offsets of one level and offset blocks of ``_PAIR_BLOCK`` pairs for
+    the difference set, and the residue classes in a bool row of
+    ``min(p, l_m + 1)`` bytes.
     """
     if p < 1:
         raise UsageError(f"p must be >= 1, got {p}")
@@ -716,16 +662,11 @@ def residue_obstruction(
         raise UsageError("need l_n >= 3 so that the vertices v1 and v2 exist")
     walk = _walk_array(spec, m, n, cap=cap)
     occ1 = np.flatnonzero(walk == 1).astype(np.int64, copy=False)
-    occ2 = np.flatnonzero(walk == 2).astype(np.int64, copy=False)
     classes1 = _residue_classes(occ1, p, walk.size)
-    classes2 = _residue_classes(occ2, p, walk.size)
-    class_ok = (
-        len(classes1) == 1
-        and len(classes2) == 1
-        and (classes2[0] - classes1[0]) % p == 1 % p
-    )
+    classes2 = tuple(sorted((c + 1) % p for c in classes1))
+    class_ok = len(classes1) == 1
     witnesses = []
-    if len(classes1) > 1:
+    if not class_ok:
         diffs = np.diff(occ1) % p
         bad = np.flatnonzero(diffs != 0)
         if bad.size:
@@ -734,26 +675,14 @@ def residue_obstruction(
                 f"v1 at {int(occ1[i])} and {int(occ1[i + 1])}: gap "
                 f"{int(occ1[i + 1] - occ1[i])} != 0 mod {p}"
             )
-    if not class_ok and occ1.size and occ2.size:
-        j = np.searchsorted(occ2, occ1[0] + 1)
-        if j < occ2.size and (occ2[j] - occ1[0]) % p != 1 % p:
-            witnesses.append(
-                f"v1 at {int(occ1[0])}, v2 at {int(occ2[j])}: gap "
-                f"{int(occ2[j] - occ1[0])} != 1 mod {p}"
-            )
-    mask_work = sum(
-        _gap_mask_work(walk.size, occ1.size, occ.size, max_gap) for occ in (occ1, occ2)
-    )
-    if _block_difference_work(spec, m, n) <= mask_work:
-        # v1 and v2 sit at block start + 1 and + 2: gap g is realized from
-        # v1 to v1 when blocks start g apart, and from v1 to v2 at g - 1.
-        w = min(max_gap, walk.size - 1)
+    w = min(max_gap, walk.size - 1)
+    if _block_difference_work(spec, m, n) <= _gap_mask_work(walk.size, occ1.size, occ1.size, w):
         dist = _block_start_differences(spec, m, n)[: w + 1]
-        gaps11 = np.flatnonzero(dist[1:]) + 1
-        gaps12 = np.flatnonzero(dist[:w]) + 1
     else:
-        gaps11 = np.flatnonzero(_occurrence_gap_mask(walk, 1, 1, max_gap))
-        gaps12 = np.flatnonzero(_occurrence_gap_mask(walk, 1, 2, max_gap))
+        dist = _occurrence_gap_mask(walk, 1, 1, w)
+        dist[0] = True
+    gaps11 = np.flatnonzero(dist[1:]) + 1
+    gaps12 = np.flatnonzero(dist[:w]) + 1
     bad11 = tuple(gaps11[gaps11 % p != 0][:8].tolist())
     bad12 = tuple(gaps12[gaps12 % p != 1 % p][:8].tolist())
     for g in bad11[:1]:
@@ -781,7 +710,7 @@ def residue_obstruction(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ForbiddenWindowReport:
+class ForbiddenWindowReport(Report):
     m: int
     n: int
     top_level: int
@@ -796,22 +725,8 @@ class ForbiddenWindowReport:
     noncenter_pairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "top_level": self.top_level,
-            "len_arith": self.len_arith,
-            "len_measured": self.len_measured,
-            "lengths_agree": self.lengths_agree,
-            "window_start": self.window_start,
-            "first_realized": self.first_realized,
-            "width": self.width,
-            "all_pairs_empty": self.all_pairs_empty,
-            "per_pair": [
-                {"u": u, "v": v, "first_realized": f} for (u, v, f) in self.per_pair
-            ],
-            "noncenter_pairs": self.noncenter_pairs,
-        }
+        per_pair = [{"u": u, "v": v, "first_realized": f} for (u, v, f) in self.per_pair]
+        return {**super().to_dict(), "per_pair": per_pair}
 
 
 def _first_distance_above(dist: np.ndarray, floor: int) -> int | None:
@@ -911,7 +826,7 @@ def forbidden_window_report(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Report):
     n: int
     length: int
     top_level: int
@@ -919,17 +834,6 @@ class SeparationReport:
     max_padding: int
     failures: tuple[tuple[int, int], ...]
     skipped_identical: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "length": self.length,
-            "top_level": self.top_level,
-            "samples": self.samples,
-            "max_padding": self.max_padding,
-            "failures": [list(f) for f in self.failures],
-            "skipped_identical": self.skipped_identical,
-        }
 
 
 def level1_separation_check(

@@ -35,7 +35,6 @@ import numpy as np
 
 from .covering import (
     CoveringSpec,
-    checked_level_map,
     circuit_length,
     compose_word,
     expansion_cap,
@@ -43,6 +42,7 @@ from .covering import (
     symbol_count,
 )
 from .errors import ExpansionTooLarge, RestrictedFormRequired, UsageError
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class CumulativeRuns:
 
 
 @dataclass(frozen=True)
-class GapSet:
+class GapSet(Report):
     """Realized position gaps from ``u`` to ``v`` in the walk of circuit ``m``."""
 
     level: int
@@ -93,20 +93,9 @@ class GapSet:
     gaps: tuple[int, ...]
     engine: str
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "m": self.m,
-            "u": self.u,
-            "v": self.v,
-            "max_gap": self.max_gap,
-            "gaps": list(self.gaps),
-            "engine": self.engine,
-        }
-
 
 @dataclass(frozen=True)
-class GapStructureReport:
+class GapStructureReport(Report):
     """Which cumulative-run separations are realized between circuit blocks."""
 
     level: int
@@ -116,13 +105,8 @@ class GapStructureReport:
     interior_runs: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "m": self.m,
-            "cc_present": self.cc_present,
-            "taus": [{"k": k, "tau": t, "realized": r} for (k, t, r) in self.taus],
-            "interior_runs": list(self.interior_runs),
-        }
+        taus = [{"k": k, "tau": t, "realized": r} for (k, t, r) in self.taus]
+        return {**super().to_dict(), "taus": taus}
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +145,7 @@ def _fill_runs(
     l_k = block.size
     row[:l_k] = block
     for k in range(n, m):
-        lm = checked_level_map(spec, k)
+        lm = spec.levels[k - 1]
         a = lm.a
         first = a[0] + l_k + a[1]
         off = first
@@ -423,7 +407,7 @@ def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
     l_n = circuit_length(spec, n)
     l_k, work = l_n, 0
     for k in range(n, m):
-        lm = checked_level_map(spec, k)
+        lm = spec.levels[k - 1]
         pairs = lm.b * (lm.b + 1) // 2
         l_up = lm.next_length(l_k)
         size = l_k - l_n + 1
@@ -459,7 +443,7 @@ def _block_start_differences(spec: CoveringSpec, m: int, n: int) -> np.ndarray:
     l_k = l_n
     dist = np.ones(1, dtype=bool)
     for k in range(n, m):
-        lm = checked_level_map(spec, k)
+        lm = spec.levels[k - 1]
         starts = np.cumsum(lm.a[:-1], dtype=np.int64) + l_k * np.arange(lm.b, dtype=np.int64)
         l_k = lm.next_length(l_k)
         offsets = _slot_offsets(starts, l_k - l_n + 1).tolist()

@@ -21,35 +21,11 @@ from .covering import (
     winding_product,
 )
 from .errors import UsageError
-
-
-def decimal_str(x: int) -> str:
-    """Decimal digits of ``x`` at any size.
-
-    ``str(x)`` refuses integers longer than ``sys.get_int_max_str_digits()``
-    digits (4300 by default, never fewer than 640); that limit stays in place
-    for parsing input.  Here ``x`` is split by divmod over a power of ten
-    until each part is short enough for ``str``.
-    """
-    if x < 0:
-        return "-" + decimal_str(-x)
-    if x.bit_length() <= 2000:  # at most 603 digits
-        return str(x)
-    k = x.bit_length() * 3 // 20  # about half the digit count
-    hi, lo = divmod(x, 10**k)
-    return decimal_str(hi) + decimal_str(lo).zfill(k)
-
-
-def rat_to_json(x: Fraction) -> dict:
-    return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
-
-
-def rat_from_json(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
+from .report import Report, decimal_str, rat_from_json, rat_to_json  # rat_from_json: re-export
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(Report):
     """Barycentric weights of the two extreme measures seen at level ``n``."""
 
     level: int
@@ -64,12 +40,9 @@ class SimplexPoint:
             out.append(f"weights must sum to 1, got {self.w_e + self.w_c}")
         return out
 
-    def to_dict(self) -> dict:
-        return {"level": self.level, "w_e": rat_to_json(self.w_e), "w_c": rat_to_json(self.w_c)}
-
 
 @dataclass(frozen=True)
-class MeasureVector:
+class MeasureVector(Report):
     """Per-edge weights on the level-``n`` graph: one loop edge, ``l_n`` circuit edges.
 
     Conservation on this graph shape means constant flow along the circuit
@@ -89,13 +62,6 @@ class MeasureVector:
     @property
     def conserved(self) -> bool:
         return all(w == self.circuit[0] for w in self.circuit[1:])
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "loop": rat_to_json(self.loop),
-            "circuit": [rat_to_json(w) for w in self.circuit],
-        }
 
 
 def r_value(spec: CoveringSpec, n: int) -> Fraction:
@@ -247,7 +213,7 @@ class ErgodicityRow:
 
 
 @dataclass(frozen=True)
-class ErgodicityReport:
+class ErgodicityReport(Report):
     verdict: str  # "UniquelyErgodic" | "TwoErgodic" | "Undetermined"
     certified: bool
     certificate: str
@@ -258,13 +224,7 @@ class ErgodicityReport:
         return f"{self.verdict}(certified)" if self.certified else self.verdict
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "certified": self.certified,
-            "label": self.label,
-            "certificate": self.certificate,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return {**super().to_dict(), "label": self.label}
 
     def to_csv(self) -> str:
         def cell(x: Fraction) -> str:  # str(x) at any size

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .covering import expansion_cap
 from .errors import ExpansionTooLarge, UsageError
+from .report import Report
 
 _MAX_STABILIZE_ITER = 64
 
@@ -170,23 +171,13 @@ def factor_language(
 
 
 @dataclass(frozen=True)
-class LanguageComparison:
+class LanguageComparison(Report):
     equal: bool
     length: int
     left_stabilized_at: int | None
     right_stabilized_at: int | None
     only_left: tuple[str, ...]
     only_right: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "length": self.length,
-            "left_stabilized_at": self.left_stabilized_at,
-            "right_stabilized_at": self.right_stabilized_at,
-            "only_left": list(self.only_left),
-            "only_right": list(self.only_right),
-        }
 
 
 def languages_equal(
@@ -235,7 +226,7 @@ def conjugation_identity(k: int, ell: int, cap: int | None = None) -> bool:
 
 
 @dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(Report):
     equal: bool
     length: int
     covering_level_used: int | None
@@ -244,18 +235,6 @@ class BridgeReport:
     substitution_size: int
     only_covering: tuple[str, ...]
     only_substitution: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "length": self.length,
-            "covering_level_used": self.covering_level_used,
-            "substitution_stabilized_at": self.substitution_stabilized_at,
-            "covering_size": self.covering_size,
-            "substitution_size": self.substitution_size,
-            "only_covering": list(self.only_covering),
-            "only_substitution": list(self.only_substitution),
-        }
 
 
 def substitution_bridge(length: int, cap: int | None = None) -> BridgeReport:

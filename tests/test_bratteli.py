@@ -147,7 +147,7 @@ def test_vershik_truncates_at_maximal_circuit_path():
 
 
 def test_vershik_loop_fixed_point_when_certified():
-    certified = covering_to_diagram(BASE, rows=4, certify=True)
+    certified = covering_to_diagram(BASE, rows=4)
     loop = maximal_path(certified, 4, "e")
     assert vershik_successor(certified, loop) == loop
     uncertified = OrderedBratteliDiagram(

@@ -71,6 +71,24 @@ def test_length_table_rejects_non_numeric_levels():
         circuit_length(spec_from_json(text), 1)  # the loader refuses it before the table
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ({"a": [1], "b": 0}, "level 2: winding number b must be >= 1, got 0"),
+        ({"a": [1, 1], "b": 3}, "level 2: a must have b+1=4 entries, got 2"),
+        ({"a": [1, -2, 1], "b": 2}, "level 2: loop runs a must be >= 0, got -2"),
+    ],
+    ids=["no-winding", "short-a", "negative-run"],
+)
+def test_length_table_checks_each_map_shape(level, message):
+    spec = spec_from_dict({"l1": 3, "levels": [{"a": [1, 1], "b": 1}, level]})
+    assert not validate(spec).ok
+    for n in (1, 3):
+        with pytest.raises(UsageError) as info:
+            circuit_length(spec, n)
+        assert str(info.value) == message
+
+
 def test_validate_accepts_generated_families():
     for spec in (
         gen_substitution_family(depth=5),

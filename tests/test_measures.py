@@ -27,6 +27,7 @@ from proxrank2 import (
     push_measure_down,
     r_product,
     r_value,
+    spec_from_json,
     telescope,
     vertex_measure,
     winding_product,
@@ -80,6 +81,21 @@ def test_vertex_measure_of_base_family():
     assert vec.circuit == tuple(Fraction(256, 2047) for _ in range(l2))
     assert vec.mass == 1
     assert vec.conserved
+
+
+def test_short_loop_run_list_fails_every_measure_query():
+    # a has 2 entries where b = 3 needs 4: the weights would rest on a length
+    # read off a map with missing loop runs
+    spec = spec_from_json('{"l1": 4, "levels": [{"a": [1, 1], "b": 3}]}')
+    queries = (
+        lambda: vertex_measure(spec, 1, 2),
+        lambda: vertex_measure(spec, 1, 2, which="fixed"),
+        lambda: classify_ergodicity(spec),
+        lambda: r_product(spec, 2, 1),
+    )
+    for query in queries:
+        with pytest.raises(UsageError, match=r"^level 1: a must have b\+1=4 entries, got 2$"):
+            query()
 
 
 def test_fixed_measure_sits_on_loop():
