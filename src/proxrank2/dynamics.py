@@ -36,8 +36,6 @@ from .errors import (
 from .expansion import (
     _block_difference_work,
     _block_start_differences,
-    _gap_mask_work,
-    _occurrence_gap_mask,
     _time_row,
     _walk_array,
     cumulative_runs,
@@ -45,6 +43,7 @@ from .expansion import (
     realized_gap_table,
 )
 from .families import extend_family
+from .gapscan import _gap_mask_work, _occurrence_gap_mask
 from .report import Report
 from .substitution import windows
 
@@ -640,11 +639,11 @@ def residue_obstruction(
 
     The walk is built for the classes and the witnesses.  ``dist`` comes from
     whichever engine :func:`~proxrank2.expansion._block_difference_work` and
-    :func:`~proxrank2.expansion._gap_mask_work` estimate to be cheaper: the
+    :func:`~proxrank2.gapscan._gap_mask_work` estimate to be cheaper: the
     difference set of the level-``n`` block starts, built from the level
     maps (:func:`~proxrank2.expansion._block_start_differences`; ``v1`` sits
     at block start + 1), or one occurrence scan of the walk
-    (:func:`~proxrank2.expansion._occurrence_gap_mask`), which a spec with a
+    (:func:`~proxrank2.gapscan._occurrence_gap_mask`), which a spec with a
     very large winding number ``b`` keeps.  Memory: the walk, the positions
     of ``v1`` (8 bytes each), at most two bool rows of at most ``l_m + 1``
     bytes (about 200 MB together at the default cap of 1e8), the distinct
@@ -825,6 +824,9 @@ def forbidden_window_report(
 # Level-1 separation of distinct segments
 # --------------------------------------------------------------------------
 
+_SEPARATION_BLOCK = 1 << 18  # level-1 window bytes per batch of level1_separation_check
+
+
 @dataclass(frozen=True)
 class SeparationReport(Report):
     n: int
@@ -852,6 +854,15 @@ def level1_separation_check(
     plus cut pattern) differ, then finds the least symmetric padding of the
     level-1 rows that exhibits a difference.  Failures (no difference within
     ``pad_max``) are reported, not raised.
+
+    The positions are drawn from ``random.Random(rng_seed)`` two at a time,
+    in batches of at most as many pairs as samples are still missing, so the
+    draws and the pairs taken are those of drawing one pair at a time.  The
+    segments of a batch are compared at once, and the least paddings of the
+    pairs that differ are read off their level-1 windows with one masked
+    minimum.  Memory: the level-``n`` walk and the level-1 time row of the
+    top circuit, plus a batch of at most ``_SEPARATION_BLOCK`` window bytes
+    (and 8 bytes per window entry for the masked minimum).
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
@@ -870,29 +881,28 @@ def level1_separation_check(
     # and, for l_n >= 2, each step symbol (only a loop step stays on 0).
     walk_n = _walk_array(spec, top, n, cap=cap)
     row1 = _time_row(spec, top, 1, cap=cap)
+    segments = np.lib.stride_tricks.sliding_window_view(walk_n, length + 1)
+    width = length + 2 * pad
+    windows = np.lib.stride_tricks.sliding_window_view(row1, width)
+    # A difference at offset j of a padded window needs padding need[j].
+    rel = np.arange(width) - pad
+    need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
+    step = max(1, _SEPARATION_BLOCK // width)
     rng = random.Random(rng_seed)
-    skipped = 0
-    max_padding = 0
+    done = attempts = skipped = max_padding = 0
     failures: list[tuple[int, int]] = []
-    done = 0
-    attempts = 0
     while done < samples and attempts < 50 * samples:
-        attempts += 1
-        t1 = rng.randrange(pad, l_top - length - pad)
-        t2 = rng.randrange(pad, l_top - length - pad)
-        if walk_n[t1: t1 + length + 1].tobytes() == walk_n[t2: t2 + length + 1].tobytes():
-            skipped += 1
-            continue
-        done += 1
-        a = row1[t1 - pad: t1 + length + pad]
-        b = row1[t2 - pad: t2 + length + pad]
-        diffs = np.flatnonzero(a != b)
-        if diffs.size == 0:
-            failures.append((t1, t2))
-            continue
-        rel = diffs - pad
-        need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
-        max_padding = max(max_padding, int(need.min()))
+        batch = min(samples - done, 50 * samples - attempts, step)
+        t = np.array(
+            [rng.randrange(pad, l_top - length - pad) for _ in range(2 * batch)], dtype=np.int64
+        ).reshape(batch, 2)
+        t = t[(segments[t[:, 0]] != segments[t[:, 1]]).any(axis=1)]
+        attempts += batch
+        done += len(t)
+        skipped += batch - len(t)
+        least = np.where(windows[t[:, 0] - pad] != windows[t[:, 1] - pad], need, width).min(axis=1)
+        failures.extend(map(tuple, t[least == width].tolist()))
+        max_padding = max(max_padding, int(least[least < width].max(initial=0)))
     return SeparationReport(
         n=n,
         length=length,

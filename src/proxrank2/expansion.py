@@ -20,12 +20,27 @@ for ``l_n <= 128``); no string or index array is built on the way.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
 between occurrences of two vertices in a walk.  Three exact engines are
-provided: a materialized bitset scan; a strip engine that never
-materializes the full walk (windows of width ``W`` cross at most one circuit
-join once some circuit is longer than ``W``, so scanning one full copy plus
-short join/margin strips is exhaustive); and the difference set of the
-level-``n`` block starts, built from the level maps alone, which answers
-every pair of nonzero vertices at once (:func:`_block_start_differences`).
+provided:
+
+* a scan of the materialized walk (:mod:`proxrank2.gapscan`): a
+  windowed join of the occurrence lists when they are sparse, otherwise a
+  scan of packed bit rows that settles the realized gaps on growing
+  prefixes of the walk and proves each maximal run of the other gaps empty
+  with one interval test over the whole walk;
+* a strip engine that never materializes the full walk (windows of width
+  ``W`` cross at most one circuit join once some circuit is longer than
+  ``W``, so scanning one full copy plus short join/margin strips is
+  exhaustive);
+* the difference set of the level-``n`` block starts, built from the level
+  maps alone, which answers every pair of nonzero vertices at once
+  (:func:`_block_start_differences`).
+
+A pair of nonzero vertices is read off one row of distances: vertex
+``u != 0`` sits at (block start + ``u``), so the gaps from ``u`` to ``v``
+are the block-start distances shifted by ``v - u``.  :func:`gap_set` reads
+them off the occurrences of vertex 1 in the materialized walk, and
+``residue_obstruction`` off whichever of the first and third engines is
+cheaper.
 """
 from __future__ import annotations
 
@@ -42,6 +57,7 @@ from .covering import (
     symbol_count,
 )
 from .errors import ExpansionTooLarge, RestrictedFormRequired, UsageError
+from .gapscan import _occurrence_gap_mask
 from .report import Report
 
 
@@ -295,92 +311,6 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engines
 # --------------------------------------------------------------------------
 
-_SPARSE_PAIRS = 2_000_000  # most expected joined pairs that _occurrence_gap_mask joins
-
-
-def _join_pairs(size: int, count_u: int, count_v: int, w: int) -> float:
-    """Expected pairs of the windowed join of ``count_u`` and ``count_v`` occurrences."""
-    return count_u * max(1.0, count_v / size * w)
-
-
-def _sparse_join_cheaper(size: int, count_u: int, count_v: int, w: int) -> bool:
-    """Whether :func:`_occurrence_gap_mask` joins occurrence lists rather than scanning bitsets.
-
-    The join is taken when its expected pairs stay at most ``_SPARSE_PAIRS``
-    (its index arrays take about 32 bytes per joined pair, so about 64 MB)
-    and cost no more than the dense scan in the model of
-    :func:`_gap_mask_work`: ``20 pairs <= w (4000 + size / 64)``.
-    """
-    pairs = _join_pairs(size, count_u, count_v, w)
-    return pairs <= _SPARSE_PAIRS and 20 * pairs <= w * (4000 + size / 64)
-
-
-def _gap_mask_work(size: int, count_u: int, count_v: int, max_gap: int) -> float:
-    """Estimated nanoseconds of :func:`_occurrence_gap_mask` on a walk of ``size`` entries.
-
-    16 per entry for the occurrence scans, plus 20 per joined pair on the
-    sparse path, or per gap one pass of 4000 plus 1/64 per entry (1/8 per
-    packed byte) on the dense path; :func:`_sparse_join_cheaper` picks the
-    path, so the estimate is the cost of the path taken.  The rates were
-    timed with numpy on a 2-core x86 machine; only their ratio to
-    :func:`_block_difference_work` matters.
-    """
-    w = min(max_gap, size - 1)
-    if _sparse_join_cheaper(size, count_u, count_v, w):
-        return 16 * size + 20 * _join_pairs(size, count_u, count_v, w)
-    return 16 * size + w * (4000 + size / 64)
-
-
-def _occurrence_gap_mask(walk: np.ndarray, u: int, v: int, max_gap: int) -> np.ndarray:
-    """Bool mask over 0..max_gap marking realized gaps from u to v (exact).
-
-    Two exact paths, chosen by :func:`_sparse_join_cheaper`: a windowed join
-    of the occurrence lists (memory: the lists and index arrays of at most
-    ``_SPARSE_PAIRS`` expected pairs), or a packed bitset scan with one
-    shift-AND pass per gap (memory: two bool rows of the walk's size while
-    packing, then nine packed rows of 1/8 byte per entry).
-    """
-    mask = np.zeros(max_gap + 1, dtype=bool)
-    w = min(max_gap, walk.size - 1)
-    if w < 1:
-        return mask
-    is_u = walk == u
-    is_v = is_u if v == u else walk == v
-    count_u = int(np.count_nonzero(is_u))
-    count_v = int(np.count_nonzero(is_v))
-    if count_u == 0 or count_v == 0:
-        return mask
-    # Sparse path: windowed join of the occurrence lists.
-    if _sparse_join_cheaper(walk.size, count_u, count_v, w):
-        occ_u = np.flatnonzero(is_u)
-        occ_v = np.flatnonzero(is_v)
-        lo = np.searchsorted(occ_v, occ_u + 1)
-        hi = np.searchsorted(occ_v, occ_u + w, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total:
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = np.arange(total, dtype=np.int64) + np.repeat(lo - starts, counts)
-            mask[occ_v[flat] - np.repeat(occ_u, counts)] = True
-        return mask
-    # Dense path: packed bitset shift-AND, one pass per gap value.  The bits
-    # of v are packed once; shifting that byte row left by r bits (the low
-    # bits come from the next byte) packs ``(walk == v)[r:]``, plus at most
-    # one trailing zero byte.
-    bits_u = np.packbits(is_u)
-    bits_v = np.packbits(is_v)
-    del is_u, is_v
-    next_v = np.append(bits_v[1:], np.uint8(0))
-    shifted_v = [bits_v] + [(bits_v << r) | (next_v >> (8 - r)) for r in range(1, 8)]
-    for gap in range(1, w + 1):
-        q, r = divmod(gap, 8)
-        pb = shifted_v[r]
-        nb = min(bits_u.size, pb.size - q)
-        if nb > 0 and np.bitwise_and(bits_u[:nb], pb[q:q + nb]).any():
-            mask[gap] = True
-    return mask
-
-
 def _slot_offsets(starts: np.ndarray, size: int) -> np.ndarray:
     """Distinct differences ``c_j - c_i >= 0`` of the increasing slot starts, ascending.
 
@@ -397,7 +327,7 @@ def _slot_offsets(starts: np.ndarray, size: int) -> np.ndarray:
 
 def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
     """Estimated nanoseconds of :func:`_block_start_differences`, in the units of
-    :func:`_gap_mask_work`.
+    :func:`~proxrank2.gapscan._gap_mask_work`.
 
     Per level 8 per slot pair, 1/2 per byte for the reversed copy of the row
     below, plus two slice-ORs of 1000 and 1/16 per byte for each distinct
@@ -640,10 +570,18 @@ def gap_set(
     """Realized gaps from ``u`` to ``v`` in the level-``n`` walk of circuit ``m``.
 
     Gaps of size 0 (a vertex paired with itself at the same time) are excluded
-    unless ``include_zero`` is set.  When the full walk exceeds the cap the
-    exact strip engine is used instead of failing: it scans the core and the
-    margin strips for this pair and marks the run strips with
-    :func:`_mark_runs` restricted to row ``u`` and column ``v``.
+    unless ``include_zero`` is set.  No gap above ``l_m`` is realized, so the
+    mask stops at ``min(max_gap, l_m)``.
+
+    On the materialized walk, a pair of nonzero vertices is read off one
+    ``v1 -> v1`` distance row: vertex ``u != 0`` sits at (block start +
+    ``u``), so with ``dist`` the distances between occurrences of vertex 1
+    (``dist[0]`` set, window ``top + l_n - 2``), gap ``g`` from ``u`` to
+    ``v`` is realized exactly when ``dist[|g - (v - u)|]`` is.  When the
+    full walk exceeds the cap the exact strip engine is used instead of
+    failing: it scans the core and the margin strips for this pair and marks
+    the run strips with :func:`_mark_runs` restricted to row ``u`` and
+    column ``v``.
     """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
@@ -655,16 +593,23 @@ def gap_set(
         raise UsageError(f"max_gap must be >= 1, got {max_gap}")
     limit = expansion_cap(cap)
     l_m = circuit_length(spec, m)
+    top = min(max_gap, l_m)
     if l_m + 1 <= limit:
-        mask = _occurrence_gap_mask(_walk_array(spec, m, n, cap=cap), u, v, max_gap)
+        walk = _walk_array(spec, m, n, cap=cap)
+        if u and v:
+            dist = _occurrence_gap_mask(walk, 1, 1, top + l_n - 2)
+            dist[0] = True
+            mask = dist[np.abs(np.arange(top + 1) - (v - u))]
+        else:
+            mask = _occurrence_gap_mask(walk, u, v, top)
         engine = "materialized"
     else:
-        core, runs, margins = _strip_segments(spec, m, n, max_gap, cap=cap)
-        pair = np.zeros((1, 1, max_gap + 1), dtype=bool)
+        core, runs, margins = _strip_segments(spec, m, n, top, cap=cap)
+        pair = np.zeros((1, 1, top + 1), dtype=bool)
         _mark_runs(pair, core, runs, u, v)
         mask = pair[0, 0]
         for seg in (core, *margins):
-            mask |= _occurrence_gap_mask(seg, u, v, max_gap)
+            mask |= _occurrence_gap_mask(seg, u, v, top)
         engine = "strips"
     gaps = [int(g) for g in np.flatnonzero(mask) if g >= 1]
     if include_zero and u == v:

@@ -55,6 +55,26 @@ def test_gaps_command_lists_realized_gaps(base_spec_file, capsys):
     assert "7" in out and "8" in out and "15" in out
 
 
+def test_gaps_command_takes_a_max_gap_beyond_the_walk(tmp_path, capsys):
+    # No gap above l_m is realized, so the mask stops at l_m = 191 instead
+    # of allocating max_gap + 1 entries (93 GiB here); the answer and the
+    # max_gap field are those of the requested value.
+    path = tmp_path / "mix4.json"
+    path.write_text(spec_to_json(gen_mixing_family(depth=4)))
+    argv = ["gaps", "3", "1", "1", "1", "--spec", str(path)]
+    code, want, _ = run(capsys, [*argv, "--max-gap", "191"])
+    assert code == 0
+    assert want.strip().split(",")[-1] == "176"
+    code, out, _ = run(capsys, [*argv, "--max-gap", "100000000000"])
+    assert (code, out) == (0, want)
+    code, out, _ = run(capsys, [*argv, "--max-gap", "100000000000", "--json"])
+    assert code == 0
+    got = json.loads(out)
+    assert got["max_gap"] == 100_000_000_000
+    assert ",".join(map(str, got["gaps"])) == want.strip()
+    assert got["engine"] == "materialized"
+
+
 def test_residue_command_on_p3_family(tmp_path, capsys):
     path = tmp_path / "nw.json"
     path.write_text(spec_to_json(gen_not_weakmix_family(3, depth=15)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ from proxrank2 import (
     validate_seed,
 )
 from proxrank2 import dynamics
-from proxrank2.expansion import _occurrence_gap_mask, _walk_array
+from proxrank2.expansion import _time_row, _walk_array
+from proxrank2.gapscan import _occurrence_gap_mask
 
 BASE = gen_substitution_family(depth=6)
 
@@ -656,3 +658,64 @@ def test_level1_separation_of_base_family():
 def test_level1_separation_requires_level_at_least_two():
     with pytest.raises(UsageError):
         level1_separation_check(BASE, 1, 4)
+
+
+def _separation_reference(spec, n, length, samples, rng_seed, pad_max):
+    """One pair at a time, as the check read before its draws were batched."""
+    top = spec.depth + 1
+    pad = circuit_length(spec, n) if pad_max is None else pad_max
+    l_top = circuit_length(spec, top)
+    walk_n = _walk_array(spec, top, n)
+    row1 = _time_row(spec, top, 1)
+    rng = random.Random(rng_seed)
+    skipped = max_padding = done = attempts = 0
+    failures = []
+    while done < samples and attempts < 50 * samples:
+        attempts += 1
+        t1 = rng.randrange(pad, l_top - length - pad)
+        t2 = rng.randrange(pad, l_top - length - pad)
+        if walk_n[t1: t1 + length + 1].tobytes() == walk_n[t2: t2 + length + 1].tobytes():
+            skipped += 1
+            continue
+        done += 1
+        a, b = row1[t1 - pad: t1 + length + pad], row1[t2 - pad: t2 + length + pad]
+        diffs = np.flatnonzero(a != b)
+        if diffs.size == 0:
+            failures.append((t1, t2))
+            continue
+        rel = diffs - pad
+        need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
+        max_padding = max(max_padding, int(need.min()))
+    return {
+        "n": n, "length": length, "top_level": top, "samples": done, "max_padding": max_padding,
+        "failures": [list(f) for f in failures], "skipped_identical": skipped,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        gen_substitution_family(depth=8),
+        gen_mixing_family(depth=5),
+        gen_weakmix_not_mix_family(depth=4),
+        gen_not_weakmix_family(3, depth=9),
+    ],
+    ids=["substitution", "mixing", "weakmix", "not_weakmix"],
+)
+def test_level1_separation_equals_the_one_pair_loop(spec):
+    # The batched draws take the same pairs as drawing one pair at a time;
+    # pad_max 0..3 makes failures, small samples and short segments make
+    # identical segments (and, with the block patched small, several batches).
+    rng = random.Random(17)
+    for n in range(2, spec.depth + 1):
+        for length in (1, 3, 8):
+            for pad_max in (None, 0, 1, 3):
+                samples, seed = rng.choice((1, 7, 60)), rng.randrange(1000)
+                if circuit_length(spec, spec.depth + 1) < length + 2 * (
+                    circuit_length(spec, n) if pad_max is None else pad_max
+                ) + 2:
+                    continue
+                want = _separation_reference(spec, n, length, samples, seed, pad_max)
+                with mock.patch.object(dynamics, "_SEPARATION_BLOCK", rng.choice((1, 64, 1 << 18))):
+                    got = level1_separation_check(spec, n, length, samples, seed, pad_max=pad_max)
+                assert got.to_dict() == want, (n, length, pad_max, samples, seed)

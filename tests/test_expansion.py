@@ -1,6 +1,8 @@
 """Word/walk expansion, margin stripping, and occurrence-gap analysis."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import tracemalloc
 from unittest import mock
@@ -25,22 +27,26 @@ from proxrank2 import (
     gap_set,
     gap_structure_report,
     gen_mixing_family,
+    gen_not_weakmix_family,
     gen_substitution_family,
+    gen_weakmix_not_mix_family,
     level_walks,
     realized_gap_table,
     telescope,
     time_word,
 )
-from proxrank2 import expansion
+from proxrank2 import expansion, gapscan
 from proxrank2.expansion import (
-    _SPARSE_PAIRS,
     _block_start_differences,
-    _join_pairs,
     _mark_pair_table,
-    _occurrence_gap_mask,
-    _sparse_join_cheaper,
     _time_row,
     _walk_array,
+)
+from proxrank2.gapscan import (
+    _SPARSE_PAIRS,
+    _join_pairs,
+    _occurrence_gap_mask,
+    _sparse_join_cheaper,
 )
 
 from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
@@ -492,3 +498,154 @@ def test_occurrence_mask_takes_sparse_join_when_it_is_cheaper():
     for u, v in ((1, 2), (2, 1), (1, 1)):
         assert _sparse_join_cheaper(walk.size, counts[u - 1], counts[v - 1], 400)
         assert list(_occurrence_gap_mask(walk, u, v, 400)) == _direct_gap_mask(walk, u, v, 400)
+
+
+def _dense_gap_mask(walk, u, v, max_gap):
+    """``_occurrence_gap_mask`` with the sparse join ruled out."""
+    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: False):
+        return _occurrence_gap_mask(walk, u, v, max_gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 8, 64, 1 << 16]),
+    st.sampled_from([1, 2, 16]),
+    st.sampled_from([1, 3, 64, 1 << 15]),
+    st.sampled_from([8, 64, 1 << 18]),
+    st.data(),
+)
+def test_dense_gap_scan_matches_direct_scan(prefix, first, block, pack, data):
+    # Tiny joined prefixes, scan steps and blocks send the drawn walks
+    # through every stage: the prefix join, the prefix scan, the run proofs
+    # and the one-by-one fallback; tiny packing blocks split the packed
+    # rows.  Vertices written near the end make gaps that the walk realizes
+    # only there.
+    size = data.draw(st.integers(2, 3000), label="size")
+    letters = data.draw(st.integers(2, 4), label="letters")
+    density = data.draw(st.sampled_from([0.002, 0.03, 0.3, 1.0]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    walk = np.where(rng.random(size) < density, rng.integers(0, letters, size), 0).astype(np.int8)
+    tail = st.tuples(st.integers(1, letters - 1), st.integers(1, 200))
+    for x, back in data.draw(st.lists(tail, max_size=4), label="tail"):
+        walk[max(0, size - back)] = x
+    u = data.draw(st.integers(0, letters - 1), label="u")
+    v = data.draw(st.integers(0, letters - 1), label="v")
+    max_gap = data.draw(st.integers(1, 400), label="max_gap")
+    with mock.patch.multiple(
+        gapscan, _PREFIX=prefix, _SCAN_FIRST=first, _SCAN_WORDS=block, _PACK_BLOCK=pack
+    ):
+        got = _dense_gap_mask(walk, u, v, max_gap)
+    assert list(got) == _direct_gap_mask(walk, u, v, max_gap)
+
+
+def test_dense_gap_scan_proves_runs_and_falls_back():
+    # Gaps 20, 21 come from u at 7 (inside the joined prefix of 64 entries);
+    # 5, 9, 13 only from u at 19000, past the idle first scan step.  The
+    # open gaps form the runs 1..19 and 22..30: the second is proven empty,
+    # the first holds realized gaps and is scanned gap by gap.
+    walk = np.zeros(20_000, dtype=np.int8)
+    walk[[7, 19_000]] = 1
+    walk[[27, 28, 19_005, 19_009, 19_013]] = 2
+    runs, fallback = [], []
+
+    def run_hits(words_u, words_v, spans):
+        hits = real_run_hits(words_u, words_v, spans)
+        runs.append(list(zip(spans, hits)))
+        return hits
+
+    def scan_gaps(words_u, words_v, gaps, *args):
+        if not args:
+            fallback.append(gaps.tolist())
+        return real_scan_gaps(words_u, words_v, gaps, *args)
+
+    real_run_hits, real_scan_gaps = gapscan._run_hits, gapscan._scan_gaps
+    with mock.patch.multiple(gapscan, _PREFIX=64, _run_hits=run_hits, _scan_gaps=scan_gaps):
+        got = _dense_gap_mask(walk, 1, 2, 30)
+    assert list(np.flatnonzero(got)) == [5, 9, 13, 20, 21]
+    assert list(got) == _direct_gap_mask(walk, 1, 2, 30)
+    assert runs == [[((1, 19), True), ((22, 30), False)]]
+    assert fallback == [list(range(1, 20))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_run_interval_tests_match_the_gap_differences(seed):
+    # Every run (a, b) with 1 <= a <= b <= 200 and width up to 70: widths on
+    # both sides of each doubling rung, starts at every bit offset and word.
+    rng = np.random.default_rng(seed)
+    walk = rng.choice(np.array([0, 1, 2], dtype=np.int8), 700, p=[0.9, 0.05, 0.05])
+    words = -(-walk.size // 64)
+    _, words_u = gapscan._packed_occurrences(walk, 1, words)
+    _, words_v = gapscan._packed_occurrences(walk, 2, words + 200 // 64 + 1)
+    diffs = np.subtract.outer(np.flatnonzero(walk == 2), np.flatnonzero(walk == 1)).ravel()
+    realized = np.zeros(202, dtype=bool)
+    realized[diffs[(diffs >= 1) & (diffs <= 200)]] = True
+    runs = [(a, b) for a in range(1, 201) for b in range(a, min(a + 70, 201))]
+    want = [bool(realized[a: b + 1].any()) for a, b in runs]
+    assert gapscan._run_hits(words_u, words_v, runs) == want
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize(
+    "spec, m, n, max_gap, vertices",
+    [
+        (gen_mixing_family(depth=6), 5, 1, 70, None),
+        (gen_mixing_family(depth=6), 3, 3, 200, (1, 2, 95, 189, 190)),  # m == n: one block
+        (gen_not_weakmix_family(3, depth=8), 6, 2, 600, None),  # max_gap beyond the walk
+        (gen_weakmix_not_mix_family(depth=5), 4, 2, 40, None),
+        (gen_substitution_family(depth=6), 6, 2, 100, None),
+    ],
+)
+def test_nonzero_pair_gap_set_reads_the_vertex_one_row(spec, m, n, max_gap, vertices, dense):
+    # Every pair of nonzero vertices (u > v and u == v included) is read
+    # off the one v1 -> v1 distance row; it must equal the scan of both
+    # vertices' occurrences.
+    walk = _walk_array(spec, m, n)
+    vertices = vertices or range(1, circuit_length(spec, n))
+    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: not dense):
+        for u in vertices:
+            for v in vertices:
+                want = tuple(np.flatnonzero(_direct_gap_mask(walk, u, v, max_gap)).tolist())
+                got = gap_set(spec, m, n, u, v, max_gap)
+                assert (got.gaps, got.engine) == (want, "materialized"), (u, v)
+
+
+# GapSet.to_dict() of the benchmark's gap queries on the mixing walk (l1 = 11,
+# n = 1, max_gap 60) for two query seeds: (m, u, v) -> number of gaps, sha256
+# prefix of the canonical JSON of the materialized answer, and of the strips
+# answer at half the circuit as cap (m >= 7), captured before the scans read
+# nonzero pairs off the vertex-1 row.
+_PINNED_GAP_SETS = {
+    (7, 10, 4): (54, "2a4a80e024ac5c60", "fd3943d94d6938bb"),
+    (11, 1, 1): (50, "46fe6f8110a76156", "d740d39f146a766c"),
+    (6, 3, 6): (38, "93676198663a4947", None),
+    (10, 6, 6): (50, "d9140c8a16d7889d", "9d6b5c3a85d53ced"),
+    (8, 6, 7): (50, "7879e186669dfc29", "bd2cfc76111c25ba"),
+    (9, 4, 10): (45, "4622eadd22c65648", "f1dc1bd4ed486655"),
+    (8, 4, 9): (46, "f8fcd4a1c3fb957c", "640126feda501768"),
+    (6, 4, 5): (40, "9f3f63ccbf0ebd11", None),
+    (7, 4, 7): (46, "8768c65768ed84a0", "45f2bbd4b21a51d0"),
+    (8, 2, 10): (43, "f5344419df991123", "ff04b7877766d202"),
+    (11, 4, 3): (51, "0a477ca5cbcbbe0f", "52a302e3dfcd24da"),
+    (9, 4, 9): (46, "fd8a924f2cbebc11", "cec9d31c3f4cdc60"),
+    (6, 3, 5): (39, "0c5a3be44e359360", None),
+    (8, 1, 6): (46, "062e2d4282aaa065", "a0ef68277aa7e7b6"),
+    (7, 4, 6): (47, "cf3e22813c75dcce", "54fa1b9ba5881770"),
+    (10, 10, 9): (51, "57e56db81e0b1ac0", "291d52c3de0b3e49"),
+    (6, 4, 4): (40, "31ff39db42997104", None),
+    (7, 8, 4): (52, "7db6f91bc236422c", "91a2e74fa55058c7"),
+}
+
+
+def test_benchmark_gap_sets_are_pinned():
+    mix = gen_mixing_family(l1=11, depth=12)
+
+    def digest(gs):
+        text = json.dumps(gs.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    for (m, u, v), (count, materialized, strips) in _PINNED_GAP_SETS.items():
+        got = gap_set(mix, m, 1, u, v, 60)
+        assert (len(got.gaps), digest(got)) == (count, materialized), (m, u, v)
+        if strips:
+            got = gap_set(mix, m, 1, u, v, 60, cap=circuit_length(mix, m) // 2)
+            assert (got.engine, digest(got)) == ("strips", strips), (m, u, v)
