@@ -18,6 +18,7 @@ from functools import cached_property
 from .covering import (
     CoveringSpec,
     LevelMap,
+    _is_int,
     circuit_length,
     expansion_cap,
     validate,
@@ -192,6 +193,12 @@ def validate_diagram(diagram: OrderedBratteliDiagram) -> DiagramReport:
     warnings: list[str] = []
     if len(diagram.vertex_rows) < 2:
         problems.append("diagram needs a root row and at least one vertex row")
+    if not all(isinstance(v, str) for names in diagram.vertex_rows for v in names) or not all(
+        isinstance(e.source, str) and _is_int(e.ordinal)
+        for row in diagram.edge_rows for _, edges in row for e in edges
+    ):
+        problems.append("vertex names and edge sources must be strings, ordinals ints")
+    if problems:
         return DiagramReport(False, tuple(problems), tuple(warnings))
     if len(diagram.vertex_rows[0]) != 1:
         problems.append(f"root row must have one vertex, has {len(diagram.vertex_rows[0])}")
@@ -477,28 +484,31 @@ def diagram_to_json(diagram: OrderedBratteliDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> OrderedBratteliDiagram:
+    """Load a diagram written by :func:`diagram_to_json`.
+
+    A document of another shape, or one whose diagram fails
+    :func:`validate_diagram`, raises :class:`UsageError`, so the path
+    functions never meet an unknown source, a missing row or an ordinal
+    that is not an int.
+    """
     try:
         obj = json.loads(text)
-        vertex_rows = tuple(tuple(row) for row in obj["vertex_rows"])
-        edge_rows = tuple(
-            tuple(
-                sorted(
-                    (
-                        (name, tuple(Edge(src, o) for src, o in edges))
-                        for name, edges in row.items()
-                    ),
-                    key=lambda item: item[0],
-                )
-            )
-            for row in obj["edge_rows"]
-        )
-        return OrderedBratteliDiagram(
-            vertex_rows=vertex_rows,
-            edge_rows=edge_rows,
+        diagram = OrderedBratteliDiagram(
+            vertex_rows=tuple(tuple(row) for row in obj["vertex_rows"]),
+            edge_rows=tuple(
+                tuple(sorted(
+                    (name, tuple(Edge(s, o) for s, o in edges)) for name, edges in row.items()
+                ))
+                for row in obj["edge_rows"]
+            ),
             certified_max_min=bool(obj.get("certified_max_min", False)),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"not a diagram JSON document: {exc}") from exc
+    report = validate_diagram(diagram)
+    if not report.ok:
+        raise UsageError("invalid diagram: " + "; ".join(report.problems))
+    return diagram
 
 
 def diagram_to_dot(diagram: OrderedBratteliDiagram) -> str:

@@ -128,6 +128,8 @@ def cmd_telescope(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.head is not None and args.head < 0:
+        raise UsageError(f"--head must be >= 0, got {args.head}")
     spec = _load_spec(args)
     if args.what == "symbol":
         seq = expand_circuit_word(spec, args.m, args.n, cap=args.cap).symbols

@@ -34,7 +34,6 @@ from .errors import (
     WindowUndetermined,
 )
 from .expansion import (
-    _block_difference_work,
     _block_start_differences,
     _time_row,
     _walk_array,
@@ -43,7 +42,6 @@ from .expansion import (
     realized_gap_table,
 )
 from .families import extend_family
-from .gapscan import _gap_mask_work, _occurrence_gap_mask
 from .report import Report
 from .substitution import windows
 
@@ -637,18 +635,13 @@ def residue_obstruction(
     (0 included), gap ``g`` is realized from ``v1`` to ``v1`` when ``dist[g]``
     is set and from ``v1`` to ``v2`` when ``dist[g - 1]`` is.
 
-    The walk is built for the classes and the witnesses.  ``dist`` comes from
-    whichever engine :func:`~proxrank2.expansion._block_difference_work` and
-    :func:`~proxrank2.gapscan._gap_mask_work` estimate to be cheaper: the
-    difference set of the level-``n`` block starts, built from the level
-    maps (:func:`~proxrank2.expansion._block_start_differences`; ``v1`` sits
-    at block start + 1), or one occurrence scan of the walk
-    (:func:`~proxrank2.gapscan._occurrence_gap_mask`), which a spec with a
-    very large winding number ``b`` keeps.  Memory: the walk, the positions
-    of ``v1`` (8 bytes each), at most two bool rows of at most ``l_m + 1``
-    bytes (about 200 MB together at the default cap of 1e8), the distinct
-    slot offsets of one level and offset blocks of ``_PAIR_BLOCK`` pairs for
-    the difference set, and the residue classes in a bool row of
+    The walk is built for the classes and the witnesses.  ``dist`` is the
+    row of block-start distances up to ``w = min(max_gap, l_m)``, built from
+    the level maps (:func:`~proxrank2.expansion._block_start_differences`;
+    ``v1`` sits at block start + 1).  Memory: the walk, the positions of
+    ``v1`` (8 bytes each), the rows of that builder (five of at most
+    ``w + 1`` bytes, the slot starts of one level and pair blocks of
+    ``_PAIR_BLOCK`` pairs), and the residue classes in a bool row of
     ``min(p, l_m + 1)`` bytes.
     """
     if p < 1:
@@ -675,11 +668,7 @@ def residue_obstruction(
                 f"{int(occ1[i + 1] - occ1[i])} != 0 mod {p}"
             )
     w = min(max_gap, walk.size - 1)
-    if _block_difference_work(spec, m, n) <= _gap_mask_work(walk.size, occ1.size, occ1.size, w):
-        dist = _block_start_differences(spec, m, n)[: w + 1]
-    else:
-        dist = _occurrence_gap_mask(walk, 1, 1, w)
-        dist[0] = True
+    dist = _block_start_differences(spec, m, n, w)
     gaps11 = np.flatnonzero(dist[1:]) + 1
     gaps12 = np.flatnonzero(dist[:w]) + 1
     bad11 = tuple(gaps11[gaps11 % p != 0][:8].tolist())
@@ -759,9 +748,9 @@ def forbidden_window_report(
     first one above ``floor`` is ``d* + (v - u)`` with ``d*`` the least
     distance ``> floor - (v - u)``; over all non-central pairs it is
     ``max(floor + 1, d* - (l_n - 2))`` with ``d*`` the least distance
-    ``> floor - (l_n - 2)``.  Memory: the distance row of ``l_top - l_n + 1``
-    bytes (and the builder's second row), still refused with exit 3 when the
-    top walk of ``l_top + 1`` entries would exceed the cap.
+    ``> floor - (l_n - 2)``.  Memory: the builder's rows over the full
+    window (four of at most ``l_top - l_n + 1`` bytes), still refused with
+    exit 3 when the top walk of ``l_top + 1`` entries would exceed the cap.
     """
     rec = spec.family_record
     if rec.problem is not None:
@@ -790,8 +779,8 @@ def forbidden_window_report(
         raise ExpansionTooLarge(
             l_top + 1, limit, what=f"vertex walk of circuit {top} over level {n}"
         )
-    dist = _block_start_differences(spec, top, n)
     l_n = circuit_length(spec, n)
+    dist = _block_start_differences(spec, top, n, l_top - l_n)
     first = None
     if l_n >= 2:
         d = _first_distance_above(dist, len_arith - (l_n - 2))
@@ -868,6 +857,9 @@ def level1_separation_check(
         raise UsageError(f"need n >= 2, got {n}")
     if length < 1:
         raise UsageError(f"length must be >= 1, got {length}")
+    for name, count in (("samples", samples), ("pad_max", pad_max)):
+        if count is not None and count < 0:
+            raise UsageError(f"{name} must be >= 0, got {count}")
     if not 2 <= n <= spec.depth:
         raise UsageError(f"need 2 <= n <= {spec.depth}, got {n}")
     top = spec.depth + 1 if top_level is None else top_level

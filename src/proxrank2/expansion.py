@@ -19,32 +19,22 @@ the loop runs as fill.  A walk costs its dtype's itemsize per step (1 byte
 for ``l_n <= 128``); no string or index array is built on the way.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
-between occurrences of two vertices in a walk.  Three exact engines are
-provided:
-
-* a scan of the materialized walk (:mod:`proxrank2.gapscan`): a
-  windowed join of the occurrence lists when they are sparse, otherwise a
-  scan of packed bit rows that settles the realized gaps on growing
-  prefixes of the walk and proves each maximal run of the other gaps empty
-  with one interval test over the whole walk;
-* a strip engine that never materializes the full walk (windows of width
-  ``W`` cross at most one circuit join once some circuit is longer than
-  ``W``, so scanning one full copy plus short join/margin strips is
-  exhaustive);
-* the difference set of the level-``n`` block starts, built from the level
-  maps alone, which answers every pair of nonzero vertices at once
-  (:func:`_block_start_differences`).
-
-A pair of nonzero vertices is read off one row of distances: vertex
-``u != 0`` sits at (block start + ``u``), so the gaps from ``u`` to ``v``
-are the block-start distances shifted by ``v - u``.  :func:`gap_set` reads
-them off the occurrences of vertex 1 in the materialized walk, and
-``residue_obstruction`` off whichever of the first and third engines is
-cheaper.
+between occurrences of two vertices in a walk.  :func:`gap_set` and
+:func:`realized_gap_table` scan the materialized walk (occurrence lists
+through :mod:`proxrank2.gapscan`, or pair counts), and past the cap a strip
+engine that never materializes it (windows of width ``W`` cross at most one
+circuit join once some circuit is longer than ``W``, so scanning one full
+copy plus short join/margin strips is exhaustive).  ``residue_obstruction``
+and ``forbidden_window_report`` read the distances up to a window between
+the level-``n`` block starts, built from the level maps alone
+(:func:`_block_start_differences`).  Vertex ``u != 0`` sits at (block start
++ ``u``), so the gaps from ``u`` to ``v`` are those distances shifted by
+``v - u``; :func:`gap_set` reads them off the occurrences of vertex 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -311,81 +301,104 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engines
 # --------------------------------------------------------------------------
 
-def _slot_offsets(starts: np.ndarray, size: int) -> np.ndarray:
-    """Distinct differences ``c_j - c_i >= 0`` of the increasing slot starts, ascending.
+def _slot_offsets(starts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bool row over ``lo .. hi``: entry ``i`` is set when some ``c_j - c_i = lo + i``, ``i <= j``.
 
-    Marked in a bool row of ``size`` entries, in blocks of at most
-    ``_PAIR_BLOCK`` slot pairs.
+    Row ``i`` of the increasing slot starts pairs only with the slots that
+    :meth:`numpy.ndarray.searchsorted` finds between ``c_i + lo`` and
+    ``c_i + hi`` (none when ``hi < lo``), in blocks of at most
+    ``_PAIR_BLOCK`` pairs (or one row).
     """
-    marks = np.zeros(size, dtype=bool)
-    step = max(1, _PAIR_BLOCK // starts.size)
-    for lo in range(0, starts.size, step):
-        diff = starts[None, :] - starts[lo: lo + step, None]
-        marks[diff[diff >= 0]] = True
-    return np.flatnonzero(marks)
+    marks = np.zeros(max(hi - lo + 1, 0), dtype=bool)
+    reach = starts + lo
+    first = starts.searchsorted(reach)
+    count = starts.searchsorted(starts + hi, "right") - first
+    ends = count.cumsum()
+    first -= ends - count  # slot j minus the flat index of pair (i, j)
+    i0 = done = 0
+    total = int(ends[-1])
+    while done < total:
+        i1 = max(i0 + 1, int(ends.searchsorted(done + _PAIR_BLOCK, "right")))
+        c = count[i0:i1]
+        stop = int(ends[i1 - 1])
+        j = first[i0:i1].repeat(c)
+        j += np.arange(done, stop)
+        d = starts[j]
+        d -= reach[i0:i1].repeat(c)
+        marks[d] = True
+        i0, done = i1, stop
+    return marks
 
 
-def _block_difference_work(spec: CoveringSpec, m: int, n: int) -> int:
-    """Estimated nanoseconds of :func:`_block_start_differences`, in the units of
-    :func:`~proxrank2.gapscan._gap_mask_work`.
+def _or_sums(row: np.ndarray, a: np.ndarray, terms) -> None:
+    """OR into ``row`` the sums ``shift + i + j`` of set ``a[i]`` and ``b[j]``, per ``(shift, b)``.
 
-    Per level 8 per slot pair, 1/2 per byte for the reversed copy of the row
-    below, plus two slice-ORs of 1000 and 1/16 per byte for each distinct
-    offset; the offsets are counted as one per slot pair, but no more than
-    the row has entries.
+    Sums past the end of ``row`` drop.  One slice-OR per set entry of ``a``
+    or of ``b``, whichever has fewer.
     """
-    l_n = circuit_length(spec, n)
-    l_k, work = l_n, 0
-    for k in range(n, m):
-        lm = spec.levels[k - 1]
-        pairs = lm.b * (lm.b + 1) // 2
-        l_up = lm.next_length(l_k)
-        size = l_k - l_n + 1
-        work += 8 * pairs + size // 2 + min(pairs, l_up - l_n + 1) * 2 * (1000 + size // 16)
-        l_k = l_up
-    return work
+    set_a = a.nonzero()[0]
+    for shift, b in terms:
+        if set_a.size <= np.count_nonzero(b):
+            lead, other = set_a, b
+        else:
+            lead, other = b.nonzero()[0], a
+        for i in (lead + shift).tolist():
+            if i >= row.size:
+                break
+            row[i: i + other.size] |= other[: row.size - i]
 
 
-def _block_start_differences(spec: CoveringSpec, m: int, n: int) -> np.ndarray:
-    """Distances between the level-``n`` circuit blocks in the walk of circuit ``m``.
+def _block_start_differences(spec: CoveringSpec, m: int, n: int, window: int) -> np.ndarray:
+    """Distances up to ``window`` between the level-``n`` blocks in the walk of circuit ``m``.
 
-    A bool row over ``0 .. l_m - l_n``: entry ``d`` is set when two level-``n``
-    blocks of the walk start ``d`` steps apart.  Vertex ``u != 0`` sits at
-    (block start + ``u``), so for ``u, v != 0`` the gap ``g`` from ``u`` to
-    ``v`` is realized exactly when entry ``|g - (v - u)|`` is set.
+    Entry ``d`` of the bool row over ``0 .. min(window, l_m - l_n)`` is set
+    when two level-``n`` blocks start ``d`` steps apart; vertex ``u != 0``
+    sits at (block start + ``u``), so gap ``g`` from ``u`` to ``v != 0`` is
+    realized exactly when entry ``|g - (v - u)|`` is set.
 
-    Built from the level maps, never from the walk: the set is ``{0}`` on
-    level ``n`` and the union of ``±D + c_j - c_i`` one level up, over the
-    slot starts ``c_j = a[0] + .. + a[j] + j l_k`` of map ``k``.  It is
-    symmetric, so one row of distances ``>= 0`` is kept.  Slots are at least
-    ``l_k`` apart, more than any distance in ``D`` (at most ``l_k - l_n``),
-    so ``|±D + d|`` is ``d + D`` and ``d - D``: each distinct offset
-    ``d = c_j - c_i > 0`` costs two slice-ORs.  Memory: the row being built,
-    of at most ``l_m - l_n + 1`` bytes, and the row below with its reversed
-    copy (each at most ``l_{m-1} - l_n + 1`` bytes), the distinct offsets of
-    one level (at most one per slot pair) and index blocks of at most
-    ``_PAIR_BLOCK`` pairs; the row is not checked against the expansion cap,
-    so callers bound ``l_m`` first (as building the walk does).  Time: per
-    level, ``b (b + 1) / 2`` slot pairs, one reversed copy and two
-    slice-ORs per distinct offset.
+    Built from the level maps, never from the walk.  With ``D`` the
+    distances inside circuit ``k`` (``{0}`` on level ``n``) and ``X`` the
+    largest, two rows cut at ``min(window, X)`` are kept: ``low[x]`` for
+    ``x`` in ``D`` and ``high[z]`` for ``X - z`` in ``D`` (``low`` reversed
+    while ``X <= window``).  The slot starts ``c_j`` of map ``k`` are at
+    least ``l_k > X`` apart, so over the distinct offsets ``d = c_j - c_i``
+    and ``e = d_max - d`` (``d_max = c_{b-1} - c_0``) the largest distance
+    one level up is ``X + d_max``, ``low'`` unites ``low``, ``d + low`` and
+    ``d - X + high`` (``0 < d <= X + window``) and ``high'`` unites
+    ``e + high`` and ``e + X + low`` (``e <= window``), both cut at
+    ``min(window, X + d_max)``.  Memory: six rows of at most ``window + 1``
+    bytes, 8 bytes per slot of one level for its starts and searches, and
+    pair blocks of ``_PAIR_BLOCK``; the starts are int64, so callers bound
+    ``l_m`` first (as building the walk does).  Time per level: the slot
+    pairs within reach, and a slice-OR per distinct offset or distance,
+    whichever fewer.
     """
     l_n = circuit_length(spec, n)
     l_k = l_n
-    dist = np.ones(1, dtype=bool)
+    low = high = np.ones(1, dtype=bool)
+    top = 0  # X
     for k in range(n, m):
         lm = spec.levels[k - 1]
-        starts = np.cumsum(lm.a[:-1], dtype=np.int64) + l_k * np.arange(lm.b, dtype=np.int64)
+        starts = np.fromiter(accumulate(lm.a[:-1]), np.int64, lm.b)
+        starts += np.arange(0, lm.b * l_k, l_k, dtype=np.int64)
+        d_max = int(starts[-1] - starts[0])
         l_k = lm.next_length(l_k)
-        offsets = _slot_offsets(starts, l_k - l_n + 1).tolist()
-        up = np.zeros(l_k - l_n + 1, dtype=bool)
-        size = dist.size
-        rev = dist[::-1].copy()  # numpy ORs a reversed view about 30x slower than a copy
-        for d in offsets:
-            up[d: d + size] |= dist
-            if d:
-                up[d - size + 1: d + 1] |= rev
-        dist = up
-    return dist
+        size = min(window, top + d_max) + 1
+        if top <= window:
+            high = low[::-1].copy()  # numpy ORs a reversed view about 30x slower than a copy
+        up = np.zeros(size, dtype=bool)
+        up[: low.size] = low
+        near = _slot_offsets(starts, top + 1, min(top + window, d_max))  # d = top + 1 + i
+        _or_sums(up, near, ((top + 1, low), (1, high)))
+        if top + d_max > window and k < m - 1:
+            far = _slot_offsets(starts, max(d_max - window, 0), d_max)[::-1].copy()  # e = i
+            down = np.zeros(size, dtype=bool)
+            _or_sums(down, far, ((0, high), (top, low)))
+            high = down
+        low, top = up, top + d_max
+    row = np.zeros(min(window, l_k - l_n) + 1, dtype=bool)
+    row[: low.size] = low
+    return row
 
 
 _CODE_BLOCK = 1 << 16  # pair codes per np.bincount call of _mark_pair_table
@@ -484,7 +497,7 @@ def _strip_segments(
     return core, tuple(g for g in range(w1) if runs >> g & 1), margins
 
 
-_PAIR_BLOCK = 1 << 18  # (L*, R*) index pairs per block of _mark_runs: about 10 MB
+_PAIR_BLOCK = 1 << 18  # index pairs per block of _slot_offsets and _mark_runs: about 10 MB
 
 
 def _zero_block_cover(

@@ -1,13 +1,14 @@
 """Exact gap masks of a materialized walk.
 
 :func:`_occurrence_gap_mask` marks the gaps ``1 .. max_gap`` from the
-occurrences of one vertex to those of another.  Two exact paths, chosen by
-a cost model shared with ``residue_obstruction`` (:func:`_gap_mask_work`):
-a windowed join of the occurrence lists when they are sparse, and
-otherwise a scan of packed bit rows (little-endian ``uint64`` words, bit
-``i % 64`` of word ``i // 64`` for walk entry ``i``) that settles the
-realized gaps on growing prefixes of the walk and proves each maximal run
-of the other gaps empty with one interval test over the whole walk.
+occurrences of one vertex to those of another; ``gap_set`` scans its walks
+with it.  Two exact paths, chosen by the cost model of
+:func:`_sparse_join_cheaper`: a windowed join of the occurrence lists when
+they are sparse, and otherwise a scan of packed bit rows (little-endian
+``uint64`` words, bit ``i % 64`` of word ``i // 64`` for walk entry ``i``)
+that settles the realized gaps on growing prefixes of the walk and proves
+each maximal run of the other gaps empty with one interval test over the
+whole walk.
 """
 from __future__ import annotations
 
@@ -27,32 +28,13 @@ def _sparse_join_cheaper(size: int, count_u: int, count_v: int, w: int) -> bool:
 
     The join is taken when its expected pairs stay at most ``_SPARSE_PAIRS``
     (its index arrays take about 32 bytes per joined pair, so about 64 MB)
-    and cost no more than the dense scan in the model of
-    :func:`_gap_mask_work`: ``20 pairs <= w (4000 + size / 64)``.
+    and cost no more than the dense scan, in nanoseconds timed with numpy
+    on a 2-core x86 machine: 20 per joined pair against, per gap, 4000 plus
+    1/64 per entry, an upper bound of the dense path (its prefix stage and
+    run proofs cut the per-gap passes short).
     """
     pairs = _join_pairs(size, count_u, count_v, w)
     return pairs <= _SPARSE_PAIRS and 20 * pairs <= w * (4000 + size / 64)
-
-
-def _gap_mask_work(size: int, count_u: int, count_v: int, max_gap: int) -> float:
-    """Estimated nanoseconds of :func:`_occurrence_gap_mask` on a walk of ``size`` entries.
-
-    16 per entry for the occurrence scans, plus 20 per joined pair on the
-    sparse path, or per gap one pass of 4000 plus 1/64 per entry (1/8 per
-    packed byte) on the dense path; :func:`_sparse_join_cheaper` picks the
-    path, so the estimate is the cost of the path taken.  The rates were
-    timed with numpy on a 2-core x86 machine; only their ratio to
-    :func:`~proxrank2.expansion._block_difference_work` matters.  The dense
-    term is an upper bound: it is the cost of testing every gap over the
-    whole walk, which the prefix stage and run proofs of
-    :func:`_occurrence_gap_mask` cut short, and it stayed above the
-    measured time of that path on every walk timed (periodic and mixing
-    walks of 2e4 to 1.3e7 entries, windows 50 to 2e4).
-    """
-    w = min(max_gap, size - 1)
-    if _sparse_join_cheaper(size, count_u, count_v, w):
-        return 16 * size + 20 * _join_pairs(size, count_u, count_v, w)
-    return 16 * size + w * (4000 + size / 64)
 
 
 def _join_gaps(occ_u: np.ndarray, occ_v: np.ndarray, w: int, mask: np.ndarray) -> None:

@@ -1,6 +1,8 @@
 """Ordered diagram model: translation, spans, paths, and the successor map."""
 from __future__ import annotations
 
+import copy
+import json
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from proxrank2 import (
     FinitePath,
     NotRank2Proximal,
     OrderedBratteliDiagram,
+    ProxRank2Error,
     TruncatedMaximal,
     UsageError,
     circuit_length,
@@ -107,6 +110,109 @@ def test_json_round_trip_is_byte_identical():
     text = diagram_to_json(DIAG)
     again = diagram_to_json(diagram_from_json(text))
     assert text == again
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(edge_rows=[1, 2, 3]),
+        lambda d: d["edge_rows"].__setitem__(1, [["e", 1]]),
+        lambda d: d["vertex_rows"].__setitem__(2, [["c"], ["e"]]),
+        lambda d: d["edge_rows"][1]["c"].__setitem__(0, ["e", "1"]),
+        lambda d: d["edge_rows"][1]["c"].__setitem__(0, ["x", 1]),
+        lambda d: d["edge_rows"][1]["c"].__setitem__(0, ["e", True]),
+        lambda d: d["edge_rows"].pop(),
+        lambda d: d.pop("vertex_rows"),
+    ],
+    ids=[
+        "edge-rows-ints", "edge-row-list", "list-names", "string-ordinal", "unknown-source",
+        "bool-ordinal", "too-few-edge-rows", "no-vertex-rows",
+    ],
+)
+def test_malformed_diagram_json_raises_usage_error(edit):
+    d = json.loads(diagram_to_json(DIAG))
+    edit(d)
+    with pytest.raises(UsageError):
+        diagram_from_json(json.dumps(d))
+
+
+_DIAGRAM_DOC = json.loads(diagram_to_json(covering_to_diagram(BASE, rows=3)))
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.sampled_from(["v0", "e", "c", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["v0", "e", "c", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_slots(node, out):
+    """Every (container, key) inside a JSON value, depth first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return out
+    for key in keys:
+        out.append((node, key))
+        _json_slots(node[key], out)
+    return out
+
+
+@st.composite
+def _mutated_diagram(draw):
+    """An exported diagram's JSON with one to three entries retyped, dropped or copied."""
+    d = copy.deepcopy(_DIAGRAM_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _json_slots(d, [])
+        if not slots:
+            break
+        where, key = slots[draw(st.integers(0, len(slots) - 1))]
+        action = draw(st.sampled_from(["retype", "drop", "sibling", "int"]))
+        if action == "drop":
+            del where[key]
+        elif action == "retype":
+            where[key] = draw(_JSON_JUNK)
+        elif action == "sibling":
+            siblings = list(where) if isinstance(where, dict) else range(len(where))
+            where[key] = copy.deepcopy(where[draw(st.sampled_from(siblings))])
+        else:
+            where[key] = draw(st.integers(-2, 12))
+    return d
+
+
+def _calls(diagram):
+    """Every library call on a loaded diagram, as thunks."""
+    yield lambda: diagram_to_covering(diagram)
+    yield lambda: diagram_to_dot(diagram)
+    for row in range(1, diagram.rows + 1):
+        for vertex in diagram.vertices(row):
+            yield lambda: minimal_path(diagram, row, vertex)
+            yield lambda: maximal_path(diagram, row, vertex)
+            for position in (0, diagram.span(row, vertex) - 1):
+                path = path_from_position(diagram, row, vertex, position)
+                assert position_of_path(diagram, path) == position
+                yield lambda: vershik_successor(diagram, path)
+                yield lambda: path_to_seed(diagram, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_mutated_diagram())
+def test_hostile_diagram_json_never_crashes(d):
+    # A mutated document either loads as a valid diagram or raises
+    # UsageError; every call on a loaded diagram returns or raises a
+    # package error.
+    try:
+        diagram = diagram_from_json(json.dumps(d))
+    except UsageError:
+        return
+    assert validate_diagram(diagram).ok
+    assert diagram_to_json(diagram_from_json(diagram_to_json(diagram))) == diagram_to_json(diagram)
+    for call in _calls(diagram):
+        try:
+            call()
+        except ProxRank2Error:
+            pass
 
 
 def test_dot_export_is_deterministic():

@@ -178,6 +178,20 @@ def test_usage_error_exits_two(base_spec_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sep1", "3", "4", "--pad-max", "-2"], "pad_max must be >= 0, got -2"),
+        (["sep1", "3", "4", "--samples", "-1"], "samples must be >= 0, got -1"),
+        (["expand", "3", "1", "--head", "-1"], "--head must be >= 0, got -1"),
+    ],
+    ids=["sep1-pad-max", "sep1-samples", "expand-head"],
+)
+def test_negative_count_exits_two(base_spec_file, capsys, argv, message):
+    code, out, err = run(capsys, [*argv, "--spec", base_spec_file])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_argparse_error_exits_two(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

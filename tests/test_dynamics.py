@@ -46,7 +46,7 @@ from proxrank2 import (
     unstable_point,
     validate_seed,
 )
-from proxrank2 import dynamics
+from proxrank2 import dynamics, expansion, gapscan
 from proxrank2.expansion import _time_row, _walk_array
 from proxrank2.gapscan import _occurrence_gap_mask
 
@@ -533,27 +533,30 @@ def test_residue_classes_of_a_modulus_beyond_the_walk(p):
     assert len(got["classes_v1"]) > 1
 
 
-def test_residue_obstruction_takes_each_engine(monkeypatch):
+def test_residue_obstruction_reads_one_windowed_row(monkeypatch):
+    # One distance path whatever the winding number: one row of block-start
+    # distances cut at the window, and no gap scan of the walk.
     nw = gen_not_weakmix_family(3, depth=15)
     wide = telescope(nw, [1, 12, 16])  # circuit 16 again, with b = 2048 on level 1
     calls = []
+    real = dynamics._block_start_differences
+    monkeypatch.setattr(
+        dynamics, "_block_start_differences", lambda *args: calls.append(args[1:]) or real(*args)
+    )
 
-    def spy(name):
-        real = getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name, lambda *args: calls.append(name) or real(*args))
+    def no_scan(*args):
+        raise AssertionError("residue_obstruction scanned the walk for gaps")
 
-    spy("_block_start_differences")
-    spy("_occurrence_gap_mask")
+    monkeypatch.setattr(gapscan, "_occurrence_gap_mask", no_scan)
+    monkeypatch.setattr(expansion, "_occurrence_gap_mask", no_scan)
     far = residue_obstruction(nw, 1, 3, 16, max_gap=30_000)
-    assert calls == ["_block_start_differences"]
+    assert calls == [(16, 1, 30_000)]
     calls.clear()
     near = residue_obstruction(wide, 1, 3, 3, max_gap=50)
-    assert calls == ["_occurrence_gap_mask"]
+    assert calls == [(3, 1, 50)]
     assert far.passed and near.passed
     assert (far.classes_v1, far.classes_v2) == (near.classes_v1, near.classes_v2) == ((1,), (2,))
-    calls.clear()
     assert near.to_dict() == {**residue_obstruction(nw, 1, 3, 16, max_gap=50).to_dict(), "m": 3}
-    assert calls == ["_block_start_differences"]
 
 
 # ------------------------------------------------------ forbidden window ---
@@ -658,6 +661,12 @@ def test_level1_separation_of_base_family():
 def test_level1_separation_requires_level_at_least_two():
     with pytest.raises(UsageError):
         level1_separation_check(BASE, 1, 4)
+
+
+@pytest.mark.parametrize("kwargs", [{"pad_max": -1}, {"pad_max": -3}, {"samples": -1}])
+def test_level1_separation_refuses_negative_counts(kwargs):
+    with pytest.raises(UsageError, match="must be >= 0"):
+        level1_separation_check(BASE, 3, 4, **kwargs)
 
 
 def _separation_reference(spec, n, length, samples, rng_seed, pad_max):

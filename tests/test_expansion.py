@@ -29,6 +29,7 @@ from proxrank2 import (
     gen_mixing_family,
     gen_not_weakmix_family,
     gen_substitution_family,
+    gen_uniquely_ergodic_family,
     gen_weakmix_not_mix_family,
     level_walks,
     realized_gap_table,
@@ -409,8 +410,19 @@ def test_dense_gap_mask_matches_direct_scan(shift):
     assert list(_occurrence_gap_mask(walk, 1, 2, 100)) == _direct_gap_mask(walk, 1, 2, 100)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_builder_specs, st.data())
+# Three families, and telescoped ones whose first level has b >= 64 slots.
+_ROW_SPECS = (
+    gen_not_weakmix_family(3, depth=8),
+    gen_mixing_family(depth=4),
+    gen_weakmix_not_mix_family(depth=3),
+    telescope(gen_not_weakmix_family(3, depth=10), [1, 8, 10]),
+    telescope(gen_mixing_family(depth=6), [1, 4, 5]),
+    telescope(gen_uniquely_ergodic_family(depth=6), [1, 4, 5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_builder_specs, st.sampled_from(_ROW_SPECS)), st.data())
 def test_block_start_differences_equal_occurrence_masks(spec, data):
     # Vertex u != 0 sits at (block start + u), so gap g from u to v is
     # realized exactly when two blocks start |g - (v - u)| apart.
@@ -423,16 +435,48 @@ def test_block_start_differences_equal_occurrence_masks(spec, data):
     n = data.draw(st.integers(1, m), label="n")
     l_n, l_m = circuit_length(spec, n), circuit_length(spec, m)
     assume(l_n >= 2)
+    # The row cut at any window is the full row's prefix: windows at 0, past
+    # the walk, and around the largest distance X of every circuit k on the
+    # way (l_k - l_n less both margins), where the recursion switches rows.
+    near = {0, l_m - l_n, l_m + 1}
+    for k in range(n + 1, m + 1):
+        x = circuit_length(spec, k) - l_n - sum(e_run_margins(spec, k, n))
+        near |= {max(x - 1, 0), x, x + 1}
+    window = data.draw(
+        st.one_of(st.sampled_from(sorted(near)), st.integers(0, l_m - l_n), st.integers(0, 2 * l_m)),
+        label="window",
+    )
+    block = data.draw(st.sampled_from([1, 3, 64, 1 << 18]), label="pair block")
+    with mock.patch.object(expansion, "_PAIR_BLOCK", block):
+        dist = _block_start_differences(spec, m, n, 2 * l_m)
+        cut = _block_start_differences(spec, m, n, window)
+    assert dist.dtype == bool and dist.size == l_m - l_n + 1 and dist[0]
+    assert cut.dtype == bool and np.array_equal(cut, dist[: window + 1])
     u = data.draw(st.integers(1, l_n - 1), label="u")
     v = data.draw(st.integers(1, l_n - 1), label="v")
     max_gap = data.draw(st.integers(1, 2 * l_m), label="max_gap")
-    dist = _block_start_differences(spec, m, n)
-    assert dist.dtype == bool and dist.size == l_m - l_n + 1 and dist[0]
     gaps = np.arange(1, max_gap + 1)
     at = np.abs(gaps - (v - u))
     got = np.zeros(max_gap + 1, dtype=bool)
     got[gaps[at < dist.size]] = dist[at[at < dist.size]]
     assert np.array_equal(got, _occurrence_gap_mask(_walk_array(spec, m, n), u, v, max_gap))
+
+
+@pytest.mark.parametrize("spec", _ROW_SPECS[:3], ids=["not_weakmix", "mixing", "weakmix"])
+def test_block_start_differences_cut_around_every_level_switch(spec):
+    # Every circuit k on the way switches the recursion's rows where the
+    # window passes its largest distance X_k: windows X_k - 1, X_k and
+    # X_k + 1 of every (m, n) against the full row's prefix.
+    for m in range(1, spec.depth + 2):
+        l_m = circuit_length(spec, m)
+        for n in range(1, m + 1):
+            l_n = circuit_length(spec, n)
+            dist = _block_start_differences(spec, m, n, l_m)
+            for k in range(n + 1, m + 1):
+                x = circuit_length(spec, k) - l_n - sum(e_run_margins(spec, k, n))
+                for window in (x - 1, x, x + 1):
+                    cut = _block_start_differences(spec, m, n, window)
+                    assert np.array_equal(cut, dist[: window + 1]), (m, n, window)
 
 
 def _scatter_pair_table(seg, table, max_gap):
