@@ -130,9 +130,10 @@ def covering_to_diagram(spec: CoveringSpec, rows: int | None = None) -> OrderedB
 
     Builds one edge per letter of each level word plus ``l1`` root edges;
     raises :class:`ExpansionTooLarge` when that count exceeds the expansion cap.
-    ``certified_max_min`` is set: in reduced form every map starts and ends
-    with a loop run, so the least and the greatest edge into each circuit
-    vertex come from the loop vertex.
+    ``certified_max_min`` is set when the diagram backs it (see
+    :func:`validate_diagram`): ``l1 >= 2``, and every map starts and ends
+    with a loop run (as in reduced form), so the least and the greatest
+    edge into each circuit vertex come from the loop vertex.
     """
     max_rows = spec.depth + 1
     if rows is None:
@@ -172,7 +173,7 @@ def covering_to_diagram(spec: CoveringSpec, rows: int | None = None) -> OrderedB
     return OrderedBratteliDiagram(
         vertex_rows=tuple(vertex_rows),
         edge_rows=tuple(edge_rows),
-        certified_max_min=True,
+        certified_max_min=l1 >= 2 and all(lm.a[0] and lm.a[-1] for lm in maps),
     )
 
 
@@ -187,8 +188,42 @@ class DiagramReport(Report):
     warnings: tuple[str, ...]
 
 
+def _max_min_problem(diagram: OrderedBratteliDiagram) -> str | None:
+    """Why the diagram does not back ``certified_max_min``, or None when it does.
+
+    Each row must have two vertices, one of them the *loop vertex*: its one
+    incoming edge comes from the loop vertex below (from the root on row 1).
+    The first and the last edge into the other, the circuit vertex, come
+    from the loop vertex below as well (on row 1 every edge comes from the
+    root).  Then the all-loop path is the only infinite path whose edges
+    are all maximal, and the only one whose edges are all minimal.
+    """
+    loop = diagram.vertex_rows[0][0]
+    for row in range(1, diagram.rows + 1):
+        incoming = dict(diagram.edge_rows[row - 1])
+        loops = [name for name, edges in incoming.items() if [e.source for e in edges] == [loop]]
+        if len(incoming) != 2 or len(loops) != 1:
+            return (
+                f"row {row}: certified_max_min needs two vertices, exactly one with a "
+                f"single edge from the loop vertex {loop!r}"
+            )
+        (circuit,) = set(incoming) - {loops[0]}
+        edges = incoming[circuit]
+        if edges[0].source != loop or edges[-1].source != loop:
+            return (
+                f"row {row}: certified_max_min needs the first and last edges into "
+                f"{circuit!r} from the loop vertex {loop!r}"
+            )
+        loop = loops[0]
+    return None
+
+
 def validate_diagram(diagram: OrderedBratteliDiagram) -> DiagramReport:
-    """Well-formedness plus the ordering laws the reverse translation needs."""
+    """Well-formedness plus the ordering laws the reverse translation needs.
+
+    A ``certified_max_min`` that is not a bool, or that is true on a
+    diagram that does not back it (:func:`_max_min_problem`), is a problem.
+    """
     problems: list[str] = []
     warnings: list[str] = []
     if len(diagram.vertex_rows) < 2:
@@ -198,6 +233,8 @@ def validate_diagram(diagram: OrderedBratteliDiagram) -> DiagramReport:
         for row in diagram.edge_rows for _, edges in row for e in edges
     ):
         problems.append("vertex names and edge sources must be strings, ordinals ints")
+    if not isinstance(diagram.certified_max_min, bool):
+        problems.append(f"certified_max_min must be a bool, got {diagram.certified_max_min!r}")
     if problems:
         return DiagramReport(False, tuple(problems), tuple(warnings))
     if len(diagram.vertex_rows[0]) != 1:
@@ -232,6 +269,10 @@ def validate_diagram(diagram: OrderedBratteliDiagram) -> DiagramReport:
                     problems.append(
                         f"row {row}: vertex {name!r} edge from unknown source {e.source!r}"
                     )
+    if not problems and diagram.certified_max_min:
+        problem = _max_min_problem(diagram)
+        if problem:
+            problems.append(problem)
     if not problems:
         # Two-vertex shape checks are advisory here; the reverse translation
         # turns them into hard errors.
@@ -489,7 +530,8 @@ def diagram_from_json(text: str) -> OrderedBratteliDiagram:
     A document of another shape, or one whose diagram fails
     :func:`validate_diagram`, raises :class:`UsageError`, so the path
     functions never meet an unknown source, a missing row or an ordinal
-    that is not an int.
+    that is not an int, and ``certified_max_min`` is a JSON bool that the
+    diagram backs.
     """
     try:
         obj = json.loads(text)
@@ -501,7 +543,7 @@ def diagram_from_json(text: str) -> OrderedBratteliDiagram:
                 ))
                 for row in obj["edge_rows"]
             ),
-            certified_max_min=bool(obj.get("certified_max_min", False)),
+            certified_max_min=obj.get("certified_max_min", False),
         )
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"not a diagram JSON document: {exc}") from exc

@@ -20,16 +20,18 @@ for ``l_n <= 128``); no string or index array is built on the way.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
 between occurrences of two vertices in a walk.  :func:`gap_set` and
-:func:`realized_gap_table` scan the materialized walk (occurrence lists
-through :mod:`proxrank2.gapscan`, or pair counts), and past the cap a strip
-engine that never materializes it (windows of width ``W`` cross at most one
-circuit join once some circuit is longer than ``W``, so scanning one full
-copy plus short join/margin strips is exhaustive).  ``residue_obstruction``
-and ``forbidden_window_report`` read the distances up to a window between
-the level-``n`` block starts, built from the level maps alone
-(:func:`_block_start_differences`).  Vertex ``u != 0`` sits at (block start
-+ ``u``), so the gaps from ``u`` to ``v`` are those distances shifted by
-``v - u``; :func:`gap_set` reads them off the occurrences of vertex 1.
+:func:`realized_gap_table` scan the occurrences of the materialized walk
+through :mod:`proxrank2.gapscan`, and past the cap a strip engine that never
+materializes it (windows of width ``W`` cross at most one circuit join once
+some circuit is longer than ``W``, so scanning one full copy plus short
+join/margin strips is exhaustive; it counts the pairs of those strips).
+``residue_obstruction`` and ``forbidden_window_report`` read the distances
+up to a window between the level-``n`` block starts, built from the level
+maps alone (:func:`_block_start_differences`).  Vertex ``u != 0`` sits at
+(block start + ``u``), so the gaps from ``u`` to ``v`` are those distances
+shifted by ``v - u`` (:func:`_nonzero_pair_rows`): :func:`gap_set` reads
+them off the occurrences of vertex 1, and :func:`realized_gap_table` reads
+the whole table off four occurrence rows, between vertex 1 and vertex 0.
 """
 from __future__ import annotations
 
@@ -407,15 +409,17 @@ _CODE_BLOCK = 1 << 16  # pair codes per np.bincount call of _mark_pair_table
 def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:
     """OR the gaps ``1 .. max_gap`` realized in ``seg`` into ``table[u, v, gap]``.
 
-    The pair ``(seg[i], seg[i + g])`` is counted as the int32 code
+    Used on the strip segments of :func:`realized_gap_table` only: their
+    margins are cut mid-block, so a vertex need not sit at its block's
+    vertex 1 plus ``u - 1`` and the rows of :func:`_fill_pair_table` do not
+    apply.  The pair ``(seg[i], seg[i + g])`` is counted as the int32 code
     ``seg[i] (l_n + 1) + seg[i + g]`` by :func:`numpy.bincount`; positions
     past the end of ``seg`` read the sentinel ``l_n``, whose column is
     dropped (codes fit int32 for ``l_n <= 46340``; :func:`realized_gap_table`
     allows ``l_n <= 2048``).  Codes are built over blocks of at most
-    ``_CODE_BLOCK`` positions.  A segment shorter than that (the strip cores
-    and margins of :func:`realized_gap_table`) shares one call among several
-    gaps, each offset by ``g l_n (l_n + 1)``, so that no gap pays a call of
-    its own.
+    ``_CODE_BLOCK`` positions.  A segment shorter than that (most cores and
+    every margin) shares one call among several gaps, each offset by
+    ``g l_n (l_n + 1)``, so that no gap pays a call of its own.
     Memory, independent of ``seg.size``: at most ``_CODE_BLOCK`` codes (4
     bytes each, and 8 more in the copy numpy counts from), the counts of one
     call (8 bytes each, at most ``max(_CODE_BLOCK, l_n (l_n + 1))``) and one
@@ -445,6 +449,59 @@ def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:
             counts = np.bincount(codes.ravel(), minlength=(g1 - g0) * cell)
             hits = counts.reshape(g1 - g0, l_n, row)[:, :, :l_n] > 0
             table[:, :, g0:g1] |= hits.transpose(1, 2, 0)
+
+
+def _nonzero_pair_rows(dist: np.ndarray, l_n: int, width: int) -> np.ndarray:
+    """View ``R[u - 1, v - 1, g] = dist[|g - (v - u)|]`` for ``u, v`` in ``1 .. l_n - 1``.
+
+    ``dist`` is the ``v1 -> v1`` distance row of a walk with ``dist[0]``
+    set, at least ``width + l_n - 2`` entries long.  Vertex ``u != 0`` sits
+    at (block start + ``u``), so gap ``g < width`` from ``u`` to ``v`` is
+    realized exactly when ``R[u - 1, v - 1, g]`` is.  Strided views of one
+    mirrored copy of ``dist``: ``width + 2 l_n`` bytes however many pairs
+    are read.
+    """
+    c = l_n - 2
+    mirror = np.concatenate((dist[c:0:-1], dist[: width + c]))  # entry t: dist[|t - c|]
+    rows = np.lib.stride_tricks.sliding_window_view(mirror, width)  # row t: gaps from shift c - t
+    pairs = np.lib.stride_tricks.sliding_window_view(rows, c + 1, axis=0)  # [i, g, j]: row i + j
+    return pairs[:, :, ::-1].transpose(0, 2, 1)  # [u - 1, v - 1, g]: row c + (u - 1) - (v - 1)
+
+
+def _fill_pair_table(walk: np.ndarray, table: np.ndarray) -> None:
+    """Write the gaps of a materialized walk into ``table[u, v, gap]`` from four occurrence rows.
+
+    Every vertex 1 of the walk starts a full block and vertex ``u != 0``
+    sits at its block's vertex 1 plus ``u - 1``, so with ``w = max_gap``
+    and the :func:`_occurrence_gap_mask` rows ``R11`` (``1 -> 1`` up to
+    ``w + l_n - 2``, ``R11[0]`` set), ``R10`` (``1 -> 0``, the same reach),
+    ``R01`` (``0 -> 1`` up to ``w``) and ``R00`` (``0 -> 0`` up to ``w``):
+
+    * ``T[u, v, g] = R11[|g - (v - u)|]`` (:func:`_nonzero_pair_rows`);
+    * ``T[u, 0, g] = R10[g + u - 1]``;
+    * ``T[0, v, g] = R01[g - v + 1]``, false for ``g < v`` (a zero there
+      would sit inside the block of ``v``);
+    * ``T[0, 0, g] = R00[g]``.
+
+    Every block is filled from strided views of those rows.  Memory beyond
+    the table: the packed rows of the four scans and ``O(w + l_n)`` bytes.
+    """
+    l_n, width = table.shape[0], table.shape[2]
+    max_gap = width - 1
+    table[0, 0] = _occurrence_gap_mask(walk, 0, 0, max_gap)
+    if l_n == 1:
+        return
+    reach = max_gap + l_n - 2
+    r11 = _occurrence_gap_mask(walk, 1, 1, reach)
+    r11[0] = True
+    r10 = _occurrence_gap_mask(walk, 1, 0, reach)
+    r01 = _occurrence_gap_mask(walk, 0, 1, max_gap)
+    windows = np.lib.stride_tricks.sliding_window_view
+    table[1:, 1:] = _nonzero_pair_rows(r11, l_n, width)
+    table[1:, 0] = windows(r10, width)  # row u - 1: R10[u - 1 ..]
+    into = np.concatenate((np.zeros(l_n - 2, dtype=bool), r01))  # entry d + l_n - 2: R01[d]
+    table[0, 1:] = windows(into, width)[::-1]  # row v - 1 starts at d = 1 - v
+    table[:, :, 0] = False
 
 
 def _strip_segments(
@@ -590,11 +647,11 @@ def gap_set(
     ``v1 -> v1`` distance row: vertex ``u != 0`` sits at (block start +
     ``u``), so with ``dist`` the distances between occurrences of vertex 1
     (``dist[0]`` set, window ``top + l_n - 2``), gap ``g`` from ``u`` to
-    ``v`` is realized exactly when ``dist[|g - (v - u)|]`` is.  When the
-    full walk exceeds the cap the exact strip engine is used instead of
-    failing: it scans the core and the margin strips for this pair and marks
-    the run strips with :func:`_mark_runs` restricted to row ``u`` and
-    column ``v``.
+    ``v`` is realized exactly when ``dist[|g - (v - u)|]`` is
+    (:func:`_nonzero_pair_rows`).  When the full walk exceeds the cap the
+    exact strip engine is used instead of failing: it scans the core and
+    the margin strips for this pair and marks the run strips with
+    :func:`_mark_runs` restricted to row ``u`` and column ``v``.
     """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
@@ -612,7 +669,7 @@ def gap_set(
         if u and v:
             dist = _occurrence_gap_mask(walk, 1, 1, top + l_n - 2)
             dist[0] = True
-            mask = dist[np.abs(np.arange(top + 1) - (v - u))]
+            mask = _nonzero_pair_rows(dist, l_n, top + 1)[u - 1, v - 1]
         else:
             mask = _occurrence_gap_mask(walk, u, v, top)
         engine = "materialized"
@@ -635,18 +692,24 @@ def realized_gap_table(
 ) -> tuple[np.ndarray, str]:
     """All-pairs realized-gap table ``T[u, v, gap]`` for gaps ``1 .. max_gap``.
 
-    Memory: the table has ``l_n² (max_gap + 1)`` bytes; the strip engine
-    adds a cross table of the same size (see :func:`_mark_runs`) and the
-    core walk of :func:`_strip_segments`.
+    On the materialized walk the table is read off four occurrence rows of
+    the walk (:func:`_fill_pair_table`): the walk, the packed rows of
+    :func:`~proxrank2.gapscan._occurrence_gap_mask` and ``O(max_gap + l_n)``
+    bytes besides the table.  Past the cap the strip engine counts the
+    pairs of its segments (:func:`_mark_pair_table`) and adds a cross table
+    of the table's size (see :func:`_mark_runs`) and the core walk of
+    :func:`_strip_segments`.  The table has ``l_n² (max_gap + 1)`` bytes.
     """
     l_n = circuit_length(spec, n)
     if l_n > 2048:
         raise UsageError(f"all-pairs table only supported for l_n <= 2048, got {l_n}")
+    if max_gap < 1:
+        raise UsageError(f"max_gap must be >= 1, got {max_gap}")
     limit = expansion_cap(cap)
     l_m = circuit_length(spec, m)
     table = np.zeros((l_n, l_n, max_gap + 1), dtype=bool)
     if l_m + 1 <= limit:
-        _mark_pair_table(_walk_array(spec, m, n, cap=cap), table, max_gap)
+        _fill_pair_table(_walk_array(spec, m, n, cap=cap), table)
         return table, "materialized"
     core, runs, margins = _strip_segments(spec, m, n, max_gap, cap=cap)
     for seg in (core, *margins):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrank2 import (
+    CoveringSpec,
     Edge,
     FinitePath,
+    LevelMap,
     NotRank2Proximal,
     OrderedBratteliDiagram,
     ProxRank2Error,
@@ -134,6 +136,61 @@ def test_malformed_diagram_json_raises_usage_error(edit):
     edit(d)
     with pytest.raises(UsageError):
         diagram_from_json(json.dumps(d))
+
+
+def _cecec_doc(certified):
+    """The exported 3-row diagram with row 2's circuit word edited to CECEC."""
+    d = json.loads(diagram_to_json(covering_to_diagram(BASE, rows=3)))
+    d["edge_rows"][1]["c"] = [[src, i] for i, src in enumerate("cecec", start=1)]
+    d["certified_max_min"] = certified
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "certified, problem",
+    [
+        ("no", "certified_max_min must be a bool, got 'no'"),
+        (1, "certified_max_min must be a bool, got 1"),
+        (True, "row 2: certified_max_min needs the first and last edges into 'c' "
+               "from the loop vertex 'e'"),
+    ],
+    ids=["string", "int", "unbacked-true"],
+)
+def test_certified_max_min_must_be_a_backed_bool(certified, problem):
+    # "no" once loaded as certified, and the all-loop maximal path into e
+    # then came back as its own Vershik successor.
+    with pytest.raises(UsageError) as info:
+        diagram_from_json(_cecec_doc(certified))
+    assert str(info.value) == f"invalid diagram: {problem}"
+    diagram = diagram_from_json(_cecec_doc(False))
+    assert not diagram.certified_max_min
+    assert any("reverse translation fails" in w for w in validate_diagram(diagram).warnings)
+    with pytest.raises(TruncatedMaximal):
+        vershik_successor(diagram, maximal_path(diagram, 3, "e"))
+
+
+def test_certified_max_min_needs_a_loop_vertex_on_every_row():
+    d = json.loads(diagram_to_json(DIAG))
+    d["edge_rows"][2]["e"] = [["c", 1]]  # the loop vertex of row 3 fed by the circuit
+    with pytest.raises(UsageError, match="row 3: certified_max_min needs two vertices"):
+        diagram_from_json(json.dumps(d))
+    d["certified_max_min"] = False
+    assert not diagram_from_json(json.dumps(d)).certified_max_min
+
+
+def test_exported_diagrams_are_certified_exactly_when_backed():
+    rng = random.Random(0xCE27)
+    for spec in [BASE] + [random_plain_spec(rng, depth=4, max_length=3000) for _ in range(5)]:
+        text = diagram_to_json(covering_to_diagram(spec))
+        assert json.loads(text)["certified_max_min"] is True
+        assert diagram_to_json(diagram_from_json(text)) == text
+    # Zero margins (not reduced form): the first edge into c comes from c.
+    spec = CoveringSpec(l1=3, levels=(LevelMap(a=(0, 1, 1), b=2),))
+    diagram = covering_to_diagram(spec)
+    assert not diagram.certified_max_min
+    assert validate_diagram(diagram).ok
+    text = diagram_to_json(diagram)
+    assert diagram_to_json(diagram_from_json(text)) == text
 
 
 _DIAGRAM_DOC = json.loads(diagram_to_json(covering_to_diagram(BASE, rows=3)))

@@ -17,6 +17,7 @@ from proxrank2 import (
     ExpansionTooLarge,
     LevelMap,
     RestrictedFormRequired,
+    UsageError,
     circuit_length,
     compose_word,
     cumulative_runs,
@@ -518,6 +519,65 @@ def test_pair_table_codes_equal_scatter_on_a_materialized_walk():
         with mock.patch.object(expansion, "_CODE_BLOCK", block):
             _mark_pair_table(walk, got, 32)
         assert np.array_equal(got, want), block
+
+
+_table_specs = st.builds(
+    lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+    st.sampled_from([1, 2, 3, 11]),
+    st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=0, max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_specs, st.booleans(), st.data())
+def test_materialized_table_equals_pair_scatter_on_the_walk(spec, dense, data):
+    # Zero margins and zero inner runs, b = 1 levels, l_n = 1 (a walk of
+    # zeros only) and m == n (one block); windows up to past the walk.
+    top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 20_000)
+    m = data.draw(st.integers(1, top), label="m")
+    l_m = circuit_length(spec, m)
+    max_gap = data.draw(st.integers(1, l_m + 3), label="max_gap")
+    walk = _walk_array(spec, m, 1)
+    want = np.zeros((spec.l1, spec.l1, max_gap + 1), dtype=bool)
+    _scatter_pair_table(walk, want, max_gap)
+    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: not dense):
+        got, engine = realized_gap_table(spec, m, 1, max_gap)
+    assert engine == "materialized"
+    assert np.array_equal(got, want)
+
+
+def test_materialized_table_never_counts_pairs():
+    mix = gen_mixing_family(l1=11, depth=8)
+    with mock.patch.object(expansion, "_mark_pair_table", side_effect=AssertionError):
+        for m, n, max_gap in ((1, 1, 5), (6, 1, 32), (6, 2, 80)):
+            assert realized_gap_table(mix, m, n, max_gap)[1] == "materialized"
+    with mock.patch.object(expansion, "_mark_pair_table", wraps=expansion._mark_pair_table) as spy:
+        assert realized_gap_table(mix, 6, 1, 32, cap=circuit_length(mix, 5) + 1)[1] == "strips"
+    assert spy.called
+
+
+# sha256 prefixes of the benchmark's gap_table answers on the mixing walk
+# (l1 = 11, n = 1, max_gap 32, m = 5, 6, 6, 7, 7, 8 for every query seed,
+# 913 and 1 included), captured while the table still counted pairs.
+_PINNED_GAP_TABLES = {
+    5: "fb2d2dde3c04616f",
+    6: "d98926b9735ab1b4",
+    7: "96d6f03a264cd18a",
+    8: "96d6f03a264cd18a",
+}
+
+
+def test_benchmark_gap_tables_are_pinned():
+    mix = gen_mixing_family(l1=11, depth=12)
+    for m, digest in _PINNED_GAP_TABLES.items():
+        table, engine = realized_gap_table(mix, m, 1, 32)
+        assert (engine, hashlib.sha256(table.tobytes()).hexdigest()[:16]) == ("materialized", digest), m
+
+
+@pytest.mark.parametrize("max_gap", [0, -2])
+def test_realized_gap_table_rejects_windows_below_one(max_gap):
+    with pytest.raises(UsageError, match=f"max_gap must be >= 1, got {max_gap}"):
+        realized_gap_table(BASE, 4, 2, max_gap)
 
 
 def test_occurrence_mask_takes_dense_scan_when_it_is_cheaper():
