@@ -17,6 +17,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Any, Sequence
 
 from .errors import ExpansionTooLarge, UsageError
@@ -235,10 +237,12 @@ class CoveringSpec:
     ``levels[n-1]``, describing circuit ``n+1`` over graph ``n``).  A spec of
     depth ``D`` presents circuit lengths for levels ``1 .. D+1``.
 
-    The spec is immutable, so its circuit lengths are tabulated once:
-    :attr:`lengths` holds ``l_1 .. l_{D+1}`` (one int per level), built on
-    first use and read by :func:`circuit_length`; :attr:`family_record` holds
-    what the family construction certifies, checked once.
+    The spec is immutable, so its circuit lengths and windings are tabulated
+    once: :attr:`lengths` holds ``l_1 .. l_{D+1}`` and :attr:`windings` the
+    winding products ``B(1, 1) .. B(D+1, 1)`` (one int per level each), built
+    on first use and read by :func:`circuit_length` and
+    :func:`winding_product`; :attr:`family_record` holds what the family
+    construction certifies, checked once.
 
     Loading lets through maps that :func:`validate` rejects.  Building
     :attr:`lengths` checks the shape of every map once, so code that reads a
@@ -273,6 +277,15 @@ class CoveringSpec:
         if min(out) < 1:
             raise UsageError(f"circuit {out.index(min(out)) + 1} has length < 1 (see validate)")
         return tuple(out)
+
+    @cached_property
+    def windings(self) -> tuple[int, ...]:
+        """Winding products ``B(k, 1) = b(1) ... b(k - 1)`` for ``k = 1 .. depth+1``.
+
+        Raises the :class:`UsageError` of :attr:`lengths` on a malformed map.
+        """
+        self.lengths  # checks the shape of every map
+        return tuple(accumulate((lm.b for lm in self.levels), mul, initial=1))
 
     @cached_property
     def family_record(self):
@@ -350,13 +363,14 @@ def circuit_length(spec: CoveringSpec, n: int) -> int:
 
 
 def winding_product(spec: CoveringSpec, m: int, n: int) -> int:
-    """Number of level-``n`` circuit traversals inside one level-``m`` circuit."""
+    """Number of level-``n`` circuit traversals inside one level-``m`` circuit.
+
+    One exact division of two entries of the winding table
+    (:attr:`CoveringSpec.windings`): ``B(m, n) = B(m, 1) / B(n, 1)``.
+    """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
-    prod = 1
-    for k in range(n, m):
-        prod *= spec.levels[k - 1].b
-    return prod
+    return spec.windings[m - 1] // spec.windings[n - 1]
 
 
 def symbol_count(spec: CoveringSpec, m: int, n: int) -> int:

@@ -268,8 +268,8 @@ def _difference(spec: CoveringSpec, target: CoveringSpec) -> str | None:
     return None
 
 
-def _bound(tag: str, regen: CoveringSpec) -> dict:
-    """The loop-mass bound that the construction of ``tag`` proves at every level."""
+def _bound(tag: str, regen: CoveringSpec, depth: int) -> dict:
+    """The loop-mass bound that the construction of ``tag`` proves on levels ``1 .. depth``."""
     quarter, half, lm = Fraction(1, 4), Fraction(1, 2), regen.levels[0]
     return {
         TAG_SUBSTITUTION: {"kind": "convergence", "scale": Fraction(12, 7), "ratio": quarter},
@@ -282,7 +282,7 @@ def _bound(tag: str, regen: CoveringSpec) -> dict:
         TAG_WEAKMIX_NOT_MIX: {
             "kind": "divergence_on_levels",
             "delta": half,
-            "boundaries": tuple(range(_STAGE, regen.depth + 1, _STAGE)),
+            "boundaries": tuple(range(_STAGE, depth + 1, _STAGE)),
         },
         TAG_CUSTOM: {"kind": "divergence", "delta": half},  # uniquely_ergodic: 1 - r(i) = 1/2
     }[tag]
@@ -292,11 +292,13 @@ def recognize(spec: CoveringSpec) -> FamilyRecord:
     """Check a spec against the construction its family metadata names.
 
     Reads only ``family.tag``, ``params["gen"]`` and, for a telescoped spec,
-    ``params["original_levels"]``.  Regenerates exactly the levels the
-    presented spec implies (``gen.depth`` is ignored) and compares ``l1`` and
+    ``params["original_levels"]``.  Regenerates the levels the presented spec
+    implies (``gen.depth`` is ignored), but at least ``_STAGE`` of them, since
+    the staged construction has no shorter form, and compares ``l1`` and
     every presented ``(a, b)`` with that prefix, telescoped to
     ``original_levels`` when present.  Returns the record of the
-    construction's bound, or a record naming the failed check.
+    construction's bound over the presented levels, or a record naming the
+    failed check.
     :attr:`CoveringSpec.family_record` caches the result on the spec.
     """
     fam = spec.family
@@ -316,7 +318,7 @@ def recognize(spec: CoveringSpec) -> FamilyRecord:
             and kept[-1] <= l_top.bit_length()
         ):
             raise UsageError(f"original_levels must be {top} increasing original levels")
-        regen = target = _regenerate(spec, kept[-1] - 1)
+        regen = target = _regenerate(spec, max(kept[-1] - 1, _STAGE))
         if list(kept) != list(range(1, top + 1)):  # compose only what has the presented sizes
             windings = [winding_product(regen, q, p) for p, q in zip(kept, kept[1:])]
             sizes = [regen.lengths[k - 1] for k in kept]
@@ -328,7 +330,7 @@ def recognize(spec: CoveringSpec) -> FamilyRecord:
     problem = _difference(spec, target)
     if problem is not None:
         return FamilyRecord(problem)
-    return FamilyRecord(None, fam.tag, levels=tuple(kept), **_bound(fam.tag, regen))
+    return FamilyRecord(None, fam.tag, levels=tuple(kept), **_bound(fam.tag, regen, kept[-1] - 1))
 
 
 def extend_family(spec: CoveringSpec, new_depth: int) -> CoveringSpec | None:

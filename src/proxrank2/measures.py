@@ -241,14 +241,17 @@ class ErgodicityReport(Report):
 def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> ErgodicityReport:
     """Tabulate the loop-mass series and give a verdict.
 
-    Each row holds ``1 - r(i)`` and the partial product ``r(i + 1, 1)``,
-    built here in O(depth) exact operations.  The partial sums are not built
-    here: the rows share one running-sum table, filled in a single pass the
-    first time any row's ``partial_sum`` is read (``to_dict``, ``to_csv``,
-    the ``ergodic`` CLI).  That pass costs O(depth) additions of fractions
-    whose denominators grow toward ``lcm(l_2 .. l_{top+1})`` (hundreds of
-    thousands of bits at depth 800), so it dominates whenever it runs; the
-    verdict reads only ``one_minus_r`` and never triggers it.
+    Each row holds ``1 - r(i) = sum(a(i)) / l_{i+1}`` and the partial product
+    ``r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}``, read in one pass over the
+    spec's length and winding tables (:attr:`~proxrank2.covering.CoveringSpec.lengths`,
+    :attr:`~proxrank2.covering.CoveringSpec.windings`): two fractions per
+    level and no other call.  The partial sums are not built here: the rows
+    share one running-sum table, filled in a single pass the first time any
+    row's ``partial_sum`` is read (``to_dict``, ``to_csv``, the ``ergodic``
+    CLI).  That pass costs O(depth) additions of fractions whose denominators
+    grow toward ``lcm(l_2 .. l_{top+1})`` (hundreds of thousands of bits at
+    depth 800), so it dominates whenever it runs; the verdict never triggers
+    it.
 
     A certified verdict needs a recognized family spec
     (:attr:`~proxrank2.covering.CoveringSpec.family_record`): ``l1`` and every
@@ -262,22 +265,25 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
       ergodic measures.
 
     The bound is re-verified on every presented level as a cross-check (for
-    telescoped specs, through the original-level interval of each map).
+    telescoped specs, through the original-level interval of each map).  The
+    check does no ``Fraction`` arithmetic: each level compares two integer
+    products, the loop mass cross-multiplied with the bound, whose powers of
+    ``ratio``'s numerator and denominator are carried from level to level.
     Finite data alone never certifies: an unrecognized spec is
     ``Undetermined``, and its certificate names the check that failed.
     """
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
         raise UsageError("need at least one presented level")
-    xs = [one_minus_r(spec, i) for i in range(1, top + 1)]
+    # row i (from 1) reads sum(a(i)) = loops[i - 1], l_{i+1} = tops[i - 1] and B(i + 1, 1)
+    loops = [lm.a_total for lm in spec.levels[:top]]
+    tops = spec.lengths[1 : top + 1]
+    xs = [Fraction(a, l) for a, l in zip(loops, tops)]
     sums = _RunningSums(xs)
-    rows = []
-    big_b = 1  # winding product B(i + 1, 1)
-    for i, x in enumerate(xs, start=1):
-        big_b *= spec.levels[i - 1].b
-        pprod = Fraction(big_b * spec.l1, circuit_length(spec, i + 1))  # r(i + 1, 1)
-        rows.append(ErgodicityRow(i=i, one_minus_r=x, partial_product=pprod, sums=sums))
-    rows = tuple(rows)
+    rows = tuple(
+        ErgodicityRow(i, x, Fraction(big_b * spec.l1, l), sums)  # r(i + 1, 1) = B l_1 / l_{i+1}
+        for i, (x, l, big_b) in enumerate(zip(xs, tops, spec.windings[1:]), start=1)
+    )
 
     rec = spec.family_record
     if rec.problem is not None:
@@ -288,25 +294,24 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         )
     spans = list(zip(rec.levels, rec.levels[1:]))  # original-level interval [p, q) of each map
     if rec.kind == "convergence":  # 0 < ratio < 1
-        r = rec.ratio
-        limits = (rec.scale * (r**p if q == p + 1 else (r**p - r**q) / (1 - r)) for p, q in spans)
-        if not all(row.one_minus_r <= limit for row, limit in zip(rows, limits)):
+        if not _under_geometric_bound(loops, tops, spans, rec.scale, rec.ratio):
             return _undetermined(rows, "the construction's convergence bound FAILED verification")
         return ErgodicityReport(
             "TwoErgodic",
             True,
-            f"{rec.evidence}; its geometric bound 1-r(i) <= {rec.scale} * {r}^i verified on "
-            f"all {top} presented levels; the construction extends it, so the loop-mass "
+            f"{rec.evidence}; its geometric bound 1-r(i) <= {rec.scale} * {rec.ratio}^i verified "
+            f"on all {top} presented levels; the construction extends it, so the loop-mass "
             "series converges and both extreme measures survive",
             rows,
         )
     marked = rec.boundaries
     checked = [
-        row
-        for row, (p, q) in zip(rows, spans)
+        k
+        for k, (p, q) in enumerate(spans[:top])
         if rec.kind == "divergence" or bisect_left(marked, q) > bisect_left(marked, p)
     ]
-    if not all(row.one_minus_r >= rec.delta for row in checked):
+    dn, dd = rec.delta.numerator, rec.delta.denominator
+    if not all(loops[k] * dd >= dn * tops[k] for k in checked):  # 1 - r >= delta
         return _undetermined(rows, f"the construction's {rec.kind} bound FAILED verification")
     if not checked:
         return _undetermined(rows, f"{rec.evidence}; no boundary level is presented to verify")
@@ -319,6 +324,39 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         "the loop-mass series diverges",
         rows,
     )
+
+
+def _under_geometric_bound(loops, lengths, spans, scale: Fraction, ratio: Fraction) -> bool:
+    """Whether ``loops[k] / lengths[k]`` is within the geometric bound over ``spans[k]``.
+
+    Over the original-level interval ``[p, q)`` of a map the bound is
+    ``scale * r^p`` when ``q = p + 1``, and the sum
+    ``scale * (r^p - r^q) / (1 - r)`` of ``scale * r^j`` over ``p <= j < q``
+    for a telescoped map, with ``r = ratio`` in ``(0, 1)``.  Writing
+    ``scale = sn / sd`` and ``r = rn / rd`` and clearing the positive
+    denominators, each level compares two integers:
+
+    * ``a sd rd^p <= sn rn^p l``;
+    * ``a sd rd^q (rd - rn) <= sn (rn^p rd^(q-p) - rn^q) rd l``.
+
+    ``rn^p`` and ``rd^p`` are carried from one span to the next, so a level
+    costs a few multiplications and no power of a fraction.
+    """
+    sn, sd = scale.numerator, scale.denominator
+    rn, rd = ratio.numerator, ratio.denominator
+    rn_p, rd_p = rn ** spans[0][0], rd ** spans[0][0]
+    for a, l, (p, q) in zip(loops, lengths, spans):
+        if q == p + 1:
+            rn_q, rd_q = rn_p * rn, rd_p * rd
+            over = a * sd * rd_p > sn * rn_p * l
+        else:
+            rn_step, rd_step = rn ** (q - p), rd ** (q - p)
+            rn_q, rd_q = rn_p * rn_step, rd_p * rd_step
+            over = a * sd * rd_q * (rd - rn) > sn * (rn_p * rd_step - rn_q) * rd * l
+        if over:
+            return False
+        rn_p, rd_p = rn_q, rd_q
+    return True
 
 
 def _undetermined(rows, certificate: str) -> ErgodicityReport:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -65,6 +66,21 @@ def test_length_table_matches_raw_recurrence(spec, data):
             circuit_length(spec, bad)
 
 
+@settings(max_examples=60, deadline=None)
+@given(reduced_specs)
+def test_winding_table_matches_raw_products(spec):
+    raw = [1]
+    for lm in spec.levels:
+        raw.append(raw[-1] * lm.b)
+    assert spec.windings == tuple(raw)
+    top = spec.depth + 1
+    for n, m in [(1, top), (top, top), (1, 1), ((top + 1) // 2, top)]:
+        assert winding_product(spec, m, n) == math.prod(lm.b for lm in spec.levels[n - 1 : m - 1])
+    for n, m in [(0, 1), (2, 1), (1, top + 1)]:
+        with pytest.raises(UsageError, match="need 1 <= n <= m"):
+            winding_product(spec, m, n)
+
+
 def test_length_table_rejects_non_numeric_levels():
     text = '{"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}, {"a": [1, "x"], "b": 1}]}'
     with pytest.raises(UsageError, match="level 2"):
@@ -83,9 +99,14 @@ def test_length_table_rejects_non_numeric_levels():
 def test_length_table_checks_each_map_shape(level, message):
     spec = spec_from_dict({"l1": 3, "levels": [{"a": [1, 1], "b": 1}, level]})
     assert not validate(spec).ok
-    for n in (1, 3):
+    queries = (
+        lambda: circuit_length(spec, 1),
+        lambda: circuit_length(spec, 3),
+        lambda: winding_product(spec, 2, 1),  # reads only b, but from the checked table
+    )
+    for query in queries:
         with pytest.raises(UsageError) as info:
-            circuit_length(spec, n)
+            query()
         assert str(info.value) == message
 
 

@@ -91,6 +91,41 @@ def test_bounds_are_derived_from_the_tag():
     assert (rec.kind, rec.delta) == ("divergence", Fraction(1, 2))
 
 
+def _weakmix_json_prefix(depth: int):
+    d = spec_to_dict(gen_weakmix_not_mix_family(depth=7))
+    d["levels"] = d["levels"][:depth]
+    return spec_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "make, levels",
+    [
+        (lambda: telescope(gen_weakmix_not_mix_family(depth=7), [1, 3]), (1, 3)),
+        (lambda: _weakmix_json_prefix(2), (1, 2, 3)),
+        (lambda: _weakmix_json_prefix(1), (1, 2)),
+    ],
+    ids=["telescoped-1-3", "json-prefix-2", "json-prefix-1"],
+)
+def test_staged_family_is_recognized_before_its_first_boundary(make, levels):
+    # the construction needs 3 levels to reach its first boundary; a shorter
+    # presentation is checked against the prefix of those 3 levels
+    spec = make()
+    rec = spec.family_record
+    assert (rec.problem, rec.levels, rec.boundaries) == (None, levels, ())
+    report = classify_ergodicity(spec)
+    assert report.verdict == "Undetermined" and not report.certified
+    assert report.certificate.endswith("; no boundary level is presented to verify")
+    assert report.certificate.startswith("l1 and all ")
+
+
+def test_staged_family_prefix_with_an_edited_level_is_not_recognized():
+    d = spec_to_dict(gen_weakmix_not_mix_family(depth=7))
+    d["levels"] = d["levels"][:2]
+    d["levels"][1] = {"a": [2, 0, 0, 0, 0, 2], "b": 5}
+    rec = spec_from_dict(d).family_record
+    assert rec.problem == "level 2 differs from the regenerated construction"
+
+
 def test_hand_spec_is_not_recognized():
     spec = CoveringSpec(l1=2, levels=(LevelMap(a=(1, 1, 1), b=2),))
     assert recognize(spec).problem is not None

@@ -1,9 +1,12 @@
 """Contraction ratios, extreme measures, and the ergodicity classifier."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +37,7 @@ from proxrank2 import (
     xi_project,
 )
 
-from proxrank2.measures import decimal_str, rat_from_json
+from proxrank2.measures import decimal_str, rat_from_json, rat_to_json
 
 from _corpus import random_restricted_spec, reduced_specs
 
@@ -241,3 +244,179 @@ def test_report_prints_sums_past_the_digit_limit():
         expected = (last.one_minus_r, last.partial_sum, last.partial_product)
         assert cells == ["200", *map(str, expected)]
         assert rat_from_json(row["partial_sum"]) == last.partial_sum
+
+
+# ---------------------------------------------------- integer bound check ---
+
+def _fraction_bound_holds(spec, top):
+    """The convergence bound checked in ``Fraction`` arithmetic, level by level.
+
+    The reference for the classifier's integer check: ``1 - r(i)`` against
+    ``scale * r^p``, or ``scale * (r^p - r^q) / (1 - r)`` over a telescoped
+    span ``[p, q)``.
+    """
+    rec = spec.family_record
+    r = rec.ratio
+    spans = zip(rec.levels, rec.levels[1:])
+    limits = (rec.scale * (r**p if q == p + 1 else (r**p - r**q) / (1 - r)) for p, q in spans)
+    return all(one_minus_r(spec, i) <= limit for i, limit in zip(range(1, top + 1), limits))
+
+
+def _tighten(spec, factor, ratio_factor=1):
+    """``spec`` with its record's ``scale`` and ``ratio`` multiplied by the factors."""
+    rec = spec.family_record
+    forged = replace(rec, scale=rec.scale * factor, ratio=rec.ratio * ratio_factor)
+    spec.__dict__["family_record"] = forged
+    return spec
+
+
+@st.composite
+def _convergent_specs(draw):
+    """A spec of a convergence family, maybe telescoped, maybe with a tightened bound."""
+    tag = draw(st.sampled_from(["not_weakmix", "mixing", "substitution"]))
+    depth = draw(st.integers(1, 7))
+    if tag == "not_weakmix":
+        p = draw(st.integers(3, 7))
+        s, s2, l1 = (p * draw(st.integers(1, 3)) for _ in range(3))
+        t_bar = draw(st.integers(2, 4))
+        spec = gen_not_weakmix_family(p, depth=depth, l1=l1, s=s, s2=s2, t_bar=t_bar)
+    elif tag == "mixing":
+        spec = gen_mixing_family(l1=2 * draw(st.integers(5, 40)) + 1, depth=depth)
+    else:
+        spec = gen_substitution_family(depth=depth)
+    # steps of 2 and 3 between kept levels make telescoped spans q > p + 1
+    keep = [draw(st.integers(1, min(2, depth)))]
+    while keep[-1] < depth + 1:
+        keep.append(min(depth + 1, keep[-1] + draw(st.integers(1, 3))))
+    spec = telescope(spec, keep)
+    factor = draw(
+        st.one_of(
+            st.just(Fraction(1)),
+            st.integers(1, 63).map(lambda k: Fraction(k, 64)),
+            st.integers(1, 12).map(lambda k: 1 - Fraction(1, 10**k)),
+        )
+    )
+    # a smaller ratio moves the first failing level away from level 1
+    ratio_factor = draw(
+        st.one_of(st.just(Fraction(1)), st.integers(2, 40).map(lambda k: Fraction(k, k + 1)))
+    )
+    if (factor, ratio_factor) == (1, 1):
+        return spec
+    return _tighten(spec, factor, ratio_factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convergent_specs(), st.integers(1, 8))
+def test_integer_bound_check_agrees_with_fraction_formula(spec, depth):
+    report = classify_ergodicity(spec, depth=depth)
+    holds = _fraction_bound_holds(spec, min(depth, spec.depth))
+    assert report.certified == holds
+    if not holds:
+        assert report.certificate == "the construction's convergence bound FAILED verification"
+
+
+def test_bound_check_holds_at_equality():
+    # 1 - r(1) = 3/7 equals the substitution bound (12/7) * (1/4)^1
+    spec = gen_substitution_family(depth=1)
+    assert one_minus_r(spec, 1) == Fraction(12, 7) * Fraction(1, 4)
+    assert classify_ergodicity(spec).certified
+    spec = _tighten(gen_substitution_family(depth=1), 1 - Fraction(1, 10**9))
+    assert not classify_ergodicity(spec).certified
+    # over the telescoped span [1, 3), 1 - r(3, 1) = 15/31 equals
+    # scale * (1/4 + 1/16) for scale = 48/31
+    tel = _tighten(telescope(gen_substitution_family(depth=6), (1, 3, 7)), Fraction(28, 31))
+    assert 1 - r_product(tel, 2, 1) == tel.family_record.scale * Fraction(5, 16)
+    assert classify_ergodicity(tel, depth=1).certified
+    assert _fraction_bound_holds(tel, 1)
+    tel = _tighten(tel, 1 - Fraction(1, 10**9))
+    assert not classify_ergodicity(tel, depth=1).certified
+
+
+# -------------------------------------------------------- pinned answers ---
+
+def _answer_digest(report) -> str:
+    """sha256 prefix of a report's verdict, certificate, row count and last row."""
+    last = report.rows[-1]
+    fields = [
+        report.verdict,
+        report.certified,
+        report.certificate,
+        len(report.rows),
+        rat_to_json(last.one_minus_r),
+        rat_to_json(last.partial_product),
+    ]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()[:16]
+
+
+def _hand_spec(seed: int) -> CoveringSpec:
+    """A seeded reduced spec of 40-120 levels with no family metadata."""
+    rng = random.Random(seed)
+    levels = []
+    for _ in range(rng.randint(40, 120)):
+        b = rng.randint(1, 4)
+        a = tuple(rng.randint(1, 3) if j in (0, b) else rng.randint(0, 3) for j in range(b + 1))
+        levels.append(LevelMap(a=a, b=b))
+    return CoveringSpec(l1=rng.randint(2, 6), levels=tuple(levels))
+
+
+def _pinned_reports():
+    """``name -> report`` for every entry of :data:`_PINNED_ANSWERS`."""
+    families = {
+        "substitution": gen_substitution_family(depth=800),
+        "mixing": gen_mixing_family(depth=800),
+        "not_weakmix": gen_not_weakmix_family(depth=800),
+        "weakmix_not_mix": gen_weakmix_not_mix_family(depth=800),
+        "uniquely_ergodic": gen_uniquely_ergodic_family(depth=800),
+    }
+    out = {}
+    for tag, spec in families.items():
+        for depth in (1, 2, 50, 400, 800):
+            out[f"{tag}@{depth}"] = classify_ergodicity(spec, depth=depth)
+    for seed in (1, 2, 3, 913):
+        out[f"hand{seed}"] = classify_ergodicity(_hand_spec(seed))
+    for make, keep in [(gen_substitution_family, (1, 3, 6, 10)), (gen_not_weakmix_family, (2, 5, 9))]:
+        spec = telescope(make(depth=9), keep)
+        out[f"{spec.family.tag}|{keep}"] = classify_ergodicity(spec)
+    return out
+
+
+#: Digests of the answers of the classifier before its bound check moved to
+#: integers; every rewrite of the classifier must keep them.
+_PINNED_ANSWERS = {
+    "substitution@1": "96b21b9bd7c572b7",
+    "substitution@2": "930eb911cb2e4a8e",
+    "substitution@50": "82969596a85bd76e",
+    "substitution@400": "a5e98beac5cea5b3",
+    "substitution@800": "db092a1256c5459d",
+    "mixing@1": "bb5e00b3d87fe6b2",
+    "mixing@2": "433527f649a40d76",
+    "mixing@50": "cd2d3e6856936ced",
+    "mixing@400": "6b60188e4e108786",
+    "mixing@800": "e168bb4ae33cc61b",
+    "not_weakmix@1": "c7ea9f9b7a20208d",
+    "not_weakmix@2": "2f8da34a5ef03141",
+    "not_weakmix@50": "1019afd9646906ac",
+    "not_weakmix@400": "555a0419a4fc23ba",
+    "not_weakmix@800": "8ff6929a12fd0ac9",
+    "weakmix_not_mix@1": "6bb04dbb44a23cfd",
+    "weakmix_not_mix@2": "91b6150b5b60f118",
+    "weakmix_not_mix@50": "6dd3b6345c4b489e",
+    "weakmix_not_mix@400": "964758d1b99e4102",
+    "weakmix_not_mix@800": "da7b74b7fb98767d",
+    "uniquely_ergodic@1": "38730a4e9e22c2e9",
+    "uniquely_ergodic@2": "eb64542bb45e8bc3",
+    "uniquely_ergodic@50": "770ba45cd4939583",
+    "uniquely_ergodic@400": "1fa2f8bf77302c38",
+    "uniquely_ergodic@800": "3844df2332c2e4b3",
+    "hand1": "05f295cd5805ed03",
+    "hand2": "c60123eff251906c",
+    "hand3": "932d9c8bdf8dad9d",
+    "hand913": "3a8740ea9fe20525",
+    "substitution|(1, 3, 6, 10)": "d7020662ba44a9c8",
+    "not_weakmix|(2, 5, 9)": "123858f6dab5de21",
+}
+
+
+def test_classifier_answers_are_pinned():
+    got = {name: _answer_digest(report) for name, report in _pinned_reports().items()}
+    assert got == _PINNED_ANSWERS
