@@ -121,6 +121,7 @@ from .families import (
 from .measures import (
     ErgodicityReport,
     ErgodicityRow,
+    LoopSeries,
     MeasureVector,
     SimplexPoint,
     classify_ergodicity,

@@ -636,7 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = add("ergodic", cmd_ergodic, "invariant-measure classification")
-    p.add_argument("--depth", type=int)
+    p.add_argument(
+        "--depth",
+        type=int,
+        help="levels to check and print (default: all presented levels); a printed "
+        "partial sum has digits in proportion to its level, so the output grows "
+        "quadratically with depth",
+    )
 
     p = add("measure", cmd_measure, "extreme-measure edge weights at a level")
     p.add_argument("n", type=int)

@@ -10,6 +10,7 @@ with zero tolerance; floats appear only in rendered output.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -17,10 +18,11 @@ from itertools import accumulate
 from .covering import (
     CoveringSpec,
     circuit_length,
+    expansion_cap,
     level_map,
     winding_product,
 )
-from .errors import UsageError
+from .errors import ExpansionTooLarge, UsageError
 from .report import Report, decimal_str, rat_from_json, rat_to_json  # rat_from_json: re-export
 
 
@@ -110,23 +112,28 @@ def vertex_measure(
     expansion of the level-``m_horizon`` circuit — the loop edge carries
     ``(l_m - B l_n) / l_m`` and every circuit edge ``B / l_m``, where ``B`` is
     the winding product.
+
+    The circuit tuple repeats one ``Fraction``: 8 bytes per edge, so at most
+    about 800 MB at the default cap of 1e8.  Raises
+    :class:`~proxrank2.errors.ExpansionTooLarge` before allocating when
+    ``l_n`` exceeds :func:`~proxrank2.covering.expansion_cap`.
     """
     if not 1 <= n <= m_horizon <= spec.depth + 1:
         raise UsageError(
             f"need 1 <= n <= m_horizon <= {spec.depth + 1}, got n={n}, m={m_horizon}"
         )
-    l_n = circuit_length(spec, n)
-    if which == "fixed":
-        return MeasureVector(
-            level=n, loop=Fraction(1), circuit=tuple(Fraction(0) for _ in range(l_n))
-        )
-    if which != "nonatomic":
+    if which not in ("fixed", "nonatomic"):
         raise UsageError(f"which must be 'fixed' or 'nonatomic', got {which!r}")
+    l_n = circuit_length(spec, n)
+    limit = expansion_cap()
+    if l_n > limit:
+        raise ExpansionTooLarge(l_n, limit, what=f"edge measure of level {n}")
+    if which == "fixed":
+        return MeasureVector(level=n, loop=Fraction(1), circuit=(Fraction(0),) * l_n)
     l_m = circuit_length(spec, m_horizon)
     big_b = winding_product(spec, m_horizon, n)
     loop = Fraction(l_m - big_b * l_n, l_m)
-    edge = Fraction(big_b, l_m)
-    return MeasureVector(level=n, loop=loop, circuit=tuple(edge for _ in range(l_n)))
+    return MeasureVector(level=n, loop=loop, circuit=(Fraction(big_b, l_m),) * l_n)
 
 
 def push_measure_down(spec: CoveringSpec, vec: MeasureVector) -> MeasureVector:
@@ -163,32 +170,19 @@ def push_measure_down(spec: CoveringSpec, vec: MeasureVector) -> MeasureVector:
 # Ergodicity classification
 # --------------------------------------------------------------------------
 
-class _RunningSums:
-    """Exact running sums of a report's loop masses, filled in one pass on first read."""
-
-    def __init__(self, terms: list[Fraction]):
-        self._terms = terms
-        self._sums: list[Fraction] | None = None
-
-    def __getitem__(self, k: int) -> Fraction:
-        if self._sums is None:
-            self._sums = list(accumulate(self._terms))
-        return self._sums[k]
-
-
 @dataclass(frozen=True, eq=False)
 class ErgodicityRow:
-    """One level of the loop-mass series; ``partial_sum`` is read from ``sums``."""
+    """One level of the loop-mass series; ``partial_sum`` is read from ``series``."""
 
     i: int
     one_minus_r: Fraction
     partial_product: Fraction
-    sums: _RunningSums = field(repr=False)
+    series: LoopSeries = field(repr=False)
 
     @property
     def partial_sum(self) -> Fraction:
         """``sum(1 - r(j) for j <= i)``, exact."""
-        return self.sums[self.i - 1]
+        return self.series.partial_sum(self.i - 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ErgodicityRow):
@@ -212,19 +206,78 @@ class ErgodicityRow:
         }
 
 
+class LoopSeries(Sequence):
+    """The rows of a loop-mass series, each built on its first read.
+
+    Holds only the integer columns: ``loops[k] = sum(a(k + 1))``,
+    ``tops[k] = l_{k+2}``, ``windings[k] = B(k + 2, 1)`` and ``l1``.  Row
+    ``k`` (``i = k + 1``) costs two fractions, ``loops[k] / tops[k]`` and
+    ``windings[k] l1 / tops[k]``, and is cached.  The running sums are filled
+    in one pass the first time any row's ``partial_sum`` is read.  A read-only
+    sequence: indices (negative too), slices (as tuples), iteration; equal to
+    another series with equal rows.
+    """
+
+    __slots__ = ("_loops", "_tops", "_windings", "_l1", "_rows", "_sums")
+
+    def __init__(
+        self, loops: list[int], tops: tuple[int, ...], windings: tuple[int, ...], l1: int
+    ):
+        self._loops, self._tops, self._windings, self._l1 = loops, tops, windings, l1
+        self._rows: list[ErgodicityRow | None] = [None] * len(loops)
+        self._sums: list[Fraction] | None = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        row = self._rows[k]  # raises IndexError past either end, as a tuple does
+        if row is None:
+            j = k % len(self._rows)
+            l = self._tops[j]  # r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}
+            row = ErgodicityRow(
+                j + 1,
+                Fraction(self._loops[j], l),
+                Fraction(self._windings[j] * self._l1, l),
+                self,
+            )
+            self._rows[j] = row
+        return row
+
+    def partial_sum(self, k: int) -> Fraction:
+        """``sum(1 - r(i) for i <= k + 1)``; the first call fills all of them."""
+        if self._sums is None:
+            self._sums = list(accumulate(map(Fraction, self._loops, self._tops)))
+        return self._sums[k]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LoopSeries):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"LoopSeries({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class ErgodicityReport(Report):
     verdict: str  # "UniquelyErgodic" | "TwoErgodic" | "Undetermined"
     certified: bool
     certificate: str
-    rows: tuple[ErgodicityRow, ...]
+    rows: LoopSeries
 
     @property
     def label(self) -> str:
         return f"{self.verdict}(certified)" if self.certified else self.verdict
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "label": self.label}
+        rows = [row.to_dict() for row in self.rows]
+        return {**super().to_dict(), "rows": rows, "label": self.label}
 
     def to_csv(self) -> str:
         def cell(x: Fraction) -> str:  # str(x) at any size
@@ -242,16 +295,21 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     """Tabulate the loop-mass series and give a verdict.
 
     Each row holds ``1 - r(i) = sum(a(i)) / l_{i+1}`` and the partial product
-    ``r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}``, read in one pass over the
-    spec's length and winding tables (:attr:`~proxrank2.covering.CoveringSpec.lengths`,
-    :attr:`~proxrank2.covering.CoveringSpec.windings`): two fractions per
-    level and no other call.  The partial sums are not built here: the rows
-    share one running-sum table, filled in a single pass the first time any
-    row's ``partial_sum`` is read (``to_dict``, ``to_csv``, the ``ergodic``
-    CLI).  That pass costs O(depth) additions of fractions whose denominators
-    grow toward ``lcm(l_2 .. l_{top+1})`` (hundreds of thousands of bits at
-    depth 800), so it dominates whenever it runs; the verdict never triggers
-    it.
+    ``r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}``, read off the spec's length
+    and winding tables (:attr:`~proxrank2.covering.CoveringSpec.lengths`,
+    :attr:`~proxrank2.covering.CoveringSpec.windings`).  ``rows`` is a
+    :class:`LoopSeries` over those integer columns, so the cost is paid where
+    it is read:
+
+    * the verdict costs integer products only, a few per level, and builds
+      no row and no ``Fraction``;
+    * a row costs two fractions on its first read (a gcd of two integers of
+      up to ~1600 bits each at depth 800) and is cached;
+    * the partial sums cost one pass on the first read of any
+      ``partial_sum`` (``to_dict``, ``to_csv``, the ``ergodic`` CLI): O(depth)
+      additions of fractions whose denominators grow toward
+      ``lcm(l_2 .. l_{top+1})`` (hundreds of thousands of bits at depth
+      800), so that pass dominates whenever it runs.
 
     A certified verdict needs a recognized family spec
     (:attr:`~proxrank2.covering.CoveringSpec.family_record`): ``l1`` and every
@@ -275,15 +333,9 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
         raise UsageError("need at least one presented level")
-    # row i (from 1) reads sum(a(i)) = loops[i - 1], l_{i+1} = tops[i - 1] and B(i + 1, 1)
     loops = [lm.a_total for lm in spec.levels[:top]]
-    tops = spec.lengths[1 : top + 1]
-    xs = [Fraction(a, l) for a, l in zip(loops, tops)]
-    sums = _RunningSums(xs)
-    rows = tuple(
-        ErgodicityRow(i, x, Fraction(big_b * spec.l1, l), sums)  # r(i + 1, 1) = B l_1 / l_{i+1}
-        for i, (x, l, big_b) in enumerate(zip(xs, tops, spec.windings[1:]), start=1)
-    )
+    tops = spec.lengths[1 : top + 1]  # l_{i+1} of row i
+    rows = LoopSeries(loops, tops, spec.windings[1 : top + 1], spec.l1)
 
     rec = spec.family_record
     if rec.problem is not None:

@@ -173,6 +173,18 @@ def test_expansion_cap_exits_three(base_spec_file, capsys):
     assert payload["cap"] == 100
 
 
+def test_measure_command_exits_three_past_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROXRANK2_CAP", raising=False)
+    path = tmp_path / "mix.json"
+    path.write_text(spec_to_json(gen_mixing_family(depth=40)))
+    code, out, err = run(capsys, ["measure", "30", "--horizon", "35", "--spec", str(path)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: edge measure of level 30 needs 3458764513820540927 materialized entries, "
+        "cap is 100000000\n"
+    )
+
+
 def test_usage_error_exits_two(base_spec_file, capsys):
     code, _, _ = run(capsys, ["length", "99", "--spec", base_spec_file])
     assert code == 2

@@ -8,6 +8,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from proxrank2 import (
     CoveringSpec,
+    ExpansionTooLarge,
     LevelMap,
     SimplexPoint,
     UsageError,
@@ -99,6 +101,21 @@ def test_short_loop_run_list_fails_every_measure_query():
     for query in queries:
         with pytest.raises(UsageError, match=r"^level 1: a must have b\+1=4 entries, got 2$"):
             query()
+
+
+def test_edge_measure_stops_at_the_cap_before_allocating(monkeypatch):
+    # l_30 is about 3.5e18 edges: a tuple of that many would exhaust memory
+    spec = gen_mixing_family(depth=40)
+    for which in ("nonatomic", "fixed"):
+        with pytest.raises(ExpansionTooLarge) as exc:
+            vertex_measure(spec, 30, 35, which=which)
+        assert exc.value.needed == circuit_length(spec, 30)
+    l2 = circuit_length(BASE, 2)
+    monkeypatch.setenv("PROXRANK2_CAP", str(l2))
+    assert len(vertex_measure(BASE, 2, 6).circuit) == l2
+    monkeypatch.setenv("PROXRANK2_CAP", str(l2 - 1))
+    with pytest.raises(ExpansionTooLarge, match=f"^edge measure of level 2 needs {l2} "):
+        vertex_measure(BASE, 2, 6, which="fixed")
 
 
 def test_fixed_measure_sits_on_loop():
@@ -199,9 +216,36 @@ def test_usage_errors_on_bad_levels():
 @given(reduced_specs, st.data())
 def test_partial_sums_in_any_read_order(spec, data):
     rows = classify_ergodicity(spec).rows
-    for k in data.draw(st.permutations(range(len(rows))), label="read order"):
-        expected = sum((row.one_minus_r for row in rows[: k + 1]), Fraction(0))
-        assert rows[k].partial_sum == expected
+    n = len(rows)
+    assert n == spec.depth
+    # eager reference from the public per-level functions
+    sums = list(accumulate(one_minus_r(spec, i) for i in range(1, n + 1)))
+    expected = [
+        (i, one_minus_r(spec, i), r_product(spec, i + 1, 1), sums[i - 1]) for i in range(1, n + 1)
+    ]
+
+    def values(row):
+        return (row.i, row.one_minus_r, row.partial_product, row.partial_sum)
+
+    for k in data.draw(st.permutations(range(n)), label="read order"):
+        how = data.draw(st.sampled_from(("index", "negative", "slice")), label="read by")
+        if how == "index":
+            row = rows[k]
+        elif how == "negative":
+            row = rows[k - n]
+        else:
+            stop = data.draw(st.integers(k + 1, n + 2), label="slice stop")
+            part = rows[k:stop]
+            assert isinstance(part, tuple) and len(part) == min(stop, n) - k
+            row = part[0]
+        assert values(row) == expected[k]
+        assert row is rows[k] is rows[k - n]
+    assert [values(row) for row in rows] == expected
+    step = data.draw(st.sampled_from((-1, 2, -3)), label="slice step")
+    assert list(map(values, rows[::step])) == expected[::step]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[k]
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,10 +255,26 @@ def test_report_output_does_not_depend_on_earlier_reads(spec, data):
     read = classify_ergodicity(spec)
     picks = st.lists(st.integers(0, len(read.rows) - 1), max_size=4)
     for k in data.draw(picks, label="rows read first"):
-        read.rows[k].partial_sum
+        if data.draw(st.booleans(), label="read its partial sum"):
+            read.rows[k].partial_sum
+        else:
+            read.rows[k]
+    assert hash(read) == hash(classify_ergodicity(spec))
+    assert read == classify_ergodicity(spec)
     assert read.to_dict() == untouched.to_dict()
     assert read.to_csv() == untouched.to_csv()
     assert read.rows == untouched.rows
+    # doubling l1 and every a doubles every length and leaves every row the same
+    doubled = CoveringSpec(
+        l1=2 * spec.l1,
+        levels=tuple(LevelMap(a=tuple(2 * x for x in lm.a), b=lm.b) for lm in spec.levels),
+    )
+    rows = classify_ergodicity(doubled).rows
+    assert rows == read.rows and hash(rows) == hash(untouched.rows)
+    # one more edge on level 1 changes every length, so row 1 differs
+    assert classify_ergodicity(replace(spec, l1=spec.l1 + 1)).rows != read.rows
+    if spec.depth > 1:
+        assert classify_ergodicity(spec, depth=spec.depth - 1).rows != read.rows
 
 
 @contextmanager
