@@ -639,10 +639,9 @@ def residue_obstruction(
     row of block-start distances up to ``w = min(max_gap, l_m)``, built from
     the level maps (:func:`~proxrank2.expansion._block_start_differences`;
     ``v1`` sits at block start + 1).  Memory: the walk, the positions of
-    ``v1`` (8 bytes each), the rows of that builder (five of at most
-    ``w + 1`` bytes, the slot starts of one level and pair blocks of
-    ``_PAIR_BLOCK`` pairs), and the residue classes in a bool row of
-    ``min(p, l_m + 1)`` bytes.
+    ``v1`` (8 bytes each), the bitsets of that builder (a few ints of about
+    ``w / 8`` bytes) and its row of at most ``w + 1`` bytes, and the residue
+    classes in a bool row of ``min(p, l_m + 1)`` bytes.
     """
     if p < 1:
         raise UsageError(f"p must be >= 1, got {p}")
@@ -748,9 +747,10 @@ def forbidden_window_report(
     first one above ``floor`` is ``d* + (v - u)`` with ``d*`` the least
     distance ``> floor - (v - u)``; over all non-central pairs it is
     ``max(floor + 1, d* - (l_n - 2))`` with ``d*`` the least distance
-    ``> floor - (l_n - 2)``.  Memory: the builder's rows over the full
-    window (four of at most ``l_top - l_n + 1`` bytes), still refused with
-    exit 3 when the top walk of ``l_top + 1`` entries would exceed the cap.
+    ``> floor - (l_n - 2)``.  Memory: the builder's bitsets over the full
+    window (a few ints of about ``(l_top - l_n) / 8`` bytes) and its row of
+    ``l_top - l_n + 1`` bytes, still refused with exit 3 when the top walk
+    of ``l_top + 1`` entries would exceed the cap.
     """
     rec = spec.family_record
     if rec.problem is not None:

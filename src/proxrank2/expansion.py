@@ -24,10 +24,10 @@ between occurrences of two vertices in a walk.  :func:`gap_set` and
 through :mod:`proxrank2.gapscan`, and past the cap a strip engine that never
 materializes it (windows of width ``W`` cross at most one circuit join once
 some circuit is longer than ``W``, so scanning one full copy plus short
-join/margin strips is exhaustive; it counts the pairs of those strips).
-``residue_obstruction`` and ``forbidden_window_report`` read the distances
-up to a window between the level-``n`` block starts, built from the level
-maps alone (:func:`_block_start_differences`).  Vertex ``u != 0`` sits at
+join/margin strips is exhaustive).  ``residue_obstruction`` and
+``forbidden_window_report`` read the distances up to a window between the
+level-``n`` block starts, built from the level maps alone on Python-int
+bitsets (:func:`_block_start_differences`).  Vertex ``u != 0`` sits at
 (block start + ``u``), so the gaps from ``u`` to ``v`` are those distances
 shifted by ``v - u`` (:func:`_nonzero_pair_rows`): :func:`gap_set` reads
 them off the occurrences of vertex 1, and :func:`realized_gap_table` reads
@@ -36,7 +36,6 @@ the whole table off four occurrence rows, between vertex 1 and vertex 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -303,51 +302,20 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engines
 # --------------------------------------------------------------------------
 
-def _slot_offsets(starts: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bool row over ``lo .. hi``: entry ``i`` is set when some ``c_j - c_i = lo + i``, ``i <= j``.
-
-    Row ``i`` of the increasing slot starts pairs only with the slots that
-    :meth:`numpy.ndarray.searchsorted` finds between ``c_i + lo`` and
-    ``c_i + hi`` (none when ``hi < lo``), in blocks of at most
-    ``_PAIR_BLOCK`` pairs (or one row).
-    """
-    marks = np.zeros(max(hi - lo + 1, 0), dtype=bool)
-    reach = starts + lo
-    first = starts.searchsorted(reach)
-    count = starts.searchsorted(starts + hi, "right") - first
-    ends = count.cumsum()
-    first -= ends - count  # slot j minus the flat index of pair (i, j)
-    i0 = done = 0
-    total = int(ends[-1])
-    while done < total:
-        i1 = max(i0 + 1, int(ends.searchsorted(done + _PAIR_BLOCK, "right")))
-        c = count[i0:i1]
-        stop = int(ends[i1 - 1])
-        j = first[i0:i1].repeat(c)
-        j += np.arange(done, stop)
-        d = starts[j]
-        d -= reach[i0:i1].repeat(c)
-        marks[d] = True
-        i0, done = i1, stop
-    return marks
+def _cut(x: int, cut: int) -> int:
+    """``x`` without its bits above ``cut``; masked only when it has such bits."""
+    return x & ((1 << cut + 1) - 1) if x.bit_length() > cut + 1 else x
 
 
-def _or_sums(row: np.ndarray, a: np.ndarray, terms) -> None:
-    """OR into ``row`` the sums ``shift + i + j`` of set ``a[i]`` and ``b[j]``, per ``(shift, b)``.
-
-    Sums past the end of ``row`` drop.  One slice-OR per set entry of ``a``
-    or of ``b``, whichever has fewer.
-    """
-    set_a = a.nonzero()[0]
-    for shift, b in terms:
-        if set_a.size <= np.count_nonzero(b):
-            lead, other = set_a, b
-        else:
-            lead, other = b.nonzero()[0], a
-        for i in (lead + shift).tolist():
-            if i >= row.size:
-                break
-            row[i: i + other.size] |= other[: row.size - i]
+def _prefix_shifts(x: int, gaps, cut: int) -> int:
+    """Union of ``x`` shifted by each prefix sum ``0, g_0, g_0 + g_1, ..`` of ``gaps``, cut."""
+    out = x = _cut(x, cut)
+    for g in gaps:
+        if g > cut:
+            break
+        x = _cut(x << g, cut)
+        out |= x
+    return out
 
 
 def _block_start_differences(spec: CoveringSpec, m: int, n: int, window: int) -> np.ndarray:
@@ -358,97 +326,53 @@ def _block_start_differences(spec: CoveringSpec, m: int, n: int, window: int) ->
     sits at (block start + ``u``), so gap ``g`` from ``u`` to ``v != 0`` is
     realized exactly when entry ``|g - (v - u)|`` is set.
 
-    Built from the level maps, never from the walk.  With ``D`` the
-    distances inside circuit ``k`` (``{0}`` on level ``n``) and ``X`` the
-    largest, two rows cut at ``min(window, X)`` are kept: ``low[x]`` for
-    ``x`` in ``D`` and ``high[z]`` for ``X - z`` in ``D`` (``low`` reversed
-    while ``X <= window``).  The slot starts ``c_j`` of map ``k`` are at
-    least ``l_k > X`` apart, so over the distinct offsets ``d = c_j - c_i``
-    and ``e = d_max - d`` (``d_max = c_{b-1} - c_0``) the largest distance
-    one level up is ``X + d_max``, ``low'`` unites ``low``, ``d + low`` and
-    ``d - X + high`` (``0 < d <= X + window``) and ``high'`` unites
-    ``e + high`` and ``e + X + low`` (``e <= window``), both cut at
-    ``min(window, X + d_max)``.  Memory: six rows of at most ``window + 1``
-    bytes, 8 bytes per slot of one level for its starts and searches, and
-    pair blocks of ``_PAIR_BLOCK``; the starts are int64, so callers bound
-    ``l_m`` first (as building the walk does).  Time per level: the slot
-    pairs within reach, and a slice-OR per distinct offset or distance,
-    whichever fewer.
+    Built from the level maps, never from the walk, on Python-int bitsets.
+    With ``D`` the distances inside circuit ``k`` (``{0}`` on level ``n``)
+    and ``X`` the largest, the recursion keeps ``low`` (bit ``x`` for ``x``
+    in ``D``) and ``high`` (bit ``z`` for ``X - z`` in ``D``), so that
+    ``twin = high | low << X`` has bit ``X + y`` for ``y`` in ``D`` and
+    ``-D``.  The slot starts ``c_0 < .. < c_{b-1}`` of map ``k`` are at
+    least ``l_k > X`` apart, so the distances one level up are ``D`` and
+    ``c_j - c_i + y`` (``i < j``), the largest is ``X + d_max`` with
+    ``d_max = c_{b-1} - c_0``, and, both cut at
+    ``cut = min(window, X + d_max)``:
+
+    * ``low'`` unites ``low`` and ``(c_j - c_i - X) + twin``, built by one
+      sweep over the consecutive slot gaps ``g_j = l_k + a_{j+1}``: the
+      bits of slot ``j + 1`` are those of slot ``j`` shifted by ``g_j``,
+      and ``twin`` shifted by ``g_j - X``;
+    * ``high'`` is ``twin`` shifted by every
+      ``e = (c_i - c_0) + (c_{b-1} - c_j)``: by each prefix sum of the gaps
+      from the left, then from the right (``i > j`` gives
+      ``e > X + d_max``, which the cut drops).
+
+    Memory: a few ints of at most ``2 window`` bits and the returned row of
+    ``min(window, l_m - l_n) + 1`` bytes.  Time per level: a few shifts
+    and ORs of ints up to ``cut`` bits per slot and per prefix sum up to
+    ``cut``.
     """
     l_n = circuit_length(spec, n)
     l_k = l_n
-    low = high = np.ones(1, dtype=bool)
+    low = high = 1
     top = 0  # X
     for k in range(n, m):
         lm = spec.levels[k - 1]
-        starts = np.fromiter(accumulate(lm.a[:-1]), np.int64, lm.b)
-        starts += np.arange(0, lm.b * l_k, l_k, dtype=np.int64)
-        d_max = int(starts[-1] - starts[0])
+        gaps = [l_k + x for x in lm.a[1:-1]]  # c_{i+1} - c_i, each > X
+        d_max = sum(gaps)
+        cut = min(window, top + d_max)
+        twin = high | low << top if top <= cut else high  # bit X + y for y in D and -D
+        if k < m - 1:
+            high = _prefix_shifts(_prefix_shifts(twin, gaps, cut), reversed(gaps), cut)
+        near = 0  # bit c_j - c_i + y over i < j and y in D and -D, for the current slot j
+        for g in gaps:
+            near = (near << g if g <= cut else 0) | (twin << g - top if g - top <= cut else 0)
+            near = _cut(near, cut)
+            low |= near
+        top += d_max
         l_k = lm.next_length(l_k)
-        size = min(window, top + d_max) + 1
-        if top <= window:
-            high = low[::-1].copy()  # numpy ORs a reversed view about 30x slower than a copy
-        up = np.zeros(size, dtype=bool)
-        up[: low.size] = low
-        near = _slot_offsets(starts, top + 1, min(top + window, d_max))  # d = top + 1 + i
-        _or_sums(up, near, ((top + 1, low), (1, high)))
-        if top + d_max > window and k < m - 1:
-            far = _slot_offsets(starts, max(d_max - window, 0), d_max)[::-1].copy()  # e = i
-            down = np.zeros(size, dtype=bool)
-            _or_sums(down, far, ((0, high), (top, low)))
-            high = down
-        low, top = up, top + d_max
-    row = np.zeros(min(window, l_k - l_n) + 1, dtype=bool)
-    row[: low.size] = low
-    return row
-
-
-_CODE_BLOCK = 1 << 16  # pair codes per np.bincount call of _mark_pair_table
-
-
-def _mark_pair_table(seg: np.ndarray, table: np.ndarray, max_gap: int) -> None:
-    """OR the gaps ``1 .. max_gap`` realized in ``seg`` into ``table[u, v, gap]``.
-
-    Used on the strip segments of :func:`realized_gap_table` only: their
-    margins are cut mid-block, so a vertex need not sit at its block's
-    vertex 1 plus ``u - 1`` and the rows of :func:`_fill_pair_table` do not
-    apply.  The pair ``(seg[i], seg[i + g])`` is counted as the int32 code
-    ``seg[i] (l_n + 1) + seg[i + g]`` by :func:`numpy.bincount`; positions
-    past the end of ``seg`` read the sentinel ``l_n``, whose column is
-    dropped (codes fit int32 for ``l_n <= 46340``; :func:`realized_gap_table`
-    allows ``l_n <= 2048``).  Codes are built over blocks of at most
-    ``_CODE_BLOCK`` positions.  A segment shorter than that (most cores and
-    every margin) shares one call among several gaps, each offset by
-    ``g l_n (l_n + 1)``, so that no gap pays a call of its own.
-    Memory, independent of ``seg.size``: at most ``_CODE_BLOCK`` codes (4
-    bytes each, and 8 more in the copy numpy counts from), the counts of one
-    call (8 bytes each, at most ``max(_CODE_BLOCK, l_n (l_n + 1))``) and one
-    padded int32 row of the block plus ``max_gap`` entries.  Time: one code
-    per position and gap, and one pass over the counts of each call.
-    """
-    size = seg.size
-    w = min(max_gap, size - 1)
-    if w < 1:
-        return
-    l_n = table.shape[0]
-    row = l_n + 1
-    cell = l_n * row
-    span = min(size, _CODE_BLOCK)
-    batch = max(1, min(w, _CODE_BLOCK // span, _CODE_BLOCK // cell))
-    for lo in range(0, size - 1, span):
-        hi = min(lo + span, size)
-        left = seg[lo:hi].astype(np.int32) * row
-        right = np.full(hi - lo + w, l_n, dtype=np.int32)
-        ahead = seg[lo: hi + w]
-        right[: ahead.size] = ahead
-        windows = np.lib.stride_tricks.sliding_window_view(right, hi - lo)  # row g: seg[lo+g:hi+g]
-        for g0 in range(1, w + 1, batch):
-            g1 = min(g0 + batch, w + 1)
-            codes = windows[g0:g1] + left
-            codes += (np.arange(g1 - g0, dtype=np.int32) * cell)[:, None]
-            counts = np.bincount(codes.ravel(), minlength=(g1 - g0) * cell)
-            hits = counts.reshape(g1 - g0, l_n, row)[:, :, :l_n] > 0
-            table[:, :, g0:g1] |= hits.transpose(1, 2, 0)
+    size = min(window, l_k - l_n) + 1
+    bits = np.frombuffer(low.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=size, bitorder="little").view(bool)
 
 
 def _nonzero_pair_rows(dist: np.ndarray, l_n: int, width: int) -> np.ndarray:
@@ -506,17 +430,19 @@ def _fill_pair_table(walk: np.ndarray, table: np.ndarray) -> None:
 
 def _strip_segments(
     spec: CoveringSpec, m: int, n: int, window: int, cap: int | None = None
-) -> tuple[np.ndarray, tuple[int, ...], tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, tuple[int, ...], int, int]:
     """What the strip engine scans for gaps ``<= window`` in circuit ``m``.
 
     Picks the lowest level ``k0 >= n`` whose circuit length exceeds the
     window and materializes that one walk, the *core*.  Returns the core, the
     distinct loop runs ``g <= window`` separating consecutive level-``k0``
     traversals (the run strips ``tail ‖ 0^(g-1) ‖ head`` are never built;
-    :func:`_mark_runs` marks them), and the two margin strips.  Runs at least
-    ``window + 1`` long are never bridged: they are dropped, and both margin
-    strips are padded by enough central vertices to cover either side of
-    them.  Memory: the core walk, at most ``expansion_cap(cap)`` entries.
+    :func:`_mark_runs` marks them), and the loop runs ``lead`` and ``trail``
+    in front of the first and behind the last traversal (the margins).  Runs
+    at least ``window + 1`` long are never bridged: they are dropped, and
+    both margins are raised to ``window`` loops, enough to cover either side
+    of them (no longer margin covers more).  Memory: the core walk, at most
+    ``expansion_cap(cap)`` entries.
     """
     l_m = circuit_length(spec, m)
     limit = expansion_cap(cap)
@@ -529,11 +455,8 @@ def _strip_segments(
         raise ExpansionTooLarge(l_m + 1, limit, what=f"gap scan of circuit {m} over level {n}")
     core = _walk_array(spec, k0, n, cap=cap)
     if m == k0:
-        return core, (), ()
+        return core, (), 0, 0
     w1 = window + 1
-    dt = core.dtype
-    head = core[:w1]
-    tail = core[-w1:]
     # Bit g of ``runs``: a run of g loops; bit w1: a run of at least w1 loops.
     full = (1 << w1) - 1
     runs = 0
@@ -545,16 +468,12 @@ def _strip_segments(
             runs |= 1 << min(x, w1)
     overflow = bool(runs >> w1)
     lead, trail = e_run_margins(spec, m, k0)
-    lead = w1 if overflow or lead > window else lead
-    trail = w1 if overflow or trail > window else trail
-    margins = (
-        np.concatenate([np.zeros(lead, dtype=dt), head]),
-        np.concatenate([tail, np.zeros(trail, dtype=dt)]),
-    )
-    return core, tuple(g for g in range(w1) if runs >> g & 1), margins
+    lead = window if overflow else min(lead, window)
+    trail = window if overflow else min(trail, window)
+    return core, tuple(g for g in range(w1) if runs >> g & 1), lead, trail
 
 
-_PAIR_BLOCK = 1 << 18  # index pairs per block of _slot_offsets and _mark_runs: about 10 MB
+_PAIR_BLOCK = 1 << 18  # index pairs per block of the cross table of _mark_runs: about 10 MB
 
 
 def _zero_block_cover(
@@ -573,10 +492,12 @@ def _mark_runs(
     table: np.ndarray,
     core: np.ndarray,
     runs: tuple[int, ...],
+    lead: int,
+    trail: int,
     u: int | None = None,
     v: int | None = None,
 ) -> None:
-    """OR the gaps of every run strip ``tail ‖ 0^(g-1) ‖ head`` into ``table``.
+    """OR the gaps of every run strip ``tail ‖ 0^(g-1) ‖ head`` and both margins into ``table``.
 
     ``table`` is ``T[u, v, gap]`` for all pairs, or ``(1, 1, W + 1)`` for the
     one pair ``(u, v)`` when both are given.  With ``W = window``,
@@ -591,13 +512,18 @@ def _mark_runs(
       ``1 .. g``.  These intervals grow with ``g``, so the largest run covers
       those of every other run: one cumulative-sum window each.
 
+    The margins are such zero blocks on one side: ``0^(lead+1) ‖ R*`` in
+    front of the core and ``L* ‖ 0^(trail+1)`` behind it, so ``lead`` joins
+    the runs for the ``(0, R*)`` covers, ``trail`` for the ``(L*, 0)``
+    covers, and both for ``(0, 0)``.
+
     Memory: the cross table has the shape of ``table``, ``l_n² (W + 1)``
     bytes for all pairs, plus index blocks of at most ``_PAIR_BLOCK`` pairs.
     Time: one pass over the pairs of occurrences of ``u`` in ``L*`` and ``v``
     in ``R*`` (``W²`` for all pairs) and one slice-OR per run, so the
     single-pair form costs O(runs · W) beyond that pass.
     """
-    if not runs:
+    if not (runs or lead or trail):
         return
     size_u, size_v, w1 = table.shape
     window = w1 - 1
@@ -610,21 +536,22 @@ def _mark_runs(
     j = np.flatnonzero(cols >= 0)
     delta = window - i
     eps = j + 1
-    cross = np.zeros_like(table)
-    step = max(1, _PAIR_BLOCK // max(j.size, 1))
-    for lo in range(0, i.size, step):
-        dist = delta[lo: lo + step, None] + eps[None, :]
-        a, b = np.nonzero(dist <= window)
-        cross[rows[i[lo + a]], cols[j[b]], dist[a, b]] = True
-    for g in runs:
-        table[:, :, g:] |= cross[:, :, : w1 - g]
-    g = runs[-1]
+    if runs:
+        cross = np.zeros_like(table)
+        step = max(1, _PAIR_BLOCK // max(j.size, 1))
+        for lo in range(0, i.size, step):
+            dist = delta[lo: lo + step, None] + eps[None, :]
+            a, b = np.nonzero(dist <= window)
+            cross[rows[i[lo + a]], cols[j[b]], dist[a, b]] = True
+        for g in runs:
+            table[:, :, g:] |= cross[:, :, : w1 - g]
+    g = runs[-1] if runs else 0
     if zero_col >= 0:
-        table[:, zero_col, :] |= _zero_block_cover(rows[i], delta, g, size_u, window)
+        table[:, zero_col, :] |= _zero_block_cover(rows[i], delta, max(g, trail), size_u, window)
     if zero_row >= 0:
-        table[zero_row, :, :] |= _zero_block_cover(cols[j], eps, g, size_v, window)
+        table[zero_row, :, :] |= _zero_block_cover(cols[j], eps, max(g, lead), size_v, window)
         if zero_col >= 0:
-            table[zero_row, zero_col, 1: g + 1] = True
+            table[zero_row, zero_col, 1: max(g, lead, trail) + 1] = True
 
 
 def gap_set(
@@ -649,8 +576,8 @@ def gap_set(
     (``dist[0]`` set, window ``top + l_n - 2``), gap ``g`` from ``u`` to
     ``v`` is realized exactly when ``dist[|g - (v - u)|]`` is
     (:func:`_nonzero_pair_rows`).  When the full walk exceeds the cap the
-    exact strip engine is used instead of failing: it scans the core and
-    the margin strips for this pair and marks the run strips with
+    exact strip engine is used instead of failing: it scans the core for
+    this pair and marks the run strips and the margins with
     :func:`_mark_runs` restricted to row ``u`` and column ``v``.
     """
     if not 1 <= n <= m <= spec.depth + 1:
@@ -674,12 +601,9 @@ def gap_set(
             mask = _occurrence_gap_mask(walk, u, v, top)
         engine = "materialized"
     else:
-        core, runs, margins = _strip_segments(spec, m, n, top, cap=cap)
-        pair = np.zeros((1, 1, top + 1), dtype=bool)
-        _mark_runs(pair, core, runs, u, v)
-        mask = pair[0, 0]
-        for seg in (core, *margins):
-            mask |= _occurrence_gap_mask(seg, u, v, top)
+        core, runs, lead, trail = _strip_segments(spec, m, n, top, cap=cap)
+        mask = _occurrence_gap_mask(core, u, v, top)
+        _mark_runs(mask[None, None], core, runs, lead, trail, u, v)
         engine = "strips"
     gaps = [int(g) for g in np.flatnonzero(mask) if g >= 1]
     if include_zero and u == v:
@@ -695,10 +619,11 @@ def realized_gap_table(
     On the materialized walk the table is read off four occurrence rows of
     the walk (:func:`_fill_pair_table`): the walk, the packed rows of
     :func:`~proxrank2.gapscan._occurrence_gap_mask` and ``O(max_gap + l_n)``
-    bytes besides the table.  Past the cap the strip engine counts the
-    pairs of its segments (:func:`_mark_pair_table`) and adds a cross table
-    of the table's size (see :func:`_mark_runs`) and the core walk of
-    :func:`_strip_segments`.  The table has ``l_n² (max_gap + 1)`` bytes.
+    bytes besides the table.  Past the cap the strip engine fills the table
+    the same way from its core, a full circuit walk of
+    :func:`_strip_segments`, and adds the run strips and the margins with
+    :func:`_mark_runs` (a cross table of the table's size).  The table has
+    ``l_n² (max_gap + 1)`` bytes.
     """
     l_n = circuit_length(spec, n)
     if l_n > 2048:
@@ -711,10 +636,9 @@ def realized_gap_table(
     if l_m + 1 <= limit:
         _fill_pair_table(_walk_array(spec, m, n, cap=cap), table)
         return table, "materialized"
-    core, runs, margins = _strip_segments(spec, m, n, max_gap, cap=cap)
-    for seg in (core, *margins):
-        _mark_pair_table(seg, table, max_gap)
-    _mark_runs(table, core, runs)
+    core, runs, lead, trail = _strip_segments(spec, m, n, max_gap, cap=cap)
+    _fill_pair_table(core, table)
+    _mark_runs(table, core, runs, lead, trail)
     return table, "strips"
 
 

@@ -40,7 +40,6 @@ from proxrank2 import (
 from proxrank2 import expansion, gapscan
 from proxrank2.expansion import (
     _block_start_differences,
-    _mark_pair_table,
     _time_row,
     _walk_array,
 )
@@ -447,10 +446,8 @@ def test_block_start_differences_equal_occurrence_masks(spec, data):
         st.one_of(st.sampled_from(sorted(near)), st.integers(0, l_m - l_n), st.integers(0, 2 * l_m)),
         label="window",
     )
-    block = data.draw(st.sampled_from([1, 3, 64, 1 << 18]), label="pair block")
-    with mock.patch.object(expansion, "_PAIR_BLOCK", block):
-        dist = _block_start_differences(spec, m, n, 2 * l_m)
-        cut = _block_start_differences(spec, m, n, window)
+    dist = _block_start_differences(spec, m, n, 2 * l_m)
+    cut = _block_start_differences(spec, m, n, window)
     assert dist.dtype == bool and dist.size == l_m - l_n + 1 and dist[0]
     assert cut.dtype == bool and np.array_equal(cut, dist[: window + 1])
     u = data.draw(st.integers(1, l_n - 1), label="u")
@@ -480,45 +477,38 @@ def test_block_start_differences_cut_around_every_level_switch(spec):
                     assert np.array_equal(cut, dist[: window + 1]), (m, n, window)
 
 
+# The level of 2048 slots below circuit 12, with windows far below and above
+# the slot pitch: the walk has 294,907 entries at m = 3.
+_WIDE = telescope(gen_not_weakmix_family(3, depth=15), [1, 12, 16])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("window", [50, 1000, 5000])
+def test_block_start_differences_on_a_level_of_2048_slots(m, window):
+    want = _occurrence_gap_mask(_walk_array(_WIDE, m, 1), 1, 1, window)
+    want[0] = True
+    assert np.array_equal(_block_start_differences(_WIDE, m, 1, window), want)
+
+
+@pytest.mark.parametrize("m", [40, 121, 801])
+def test_block_start_differences_past_64_bit_lengths(m):
+    # Circuit 31 of the mixing family is 64 bits long: the row is built from
+    # the level maps alone, and shifted by v - u it must equal the strip
+    # engine's gaps of each nonzero pair.
+    mix = gen_mixing_family(depth=800)
+    window = 2 * (m - 1) + 9
+    dist = _block_start_differences(mix, m, 1, window + mix.l1)
+    for u, v in ((1, 1), (3, 8), (10, 2)):
+        got = gap_set(mix, m, 1, u, v, window)
+        assert got.engine == "strips"
+        want = tuple(g for g in range(1, window + 1) if dist[abs(g - (v - u))])
+        assert got.gaps == want, (u, v)
+
+
 def _scatter_pair_table(seg, table, max_gap):
-    """One 3-D scatter per gap: the pair-table marking the code counts must equal."""
+    """One 3-D scatter per gap: the reference all-pairs table of a walk."""
     for gap in range(1, min(max_gap, seg.size - 1) + 1):
         table[seg[:-gap], seg[gap:], gap] = True
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from([1, 2, 3, 11, 40]),
-    st.sampled_from([16, 64, 1 << 16]),
-    st.data(),
-)
-def test_pair_table_codes_equal_per_gap_scatter(l_n, block, data):
-    # A code block of 16 or 64 puts the drawn segments on both sides of the
-    # gap-batching cut (several gaps per count when the segment is shorter
-    # than the block) and splits the longer ones into position blocks.
-    size = data.draw(st.integers(0, 300), label="size")
-    max_gap = data.draw(st.integers(1, size + 3), label="max_gap")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    seg = np.random.default_rng(seed).integers(0, l_n, size).astype(expansion._walk_dtype(l_n))
-    want = np.zeros((l_n, l_n, max_gap + 1), dtype=bool)
-    _scatter_pair_table(seg, want, max_gap)
-    got = np.zeros_like(want)
-    with mock.patch.object(expansion, "_CODE_BLOCK", block):
-        _mark_pair_table(seg, got, max_gap)
-    assert np.array_equal(got, want)
-
-
-def test_pair_table_codes_equal_scatter_on_a_materialized_walk():
-    mix = gen_mixing_family(l1=11, depth=8)
-    walk = _walk_array(mix, 6, 1)
-    assert walk.size > expansion._CODE_BLOCK // 8
-    for block in (expansion._CODE_BLOCK, 1000):
-        want = np.zeros((11, 11, 33), dtype=bool)
-        _scatter_pair_table(walk, want, 32)
-        got = np.zeros_like(want)
-        with mock.patch.object(expansion, "_CODE_BLOCK", block):
-            _mark_pair_table(walk, got, 32)
-        assert np.array_equal(got, want), block
 
 
 _table_specs = st.builds(
@@ -547,13 +537,30 @@ def test_materialized_table_equals_pair_scatter_on_the_walk(spec, dense, data):
 
 
 def test_materialized_table_never_counts_pairs():
+    # Both engines fill their tables from the occurrence rows of a full
+    # circuit walk: the whole walk, or the strip engine's core.  The strip
+    # engine scans no margin array besides its core, for the table or for
+    # one pair.
     mix = gen_mixing_family(l1=11, depth=8)
-    with mock.patch.object(expansion, "_mark_pair_table", side_effect=AssertionError):
-        for m, n, max_gap in ((1, 1, 5), (6, 1, 32), (6, 2, 80)):
-            assert realized_gap_table(mix, m, n, max_gap)[1] == "materialized"
-    with mock.patch.object(expansion, "_mark_pair_table", wraps=expansion._mark_pair_table) as spy:
-        assert realized_gap_table(mix, 6, 1, 32, cap=circuit_length(mix, 5) + 1)[1] == "strips"
-    assert spy.called
+    full, core = circuit_length(mix, 6) + 1, circuit_length(mix, 2) + 1  # l_2 = 47 > 32
+    filled, scanned = [], []
+    real_fill, real_scan = expansion._fill_pair_table, expansion._occurrence_gap_mask
+
+    def fill(walk, table):
+        filled.append(walk.size)
+        real_fill(walk, table)
+
+    def scan(walk, *args):
+        scanned.append(walk.size)
+        return real_scan(walk, *args)
+
+    cap = circuit_length(mix, 5) + 1
+    with mock.patch.multiple(expansion, _fill_pair_table=fill, _occurrence_gap_mask=scan):
+        assert realized_gap_table(mix, 6, 1, 32)[1] == "materialized"
+        assert realized_gap_table(mix, 6, 1, 32, cap=cap)[1] == "strips"
+        assert gap_set(mix, 6, 1, 0, 3, 32, cap=cap).engine == "strips"
+    assert filled == [full, core]
+    assert scanned == [full] * 4 + [core] * 5
 
 
 # sha256 prefixes of the benchmark's gap_table answers on the mixing walk
