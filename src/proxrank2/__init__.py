@@ -1,8 +1,8 @@
 """Rank-2 proximal Cantor systems presented as two-vertex graph coverings.
 
 The package builds covering specifications level by level, expands circuit
-words exactly (with a strip engine for windows whose full expansions are
-astronomically long), computes occurrence-gap structure, classifies the
+words exactly, computes occurrence-gap structure from the level maps alone
+(so circuits of astronomical length need no expansion), classifies the
 invariant-measure simplex, renders array pictures around finite seeds,
 searches for proximality/separation witnesses, translates to ordered
 Bratteli diagrams, and checks the substitution model of the base family.

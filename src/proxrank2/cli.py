@@ -233,7 +233,7 @@ def cmd_ergodic(args) -> int:
 
 def cmd_measure(args) -> int:
     spec = _load_spec(args)
-    vec = vertex_measure(spec, args.n, args.horizon, which=args.which)
+    vec = vertex_measure(spec, args.n, args.horizon, which=args.which, cap=args.cap)
     if args.json:
         _print_json(vec.to_dict())
     else:

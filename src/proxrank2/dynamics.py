@@ -545,7 +545,11 @@ def mixing_window_check(
 
     Preconditions of the underlying statement (unit margins and odd circuit
     lengths on ``[n, m)``, window nonempty) are reported as violations but do
-    not stop the scan.  Exact at any depth via the strip engine.
+    not stop the scan.  Exact at any depth: the table is read off the level
+    maps by :func:`~proxrank2.expansion.realized_gap_table`, which builds no
+    walk, so ``cap`` bounds only the window of ``2(m - n)`` gaps and one
+    level-``n`` block.  ``engine`` reports whether the walk of circuit ``m``
+    would fit the cap.
     """
     if not 1 <= n < m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")

@@ -19,19 +19,16 @@ the loop runs as fill.  A walk costs its dtype's itemsize per step (1 byte
 for ``l_n <= 128``); no string or index array is built on the way.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
-between occurrences of two vertices in a walk.  :func:`gap_set` and
-:func:`realized_gap_table` scan the occurrences of the materialized walk
-through :mod:`proxrank2.gapscan`, and past the cap a strip engine that never
-materializes it (windows of width ``W`` cross at most one circuit join once
-some circuit is longer than ``W``, so scanning one full copy plus short
-join/margin strips is exhaustive).  ``residue_obstruction`` and
-``forbidden_window_report`` read the distances up to a window between the
-level-``n`` block starts, built from the level maps alone on Python-int
-bitsets (:func:`_block_start_differences`).  Vertex ``u != 0`` sits at
-(block start + ``u``), so the gaps from ``u`` to ``v`` are those distances
-shifted by ``v - u`` (:func:`_nonzero_pair_rows`): :func:`gap_set` reads
-them off the occurrences of vertex 1, and :func:`realized_gap_table` reads
-the whole table off four occurrence rows, between vertex 1 and vertex 0.
+between occurrences of two vertices in a walk.  One engine finds them, from
+the level maps alone and on Python-int bitsets: :func:`_gap_rows` gives the
+distances up to a window between the level-``n`` block starts and the
+positions of vertex 0.  Vertex ``u != 0`` sits at (block start + ``u``), so
+the gaps from ``u`` to ``v`` are the block-start distances shifted by
+``v - u`` (:func:`_nonzero_pair_rows`), and the pairs with vertex 0 are
+read off the three rows with the zeros (:func:`_fill_pair_table`).
+:func:`gap_set`, :func:`realized_gap_table`, ``residue_obstruction`` and
+``forbidden_window_report`` build no walk, at any depth; the cap bounds
+the window (:func:`_gap_window`).
 """
 from __future__ import annotations
 
@@ -48,7 +45,6 @@ from .covering import (
     symbol_count,
 )
 from .errors import ExpansionTooLarge, RestrictedFormRequired, UsageError
-from .gapscan import _occurrence_gap_mask
 from .report import Report
 
 
@@ -299,23 +295,157 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------------
-# Gap engines
+# Gap engine
 # --------------------------------------------------------------------------
 
-def _cut(x: int, cut: int) -> int:
-    """``x`` without its bits above ``cut``; masked only when it has such bits."""
-    return x & ((1 << cut + 1) - 1) if x.bit_length() > cut + 1 else x
+def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = True) -> list[int]:
+    """Distance rows up to ``window`` between block starts and zeros of the walk of circuit ``m``.
 
+    ``B`` holds the starts of the level-``n`` blocks (vertex ``u != 0``
+    sits at block start + ``u``) and ``Z`` the positions of vertex 0.  Row
+    ``PQ`` has bit ``d`` when some ``p`` in ``P`` and ``q`` in ``Q`` have
+    ``q - p = d``.  Returns ``[BB, BZ, ZB, ZZ]`` as ints cut at ``window``,
+    or ``[BB]`` without ``zeros``.
 
-def _prefix_shifts(x: int, gaps, cut: int) -> int:
-    """Union of ``x`` shifted by each prefix sum ``0, g_0, g_0 + g_1, ..`` of ``gaps``, cut."""
-    out = x = _cut(x, cut)
-    for g in gaps:
-        if g > cut:
+    Built from the level maps, never from the walk.  Per circuit ``k`` (of
+    length ``l``) and sets ``P``, ``Q``, all cut at ``window``, the
+    recursion keeps the rows, the heads ``hd[P]`` (positions), the tails
+    ``tl[P]`` (``l - p``) and ``twin[PQ] = tl[P] ⊕ hd[Q]``: bit ``l + q - p``
+    for every signed difference.  Circuit ``k + 1`` is the loop runs
+    ``a_0 .. a_b`` with a copy of circuit ``k`` between each two, and one
+    sweep over them keeps, at the current position ``cur``:
+
+    * ``near[PQ]``: ``twin[PQ]`` shifted by the distance back to each
+      earlier copy, so the pairs of an earlier copy with the next one are
+      ``near``, and each slot costs ``near = near << gap | twin``;
+    * ``runs[Q]``: ``hd[Q]`` smeared over each earlier loop run and shifted
+      by the distance back to it (pairs from a run's zeros to the next copy);
+    * ``tail[P]``: ``cur - p`` for the points swept so far, so a loop run
+      of ``a`` steps adds the pairs ``smear(tail[P], a)`` into ``PZ``.
+
+    Vertex 0 sits at every block boundary and every loop step, so a run
+    from ``e`` adds the zeros ``e .. e + a``.  At the end ``tail`` is the
+    new ``tl``, and the new ``twin`` is the cross of ``tl`` with the new
+    ``hd``: ``near | runs`` shifted to each copy start up to the window,
+    and ``tl`` smeared over each loop run that starts within it.  A smear
+    over ``a`` takes ``O(log a)`` shifts, and no step loops over the bits
+    of a set.
+
+    Once circuit ``k`` is longer than the window, a pair within it crosses
+    at most one loop run, so the level costs one shift of ``twin`` per
+    distinct inner run and smears over the distinct runs, not one step per
+    slot.
+
+    Memory: about two dozen ints of ``window`` bits, and shifts of twice
+    that while they are cut: at most about 4 bytes per window entry (3.7
+    measured at a window of 1e6).  Time per level: a few shifts and ORs of
+    such ints per slot (per distinct run past the window), plus ``log a``
+    shifts per smear over a loop run of ``a`` steps.
+    """
+    cut = window
+    mask = (1 << cut + 1) - 1
+    l = circuit_length(spec, n)
+
+    def fit(x: int) -> int:  # x cut, masked only when it has bits past the cut
+        return x & mask if x.bit_length() > cut + 1 else x
+
+    def shift(x: int, s: int) -> int:  # x << s, cut
+        return fit(x << s) if s <= cut else 0
+
+    def smear(x: int, a: int) -> int:  # x | x << 1 | .. | x << a, cut, in O(log a) shifts
+        if a >= cut:  # every bit from the lowest one of x up
+            return -(x & -x) & mask
+        k = 1  # x shifted by 0 .. k - 1
+        while 2 * k <= a + 1:
+            x = fit(x | x << k)
+            k *= 2
+        return fit(x | x << a + 1 - k) if k <= a else x
+
+    def bit(x: int) -> int:
+        return 1 << x if x <= cut else 0
+
+    if zeros:
+        hd, tl = [1, 1 | bit(l)], [bit(l), 1 | bit(l)]
+        rows = [1, 1 | bit(l), 1, 1 | bit(l)]
+        twin = [bit(l), bit(l) | bit(2 * l), 1 | bit(l), 1 | bit(l) | bit(2 * l)]
+    else:
+        rows, twin = [1], [bit(l)]
+    pairs = range(len(rows))
+    for k in range(n, m):
+        lm = spec.levels[k - 1]
+        a = lm.a
+        if l > cut:  # a pair within the window crosses at most one run
+            for x in set(a[1:-1]):
+                rows = [rows[p] | shift(twin[p], x) for p in pairs]
+            # The sweep's end state: only the last copy and run are in reach.
+            near = [shift(y, a[-1]) for y in twin]
+            if zeros:
+                for x in set(a[:-1]):  # a run's zeros to the next copy
+                    rows[2] |= smear(hd[0], x)
+                    rows[3] |= smear(hd[1], x)
+                for x in set(a[1:]):  # a copy to the next run's zeros
+                    rows[1] |= smear(tl[0], x)
+                    rows[3] |= smear(tl[1], x)
+                runs = [smear(y, a[-1]) for y in hd]
+                tail = [shift(tl[0], a[-1]), shift(tl[1], a[-1]) | smear(1, a[-1])]
+                head = [shift(hd[0], a[0]), shift(hd[1], a[0]) | smear(1, a[0])]
+        else:
+            near = [0] * len(rows)
+            runs, tail, head = [0, 0], [0, 1], [0, 1]
+            cur = 0
+            for j, x in enumerate(a):
+                if x:
+                    near = [shift(y, x) for y in near]
+                    if zeros:
+                        rows[1] |= smear(tail[0], x)
+                        rows[3] |= smear(tail[1], x)
+                        ones = smear(1, x)
+                        tail = [shift(tail[0], x), shift(tail[1], x) | ones]
+                        runs = [shift(runs[i], x) | smear(hd[i], x) for i in (0, 1)]
+                        if cur <= cut:
+                            head[1] |= shift(ones, cur)
+                    cur += x
+                if j == lm.b:
+                    break
+                for p in pairs:  # copy j starts at cur
+                    rows[p] |= near[p]
+                    near[p] = shift(near[p], l) | twin[p]
+                if zeros:
+                    rows[2] |= runs[0]
+                    rows[3] |= runs[1]
+                    runs = [shift(y, l) for y in runs]
+                    tail = [shift(tail[i], l) | tl[i] for i in (0, 1)]
+                    if cur <= cut:
+                        head = [head[i] | shift(hd[i], cur) for i in (0, 1)]
+                cur += l
+        if k == m - 1:
             break
-        x = _cut(x << g, cut)
-        out |= x
-    return out
+        if zeros:
+            near = [near[p] | runs[p & 1] if p >= 2 else near[p] for p in pairs]
+        twin = [0] * len(rows)
+        cur = 0
+        for j, x in enumerate(a):  # the new head, up to the window: tl crossed with each segment
+            if cur > cut:
+                break
+            if zeros and x:
+                for p in (1, 3):
+                    twin[p] |= shift(smear(tail[p >> 1], x), cur)
+            cur += x
+            if j < lm.b:
+                twin = [twin[p] | shift(near[p], cur) for p in pairs]
+                cur += l
+        if zeros:
+            hd, tl = head, tail
+        l = lm.next_length(l)
+    return rows
+
+
+def _bits(x: int, size: int) -> np.ndarray:
+    """Bits ``0 .. size - 1`` of ``x >= 0`` as a bool row."""
+    if x.bit_length() > size:
+        x &= (1 << size) - 1
+    raw = np.frombuffer(x.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
 def _block_start_differences(spec: CoveringSpec, m: int, n: int, window: int) -> np.ndarray:
@@ -324,66 +454,21 @@ def _block_start_differences(spec: CoveringSpec, m: int, n: int, window: int) ->
     Entry ``d`` of the bool row over ``0 .. min(window, l_m - l_n)`` is set
     when two level-``n`` blocks start ``d`` steps apart; vertex ``u != 0``
     sits at (block start + ``u``), so gap ``g`` from ``u`` to ``v != 0`` is
-    realized exactly when entry ``|g - (v - u)|`` is set.
-
-    Built from the level maps, never from the walk, on Python-int bitsets.
-    With ``D`` the distances inside circuit ``k`` (``{0}`` on level ``n``)
-    and ``X`` the largest, the recursion keeps ``low`` (bit ``x`` for ``x``
-    in ``D``) and ``high`` (bit ``z`` for ``X - z`` in ``D``), so that
-    ``twin = high | low << X`` has bit ``X + y`` for ``y`` in ``D`` and
-    ``-D``.  The slot starts ``c_0 < .. < c_{b-1}`` of map ``k`` are at
-    least ``l_k > X`` apart, so the distances one level up are ``D`` and
-    ``c_j - c_i + y`` (``i < j``), the largest is ``X + d_max`` with
-    ``d_max = c_{b-1} - c_0``, and, both cut at
-    ``cut = min(window, X + d_max)``:
-
-    * ``low'`` unites ``low`` and ``(c_j - c_i - X) + twin``, built by one
-      sweep over the consecutive slot gaps ``g_j = l_k + a_{j+1}``: the
-      bits of slot ``j + 1`` are those of slot ``j`` shifted by ``g_j``,
-      and ``twin`` shifted by ``g_j - X``;
-    * ``high'`` is ``twin`` shifted by every
-      ``e = (c_i - c_0) + (c_{b-1} - c_j)``: by each prefix sum of the gaps
-      from the left, then from the right (``i > j`` gives
-      ``e > X + d_max``, which the cut drops).
-
-    Memory: a few ints of at most ``2 window`` bits and the returned row of
-    ``min(window, l_m - l_n) + 1`` bytes.  Time per level: a few shifts
-    and ORs of ints up to ``cut`` bits per slot and per prefix sum up to
-    ``cut``.
+    realized exactly when entry ``|g - (v - u)|`` is set.  The row ``BB`` of
+    :func:`_gap_rows`; memory: its ints and the returned row.
     """
-    l_n = circuit_length(spec, n)
-    l_k = l_n
-    low = high = 1
-    top = 0  # X
-    for k in range(n, m):
-        lm = spec.levels[k - 1]
-        gaps = [l_k + x for x in lm.a[1:-1]]  # c_{i+1} - c_i, each > X
-        d_max = sum(gaps)
-        cut = min(window, top + d_max)
-        twin = high | low << top if top <= cut else high  # bit X + y for y in D and -D
-        if k < m - 1:
-            high = _prefix_shifts(_prefix_shifts(twin, gaps, cut), reversed(gaps), cut)
-        near = 0  # bit c_j - c_i + y over i < j and y in D and -D, for the current slot j
-        for g in gaps:
-            near = (near << g if g <= cut else 0) | (twin << g - top if g - top <= cut else 0)
-            near = _cut(near, cut)
-            low |= near
-        top += d_max
-        l_k = lm.next_length(l_k)
-    size = min(window, l_k - l_n) + 1
-    bits = np.frombuffer(low.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(bits, count=size, bitorder="little").view(bool)
+    size = min(window, circuit_length(spec, m) - circuit_length(spec, n)) + 1
+    return _bits(_gap_rows(spec, m, n, window, zeros=False)[0], size)
 
 
 def _nonzero_pair_rows(dist: np.ndarray, l_n: int, width: int) -> np.ndarray:
     """View ``R[u - 1, v - 1, g] = dist[|g - (v - u)|]`` for ``u, v`` in ``1 .. l_n - 1``.
 
-    ``dist`` is the ``v1 -> v1`` distance row of a walk with ``dist[0]``
-    set, at least ``width + l_n - 2`` entries long.  Vertex ``u != 0`` sits
-    at (block start + ``u``), so gap ``g < width`` from ``u`` to ``v`` is
-    realized exactly when ``R[u - 1, v - 1, g]`` is.  Strided views of one
-    mirrored copy of ``dist``: ``width + 2 l_n`` bytes however many pairs
-    are read.
+    ``dist`` is the ``BB`` distance row with ``dist[0]`` set, at least
+    ``width + l_n - 2`` entries long.  Vertex ``u != 0`` sits at (block
+    start + ``u``), so gap ``g < width`` from ``u`` to ``v`` is realized
+    exactly when ``R[u - 1, v - 1, g]`` is.  Strided views of one mirrored
+    copy of ``dist``: ``width + 2 l_n`` bytes however many pairs are read.
     """
     c = l_n - 2
     mirror = np.concatenate((dist[c:0:-1], dist[: width + c]))  # entry t: dist[|t - c|]
@@ -392,14 +477,14 @@ def _nonzero_pair_rows(dist: np.ndarray, l_n: int, width: int) -> np.ndarray:
     return pairs[:, :, ::-1].transpose(0, 2, 1)  # [u - 1, v - 1, g]: row c + (u - 1) - (v - 1)
 
 
-def _fill_pair_table(walk: np.ndarray, table: np.ndarray) -> None:
-    """Write the gaps of a materialized walk into ``table[u, v, gap]`` from four occurrence rows.
+def _fill_pair_table(rows: list[int], table: np.ndarray) -> None:
+    """Write the gaps of the :func:`_gap_rows` rows into ``table[u, v, gap]``.
 
-    Every vertex 1 of the walk starts a full block and vertex ``u != 0``
-    sits at its block's vertex 1 plus ``u - 1``, so with ``w = max_gap``
-    and the :func:`_occurrence_gap_mask` rows ``R11`` (``1 -> 1`` up to
-    ``w + l_n - 2``, ``R11[0]`` set), ``R10`` (``1 -> 0``, the same reach),
-    ``R01`` (``0 -> 1`` up to ``w``) and ``R00`` (``0 -> 0`` up to ``w``):
+    With ``w = max_gap`` and the occurrence rows ``R11`` (``1 -> 1``,
+    ``R11[0]`` set), ``R10`` (``1 -> 0``), ``R01`` (``0 -> 1``) and ``R00``
+    (``0 -> 0``), read off the rows as ``R11 = BB``, ``R10[d] = BZ[d + 1]``,
+    ``R01[d] = ZB[d - 1]`` and ``R00 = ZZ`` (vertex 1 sits at block start +
+    1):
 
     * ``T[u, v, g] = R11[|g - (v - u)|]`` (:func:`_nonzero_pair_rows`);
     * ``T[u, 0, g] = R10[g + u - 1]``;
@@ -408,150 +493,42 @@ def _fill_pair_table(walk: np.ndarray, table: np.ndarray) -> None:
     * ``T[0, 0, g] = R00[g]``.
 
     Every block is filled from strided views of those rows.  Memory beyond
-    the table: the packed rows of the four scans and ``O(w + l_n)`` bytes.
+    the table: four bool rows of ``w + l_n`` bytes.
     """
+    bb, bz, zb, zz = rows
     l_n, width = table.shape[0], table.shape[2]
-    max_gap = width - 1
-    table[0, 0] = _occurrence_gap_mask(walk, 0, 0, max_gap)
-    if l_n == 1:
-        return
-    reach = max_gap + l_n - 2
-    r11 = _occurrence_gap_mask(walk, 1, 1, reach)
-    r11[0] = True
-    r10 = _occurrence_gap_mask(walk, 1, 0, reach)
-    r01 = _occurrence_gap_mask(walk, 0, 1, max_gap)
-    windows = np.lib.stride_tricks.sliding_window_view
-    table[1:, 1:] = _nonzero_pair_rows(r11, l_n, width)
-    table[1:, 0] = windows(r10, width)  # row u - 1: R10[u - 1 ..]
-    into = np.concatenate((np.zeros(l_n - 2, dtype=bool), r01))  # entry d + l_n - 2: R01[d]
-    table[0, 1:] = windows(into, width)[::-1]  # row v - 1 starts at d = 1 - v
+    table[0, 0] = _bits(zz, width)
+    if l_n > 1:
+        reach = width + l_n - 2
+        windows = np.lib.stride_tricks.sliding_window_view
+        table[1:, 1:] = _nonzero_pair_rows(_bits(bb, reach), l_n, width)
+        table[1:, 0] = windows(_bits(bz >> 1, reach), width)  # row u - 1: R10[u - 1 ..]
+        into = _bits(zb << l_n - 1, reach)  # entry d + l_n - 2: R01[d]
+        table[0, 1:] = windows(into, width)[::-1]  # row v - 1 starts at d = 1 - v
     table[:, :, 0] = False
 
 
-def _strip_segments(
-    spec: CoveringSpec, m: int, n: int, window: int, cap: int | None = None
-) -> tuple[np.ndarray, tuple[int, ...], int, int]:
-    """What the strip engine scans for gaps ``<= window`` in circuit ``m``.
+def _gap_window(spec: CoveringSpec, m: int, n: int, max_gap: int, cap: int | None) -> tuple[int, str]:
+    """The last gap ``top = min(max_gap, l_m)`` that can be realized, and the ``engine`` label.
 
-    Picks the lowest level ``k0 >= n`` whose circuit length exceeds the
-    window and materializes that one walk, the *core*.  Returns the core, the
-    distinct loop runs ``g <= window`` separating consecutive level-``k0``
-    traversals (the run strips ``tail ‖ 0^(g-1) ‖ head`` are never built;
-    :func:`_mark_runs` marks them), and the loop runs ``lead`` and ``trail``
-    in front of the first and behind the last traversal (the margins).  Runs
-    at least ``window + 1`` long are never bridged: they are dropped, and
-    both margins are raised to ``window`` loops, enough to cover either side
-    of them (no longer margin covers more).  Memory: the core walk, at most
-    ``expansion_cap(cap)`` entries.
+    The gap rows reach ``top + l_n - 1``, and ``cap`` bounds both parts of
+    that window, the gaps and one level-``n`` block: each needs at most
+    ``expansion_cap(cap) - 1`` entries, or
+    :class:`~proxrank2.errors.ExpansionTooLarge` is raised before anything
+    is built.  So the window stays below twice the cap, and the rows below
+    about 8 bytes per unit of cap (800 MB at the default of 1e8).  The label is
+    ``materialized`` when the walk of circuit ``m`` (``l_m + 1`` entries)
+    would fit the cap and ``strips`` otherwise; it reports that test, not
+    which scan ran: no gap query builds a walk.
     """
-    l_m = circuit_length(spec, m)
     limit = expansion_cap(cap)
-    k0 = None
-    for k in range(n, m + 1):
-        if circuit_length(spec, k) >= window + 1:
-            k0 = k
-            break
-    if k0 is None:
-        raise ExpansionTooLarge(l_m + 1, limit, what=f"gap scan of circuit {m} over level {n}")
-    core = _walk_array(spec, k0, n, cap=cap)
-    if m == k0:
-        return core, (), 0, 0
-    w1 = window + 1
-    # Bit g of ``runs``: a run of g loops; bit w1: a run of at least w1 loops.
-    full = (1 << w1) - 1
-    runs = 0
-    for k in range(m - 1, k0 - 1, -1):
-        lm = level_map(spec, k)
-        lifted = runs << min(lm.a[-1] + lm.a[0], w1)
-        runs = (lifted & full) | (lifted > full) << w1
-        for x in lm.a[1:-1]:
-            runs |= 1 << min(x, w1)
-    overflow = bool(runs >> w1)
-    lead, trail = e_run_margins(spec, m, k0)
-    lead = window if overflow else min(lead, window)
-    trail = window if overflow else min(trail, window)
-    return core, tuple(g for g in range(w1) if runs >> g & 1), lead, trail
-
-
-_PAIR_BLOCK = 1 << 18  # index pairs per block of the cross table of _mark_runs: about 10 MB
-
-
-def _zero_block_cover(
-    rows: np.ndarray, starts: np.ndarray, g: int, size: int, width: int
-) -> np.ndarray:
-    """Bool ``(size, width + 1)``: row ``r`` covers ``s .. s + g`` for each ``(r, s)`` pair."""
-    hits = np.zeros((size, width + 1), dtype=np.int32)
-    hits[rows, starts] = 1
-    cs = np.cumsum(hits, axis=1)
-    covered = cs.copy()
-    covered[:, g + 1:] -= cs[:, : width - g]
-    return covered > 0
-
-
-def _mark_runs(
-    table: np.ndarray,
-    core: np.ndarray,
-    runs: tuple[int, ...],
-    lead: int,
-    trail: int,
-    u: int | None = None,
-    v: int | None = None,
-) -> None:
-    """OR the gaps of every run strip ``tail ‖ 0^(g-1) ‖ head`` and both margins into ``table``.
-
-    ``table`` is ``T[u, v, gap]`` for all pairs, or ``(1, 1, W + 1)`` for the
-    one pair ``(u, v)`` when both are given.  With ``W = window``,
-    ``L* = tail[:-1]`` and ``R* = head[1:]`` (``W`` entries each, the same for
-    every run), the strip of run ``g >= 0`` is ``L* ‖ 0^(g+1) ‖ R*``.  Pairs
-    inside ``tail`` or ``head`` are core pairs.  The rest:
-
-    * ``(L*[i], R*[j])`` sits at gap ``D + g`` with ``D = (W - i) + (j + 1)``:
-      one cross table over ``D``, OR-ed in shifted by ``g`` per run;
-    * ``(L*[i], 0)`` covers ``δ .. δ + g`` with ``δ = W - i``, ``(0, R*[j])``
-      covers ``ε .. ε + g`` with ``ε = j + 1``, and ``(0, 0)`` covers
-      ``1 .. g``.  These intervals grow with ``g``, so the largest run covers
-      those of every other run: one cumulative-sum window each.
-
-    The margins are such zero blocks on one side: ``0^(lead+1) ‖ R*`` in
-    front of the core and ``L* ‖ 0^(trail+1)`` behind it, so ``lead`` joins
-    the runs for the ``(0, R*)`` covers, ``trail`` for the ``(L*, 0)``
-    covers, and both for ``(0, 0)``.
-
-    Memory: the cross table has the shape of ``table``, ``l_n² (W + 1)``
-    bytes for all pairs, plus index blocks of at most ``_PAIR_BLOCK`` pairs.
-    Time: one pass over the pairs of occurrences of ``u`` in ``L*`` and ``v``
-    in ``R*`` (``W²`` for all pairs) and one slice-OR per run, so the
-    single-pair form costs O(runs · W) beyond that pass.
-    """
-    if not (runs or lead or trail):
-        return
-    size_u, size_v, w1 = table.shape
-    window = w1 - 1
-    left, right = core[-w1:-1], core[1:w1]
-    rows = left.astype(np.intp) if u is None else np.where(left == u, 0, -1)
-    cols = right.astype(np.intp) if v is None else np.where(right == v, 0, -1)
-    zero_row = 0 if u is None or u == 0 else -1
-    zero_col = 0 if v is None or v == 0 else -1
-    i = np.flatnonzero(rows >= 0)
-    j = np.flatnonzero(cols >= 0)
-    delta = window - i
-    eps = j + 1
-    if runs:
-        cross = np.zeros_like(table)
-        step = max(1, _PAIR_BLOCK // max(j.size, 1))
-        for lo in range(0, i.size, step):
-            dist = delta[lo: lo + step, None] + eps[None, :]
-            a, b = np.nonzero(dist <= window)
-            cross[rows[i[lo + a]], cols[j[b]], dist[a, b]] = True
-        for g in runs:
-            table[:, :, g:] |= cross[:, :, : w1 - g]
-    g = runs[-1] if runs else 0
-    if zero_col >= 0:
-        table[:, zero_col, :] |= _zero_block_cover(rows[i], delta, max(g, trail), size_u, window)
-    if zero_row >= 0:
-        table[zero_row, :, :] |= _zero_block_cover(cols[j], eps, max(g, lead), size_v, window)
-        if zero_col >= 0:
-            table[zero_row, zero_col, 1: max(g, lead, trail) + 1] = True
+    l_m, l_n = circuit_length(spec, m), circuit_length(spec, n)
+    if m < n:
+        raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
+    top = min(max_gap, l_m)
+    if max(top, l_n) + 1 > limit:
+        raise ExpansionTooLarge(max(top, l_n) + 1, limit, what=f"gap window of circuit {m} over level {n}")
+    return top, "materialized" if l_m + 1 <= limit else "strips"
 
 
 def gap_set(
@@ -568,17 +545,14 @@ def gap_set(
 
     Gaps of size 0 (a vertex paired with itself at the same time) are excluded
     unless ``include_zero`` is set.  No gap above ``l_m`` is realized, so the
-    mask stops at ``min(max_gap, l_m)``.
+    mask stops at ``top = min(max_gap, l_m)``.
 
-    On the materialized walk, a pair of nonzero vertices is read off one
-    ``v1 -> v1`` distance row: vertex ``u != 0`` sits at (block start +
-    ``u``), so with ``dist`` the distances between occurrences of vertex 1
-    (``dist[0]`` set, window ``top + l_n - 2``), gap ``g`` from ``u`` to
-    ``v`` is realized exactly when ``dist[|g - (v - u)|]`` is
-    (:func:`_nonzero_pair_rows`).  When the full walk exceeds the cap the
-    exact strip engine is used instead of failing: it scans the core for
-    this pair and marks the run strips and the margins with
-    :func:`_mark_runs` restricted to row ``u`` and column ``v``.
+    Read off the :func:`_gap_rows` rows up to ``top + l_n - 1``, by the index
+    rules of :func:`_fill_pair_table`: a pair of nonzero vertices off ``BB``
+    alone, a pair with vertex 0 off all four rows.  Memory: the rows' ints
+    (about 4 bytes per window entry), a bool row of ``top + 2 l_n`` bytes,
+    and the answer, about 50 bytes per realized gap as Python ints.
+    ``engine`` reports whether the walk would fit the cap (:func:`_gap_window`).
     """
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
@@ -588,24 +562,15 @@ def gap_set(
             raise UsageError(f"vertex {name}={x} outside 0..{l_n - 1}")
     if max_gap < 1:
         raise UsageError(f"max_gap must be >= 1, got {max_gap}")
-    limit = expansion_cap(cap)
-    l_m = circuit_length(spec, m)
-    top = min(max_gap, l_m)
-    if l_m + 1 <= limit:
-        walk = _walk_array(spec, m, n, cap=cap)
-        if u and v:
-            dist = _occurrence_gap_mask(walk, 1, 1, top + l_n - 2)
-            dist[0] = True
-            mask = _nonzero_pair_rows(dist, l_n, top + 1)[u - 1, v - 1]
-        else:
-            mask = _occurrence_gap_mask(walk, u, v, top)
-        engine = "materialized"
+    top, engine = _gap_window(spec, m, n, max_gap, cap)
+    window = top + l_n - 1
+    if u and v:
+        dist = _bits(_gap_rows(spec, m, n, window, zeros=False)[0], window)
+        mask = _nonzero_pair_rows(dist, l_n, top + 1)[u - 1, v - 1]
     else:
-        core, runs, lead, trail = _strip_segments(spec, m, n, top, cap=cap)
-        mask = _occurrence_gap_mask(core, u, v, top)
-        _mark_runs(mask[None, None], core, runs, lead, trail, u, v)
-        engine = "strips"
-    gaps = [int(g) for g in np.flatnonzero(mask) if g >= 1]
+        bb, bz, zb, zz = _gap_rows(spec, m, n, window)
+        mask = _bits(bz >> u if u else zb << v if v else zz, top + 1)
+    gaps = (np.flatnonzero(mask[1:]) + 1).tolist()
     if include_zero and u == v:
         gaps = [0] + gaps
     return GapSet(level=n, m=m, u=u, v=v, max_gap=max_gap, gaps=tuple(gaps), engine=engine)
@@ -616,30 +581,20 @@ def realized_gap_table(
 ) -> tuple[np.ndarray, str]:
     """All-pairs realized-gap table ``T[u, v, gap]`` for gaps ``1 .. max_gap``.
 
-    On the materialized walk the table is read off four occurrence rows of
-    the walk (:func:`_fill_pair_table`): the walk, the packed rows of
-    :func:`~proxrank2.gapscan._occurrence_gap_mask` and ``O(max_gap + l_n)``
-    bytes besides the table.  Past the cap the strip engine fills the table
-    the same way from its core, a full circuit walk of
-    :func:`_strip_segments`, and adds the run strips and the margins with
-    :func:`_mark_runs` (a cross table of the table's size).  The table has
-    ``l_n² (max_gap + 1)`` bytes.
+    Filled by :func:`_fill_pair_table` from the four :func:`_gap_rows` rows
+    up to ``min(max_gap, l_m) + l_n - 1``: the rows' ints and four bool rows
+    of ``max_gap + l_n`` bytes besides the table, which has
+    ``l_n² (max_gap + 1)`` bytes.  The label is that of :func:`_gap_window`.
     """
     l_n = circuit_length(spec, n)
     if l_n > 2048:
         raise UsageError(f"all-pairs table only supported for l_n <= 2048, got {l_n}")
     if max_gap < 1:
         raise UsageError(f"max_gap must be >= 1, got {max_gap}")
-    limit = expansion_cap(cap)
-    l_m = circuit_length(spec, m)
+    top, engine = _gap_window(spec, m, n, max_gap, cap)
     table = np.zeros((l_n, l_n, max_gap + 1), dtype=bool)
-    if l_m + 1 <= limit:
-        _fill_pair_table(_walk_array(spec, m, n, cap=cap), table)
-        return table, "materialized"
-    core, runs, lead, trail = _strip_segments(spec, m, n, max_gap, cap=cap)
-    _fill_pair_table(core, table)
-    _mark_runs(table, core, runs, lead, trail)
-    return table, "strips"
+    _fill_pair_table(_gap_rows(spec, m, n, top + l_n - 1), table)
+    return table, engine
 
 
 def gap_structure_report(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> GapStructureReport:

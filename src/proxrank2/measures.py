@@ -103,7 +103,7 @@ def xi_project(spec: CoveringSpec, m: int, n: int, point: SimplexPoint) -> Simpl
 
 
 def vertex_measure(
-    spec: CoveringSpec, n: int, m_horizon: int, which: str = "nonatomic"
+    spec: CoveringSpec, n: int, m_horizon: int, which: str = "nonatomic", cap: int | None = None
 ) -> MeasureVector:
     """Edge weights at level ``n`` of either extreme measure.
 
@@ -116,7 +116,7 @@ def vertex_measure(
     The circuit tuple repeats one ``Fraction``: 8 bytes per edge, so at most
     about 800 MB at the default cap of 1e8.  Raises
     :class:`~proxrank2.errors.ExpansionTooLarge` before allocating when
-    ``l_n`` exceeds :func:`~proxrank2.covering.expansion_cap`.
+    ``l_n`` exceeds :func:`~proxrank2.covering.expansion_cap` of ``cap``.
     """
     if not 1 <= n <= m_horizon <= spec.depth + 1:
         raise UsageError(
@@ -125,7 +125,7 @@ def vertex_measure(
     if which not in ("fixed", "nonatomic"):
         raise UsageError(f"which must be 'fixed' or 'nonatomic', got {which!r}")
     l_n = circuit_length(spec, n)
-    limit = expansion_cap()
+    limit = expansion_cap(cap)
     if l_n > limit:
         raise ExpansionTooLarge(l_n, limit, what=f"edge measure of level {n}")
     if which == "fixed":

@@ -5,15 +5,18 @@ Two shapes are produced: specs whose every level is in the restricted form
 arbitrary loop exponents.  Both keep circuit lengths small enough to
 materialize, and both are deterministic in the supplied RNG.
 :data:`reduced_specs` is a hypothesis strategy for deep reduced specs whose
-lengths are never materialized.
+lengths are never materialized.  :func:`walk_gaps` is the reference that the
+gap engine is checked against: the realized gaps read off a materialized walk.
 """
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
-from proxrank2 import CoveringSpec, LevelMap, RestrictedLevelMap
+from proxrank2 import CoveringSpec, LevelMap, RestrictedLevelMap, circuit_length
+from proxrank2.expansion import _walk_array
 
 
 def random_restricted_spec(
@@ -96,3 +99,26 @@ def raw_lengths(spec: CoveringSpec) -> list[int]:
     for lm in spec.levels:
         out.append(sum(lm.a) + lm.b * out[-1])
     return out
+
+
+def walk_gaps(spec: CoveringSpec, m: int, n: int, max_gap: int, u=None, v=None) -> np.ndarray:
+    """The realized gaps of the level-``n`` walk of circuit ``m``, read off the walk gap by gap.
+
+    Returns the bool table ``T[u, v, g]`` over every vertex pair and
+    ``g = 0 .. max_gap``, or, given ``u`` and ``v``, the row of that pair.
+    Gap ``g`` is realized when some entry ``i`` of the walk is ``u`` and
+    entry ``i + g`` is ``v``; ``g = 0`` never counts.
+    """
+    walk = _walk_array(spec, m, n, cap=10**9)
+    gaps = range(1, min(max_gap, walk.size - 1) + 1)
+    if u is not None:
+        row = np.zeros(max_gap + 1, dtype=bool)
+        is_u, is_v = walk == u, walk == v
+        for g in gaps:
+            row[g] = np.any(is_u[:-g] & is_v[g:])
+        return row
+    l_n = circuit_length(spec, n)
+    table = np.zeros((l_n, l_n, max_gap + 1), dtype=bool)
+    for g in gaps:
+        table[walk[:-g], walk[g:], g] = True
+    return table

@@ -75,6 +75,35 @@ def test_gaps_command_takes_a_max_gap_beyond_the_walk(tmp_path, capsys):
     assert got["engine"] == "materialized"
 
 
+def test_gaps_window_past_the_cap_stops_cleanly(tmp_path, capsys):
+    # The cap bounds the window of gaps, not the walk: a window of 1e11
+    # gaps ends with exit 3 and a message before anything is allocated,
+    # while a vertex-0 query on the same circuit, far past the walk's cap,
+    # answers.
+    path = tmp_path / "mix20.json"
+    path.write_text(spec_to_json(gen_mixing_family(depth=20)))
+    argv = ["gaps", "21", "1", "0", "0", "--spec", str(path), "--cap", "100000000"]
+    code, out, err = run(capsys, [*argv, "--max-gap", "100000000000"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: gap window of circuit 21 over level 1 needs 100000000001 materialized entries, "
+        "cap is 100000000\n"
+    )
+    code, out, _ = run(capsys, ["gaps", "21", "1", "3", "0", "--max-gap", "40", "--spec", str(path)])
+    assert (code, out) == (0, ",".join(str(g) for g in range(8, 41)) + "\n")
+
+
+def test_measure_command_honours_the_cap(tmp_path, capsys):
+    path = tmp_path / "mix6.json"
+    path.write_text(spec_to_json(gen_mixing_family(depth=6)))
+    argv = ["measure", "4", "--horizon", "5", "--spec", str(path)]
+    code, _, err = run(capsys, [*argv, "--cap", "100"])
+    assert code == 3
+    assert "cap is 100\n" in err
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("loop ")
+
+
 def test_residue_command_on_p3_family(tmp_path, capsys):
     path = tmp_path / "nw.json"
     path.write_text(spec_to_json(gen_not_weakmix_family(3, depth=15)))

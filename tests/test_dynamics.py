@@ -46,9 +46,10 @@ from proxrank2 import (
     unstable_point,
     validate_seed,
 )
-from proxrank2 import dynamics, expansion, gapscan
+from proxrank2 import dynamics
 from proxrank2.expansion import _time_row, _walk_array
-from proxrank2.gapscan import _occurrence_gap_mask
+
+from _corpus import walk_gaps
 
 BASE = gen_substitution_family(depth=6)
 
@@ -483,8 +484,8 @@ def _residue_reference(spec, n, p, m, max_gap):
     later = [y for y in occ2 if y > occ1[0]]
     if not class_ok and later and (later[0] - occ1[0]) % p != 1 % p:
         witnesses.append(f"v1 at {occ1[0]}, v2 at {later[0]}: gap {later[0] - occ1[0]} != 1 mod {p}")
-    gaps11 = [int(g) for g in np.flatnonzero(_occurrence_gap_mask(walk, 1, 1, max_gap))]
-    gaps12 = [int(g) for g in np.flatnonzero(_occurrence_gap_mask(walk, 1, 2, max_gap))]
+    gaps11 = [int(g) for g in np.flatnonzero(walk_gaps(spec, m, n, max_gap, 1, 1))]
+    gaps12 = [int(g) for g in np.flatnonzero(walk_gaps(spec, m, n, max_gap, 1, 2))]
     bad11 = [g for g in gaps11 if g % p != 0][:8]
     bad12 = [g for g in gaps12 if g % p != 1 % p][:8]
     witnesses += [f"realized v1->v1 gap {g} != 0 mod {p}" for g in bad11[:1]]
@@ -535,7 +536,7 @@ def test_residue_classes_of_a_modulus_beyond_the_walk(p):
 
 def test_residue_obstruction_reads_one_windowed_row(monkeypatch):
     # One distance path whatever the winding number: one row of block-start
-    # distances cut at the window, and no gap scan of the walk.
+    # distances cut at the window.
     nw = gen_not_weakmix_family(3, depth=15)
     wide = telescope(nw, [1, 12, 16])  # circuit 16 again, with b = 2048 on level 1
     calls = []
@@ -543,12 +544,6 @@ def test_residue_obstruction_reads_one_windowed_row(monkeypatch):
     monkeypatch.setattr(
         dynamics, "_block_start_differences", lambda *args: calls.append(args[1:]) or real(*args)
     )
-
-    def no_scan(*args):
-        raise AssertionError("residue_obstruction scanned the walk for gaps")
-
-    monkeypatch.setattr(gapscan, "_occurrence_gap_mask", no_scan)
-    monkeypatch.setattr(expansion, "_occurrence_gap_mask", no_scan)
     far = residue_obstruction(nw, 1, 3, 16, max_gap=30_000)
     assert calls == [(16, 1, 30_000)]
     calls.clear()

@@ -37,20 +37,14 @@ from proxrank2 import (
     telescope,
     time_word,
 )
-from proxrank2 import expansion, gapscan
+from proxrank2 import dynamics, expansion, mixing_window_check
 from proxrank2.expansion import (
     _block_start_differences,
     _time_row,
     _walk_array,
 )
-from proxrank2.gapscan import (
-    _SPARSE_PAIRS,
-    _join_pairs,
-    _occurrence_gap_mask,
-    _sparse_join_cheaper,
-)
 
-from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
+from _corpus import random_plain_spec, random_restricted_spec, reduced_specs, walk_gaps
 
 BASE = gen_substitution_family(depth=6)
 
@@ -141,16 +135,21 @@ def test_gap_set_same_vertex_includes_zero_only_on_request():
 
 
 def test_strip_engine_agrees_with_materialized_scan():
+    # Past the cap the label reads "strips"; either way the gaps are those
+    # of the walk scan.
     mix = gen_mixing_family(depth=8)
     for (m, n, u, v, w) in (
         (6, 2, 1, 5, 60),
         (7, 2, 3, 3, 48),
         (8, 1, 1, 2, 50),
         (8, 3, 10, 4, 44),
+        (8, 1, 0, 2, 50),
+        (7, 2, 3, 0, 48),
     ):
+        want = tuple(np.flatnonzero(walk_gaps(mix, m, n, w, u, v)).tolist())
         forced = gap_set(mix, m, n, u, v, max_gap=w, cap=4 * circuit_length(mix, n) + 400)
         full = gap_set(mix, m, n, u, v, max_gap=w, cap=10**8)
-        assert forced.gaps == full.gaps, (m, n, u, v)
+        assert forced.gaps == full.gaps == want, (m, n, u, v)
         assert forced.engine.startswith("strip")
         assert full.engine == "materialized"
 
@@ -180,26 +179,30 @@ def test_realized_gap_table_matches_single_pair_scans():
 
 
 def _strips_agree_with_materialized(spec, m, n, window):
-    """Force the strip engine and compare it with the materialized scan.
+    """Compare the tables and gap sets under both labels with the walk scan.
 
-    Returns the loop runs between consecutive level-``k0`` traversals and the
-    two margins, read off the symbol word of circuit ``m`` over ``k0``.
+    The cap leaves room for the walk of the lowest circuit ``k0`` longer
+    than the window only, so the label reads ``strips``.  Returns the loop
+    runs between consecutive level-``k0`` traversals and the two margins,
+    read off the symbol word of circuit ``m`` over ``k0``.
     """
     k0 = next(k for k in range(n, m + 1) if circuit_length(spec, k) > window)
     assert k0 < m
-    cap = circuit_length(spec, k0) + 1  # room for the core walk only
+    cap = circuit_length(spec, k0) + 1
+    want = walk_gaps(spec, m, n, window)
     full, engine = realized_gap_table(spec, m, n, window, cap=10**8)
     assert engine == "materialized"
+    assert np.array_equal(full, want)
     forced, engine = realized_gap_table(spec, m, n, window, cap=cap)
     assert engine == "strips"
-    assert np.array_equal(forced, full)
+    assert np.array_equal(forced, want)
     l_n = circuit_length(spec, n)
     vertices = sorted({0, 1, l_n // 2, l_n - 1})
     for u in vertices:
         for v in vertices:
             got = gap_set(spec, m, n, u, v, window, cap=cap)
             assert got.engine == "strips"
-            assert got.gaps == tuple(int(g) for g in np.flatnonzero(full[u, v])), (u, v)
+            assert got.gaps == tuple(int(g) for g in np.flatnonzero(want[u, v])), (u, v)
     word = compose_word(spec, m, k0)
     inner = word.strip("E")
     runs = {len(piece) for piece in inner.split("C")[1:-1]}
@@ -239,8 +242,9 @@ def test_strip_engine_equals_materialized_scan(spec, data):
 def test_strip_engine_covers_every_run_shape():
     # A fixed corpus that must reach adjacent traversals (run 0), runs longer
     # than the window, margins longer than the window, and a run longer than
-    # the window between margins that are not (only the padded margin strips
-    # cover that run's zero block).
+    # the window between margins that are not: past the window a loop run is
+    # smeared whole, and past the cap every answer must still be the walk
+    # scan's.
     rng = random.Random(0x5721)
     seen = {"run 0": 0, "run > window": 0, "margin > window": 0, "run > window >= margins": 0}
     specs = [gen_mixing_family(depth=6), gen_substitution_family(depth=8)]
@@ -384,30 +388,20 @@ def test_walk_and_time_row_stay_under_two_bytes_per_step():
         assert peak <= 2 * steps, (build.__name__, peak / steps)
 
 
-def _direct_gap_mask(walk, u, v, max_gap):
-    is_u, is_v = walk == u, walk == v
-    return [False] + [bool(np.any(is_u[:-g] & is_v[g:])) for g in range(1, max_gap + 1)]
-
-
 @pytest.mark.parametrize("shift", range(8))
 def test_dense_gap_mask_matches_direct_scan(shift):
-    # Both walks send the scan down the dense path (over 2M expected pairs),
-    # and their lengths run through every residue mod 8.
-    rng = np.random.default_rng(shift)
-    # Vertex 1 only at times = 0 mod 3 and vertex 2 only at times = 1 mod 3,
-    # each with probability 1/2: gaps 1->2 are realized exactly at 1 mod 3.
-    walk = np.zeros(800_000 + shift, dtype=np.int8)
-    walk[0::3] = rng.integers(0, 2, walk[0::3].size)
-    walk[1::3] = 2 * rng.integers(0, 2, walk[1::3].size)
-    for u, v in ((1, 2), (1, 1), (2, 1), (0, 2)):
-        assert list(_occurrence_gap_mask(walk, u, v, 100)) == _direct_gap_mask(walk, u, v, 100)
-    # Vertex 1 almost everywhere and vertex 2 once: every gap 1->2 is
-    # realized at most once, so no single lost bit goes unseen.
-    walk = np.ones(2_100_000 + shift, dtype=np.int8)
-    p = walk.size - 20 - shift
-    walk[p - 100 + np.flatnonzero(rng.integers(0, 2, 100))] = 0
-    walk[p] = 2
-    assert list(_occurrence_gap_mask(walk, 1, 2, 100)) == _direct_gap_mask(walk, 1, 2, 100)
+    # The gap rows are bit rows unpacked a byte at a time: gap rows of
+    # every size mod 8, and row reaches (max_gap + l_n - 1) of every size
+    # mod 8, must equal the walk scan for every pair.
+    for spec, m, n in ((gen_mixing_family(depth=5), 4, 1), (gen_not_weakmix_family(3, depth=8), 7, 2)):
+        max_gap = 40 + shift
+        want = walk_gaps(spec, m, n, max_gap)
+        got, engine = realized_gap_table(spec, m, n, max_gap)
+        assert engine == "materialized" and np.array_equal(got, want)
+        for u in range(circuit_length(spec, n)):
+            for v in (0, 1, u):
+                gaps = gap_set(spec, m, n, u, v, max_gap).gaps
+                assert gaps == tuple(np.flatnonzero(want[u, v]).tolist()), (u, v)
 
 
 # Three families, and telescoped ones whose first level has b >= 64 slots.
@@ -457,7 +451,7 @@ def test_block_start_differences_equal_occurrence_masks(spec, data):
     at = np.abs(gaps - (v - u))
     got = np.zeros(max_gap + 1, dtype=bool)
     got[gaps[at < dist.size]] = dist[at[at < dist.size]]
-    assert np.array_equal(got, _occurrence_gap_mask(_walk_array(spec, m, n), u, v, max_gap))
+    assert np.array_equal(got, walk_gaps(spec, m, n, max_gap, u, v))
 
 
 @pytest.mark.parametrize("spec", _ROW_SPECS[:3], ids=["not_weakmix", "mixing", "weakmix"])
@@ -485,7 +479,7 @@ _WIDE = telescope(gen_not_weakmix_family(3, depth=15), [1, 12, 16])
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("window", [50, 1000, 5000])
 def test_block_start_differences_on_a_level_of_2048_slots(m, window):
-    want = _occurrence_gap_mask(_walk_array(_WIDE, m, 1), 1, 1, window)
+    want = walk_gaps(_WIDE, m, 1, window, 1, 1)
     want[0] = True
     assert np.array_equal(_block_start_differences(_WIDE, m, 1, window), want)
 
@@ -493,8 +487,8 @@ def test_block_start_differences_on_a_level_of_2048_slots(m, window):
 @pytest.mark.parametrize("m", [40, 121, 801])
 def test_block_start_differences_past_64_bit_lengths(m):
     # Circuit 31 of the mixing family is 64 bits long: the row is built from
-    # the level maps alone, and shifted by v - u it must equal the strip
-    # engine's gaps of each nonzero pair.
+    # the level maps alone, and shifted by v - u it must equal the gaps of
+    # each nonzero pair, which read it at another window.
     mix = gen_mixing_family(depth=800)
     window = 2 * (m - 1) + 9
     dist = _block_start_differences(mix, m, 1, window + mix.l1)
@@ -505,12 +499,6 @@ def test_block_start_differences_past_64_bit_lengths(m):
         assert got.gaps == want, (u, v)
 
 
-def _scatter_pair_table(seg, table, max_gap):
-    """One 3-D scatter per gap: the reference all-pairs table of a walk."""
-    for gap in range(1, min(max_gap, seg.size - 1) + 1):
-        table[seg[:-gap], seg[gap:], gap] = True
-
-
 _table_specs = st.builds(
     lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
     st.sampled_from([1, 2, 3, 11]),
@@ -519,48 +507,87 @@ _table_specs = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_table_specs, st.booleans(), st.data())
-def test_materialized_table_equals_pair_scatter_on_the_walk(spec, dense, data):
+@given(_table_specs, st.data())
+def test_materialized_table_equals_pair_scatter_on_the_walk(spec, data):
     # Zero margins and zero inner runs, b = 1 levels, l_n = 1 (a walk of
     # zeros only) and m == n (one block); windows up to past the walk.
     top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 20_000)
     m = data.draw(st.integers(1, top), label="m")
     l_m = circuit_length(spec, m)
     max_gap = data.draw(st.integers(1, l_m + 3), label="max_gap")
-    walk = _walk_array(spec, m, 1)
-    want = np.zeros((spec.l1, spec.l1, max_gap + 1), dtype=bool)
-    _scatter_pair_table(walk, want, max_gap)
-    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: not dense):
-        got, engine = realized_gap_table(spec, m, 1, max_gap)
+    got, engine = realized_gap_table(spec, m, 1, max_gap)
     assert engine == "materialized"
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, walk_gaps(spec, m, 1, max_gap))
+
+
+_ENGINE_SPECS = (
+    gen_mixing_family(depth=4),
+    gen_substitution_family(depth=6),
+    gen_not_weakmix_family(3, depth=8),
+    gen_weakmix_not_mix_family(depth=3),
+    gen_uniquely_ergodic_family(depth=4),
+    # first levels of b >= 64 slots
+    telescope(gen_not_weakmix_family(3, depth=10), [1, 8, 10]),
+    telescope(gen_mixing_family(depth=6), [1, 4, 5]),
+    telescope(gen_uniquely_ergodic_family(depth=6), [1, 4, 5]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_ENGINE_SPECS),
+        _table_specs,
+        st.integers(0, 2**32).map(lambda seed: random_plain_spec(random.Random(seed), depth=5)),
+        st.integers(0, 2**32).map(
+            lambda seed: random_restricted_spec(random.Random(seed), max_depth=5)
+        ),
+    ),
+    st.data(),
+)
+def test_gap_engine_equals_walk_scan_for_all_pairs(spec, data):
+    # The table and the gap sets of every pair, vertex 0 included, equal the
+    # walk scan.  Windows sit at l_k - 1, l_k and l_k + 1 of each level on
+    # the way, where the recursion stops reaching past one loop run, or
+    # anywhere up to past the walk.
+    top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 4_000)
+    m = data.draw(st.integers(1, top), label="m")
+    # the table has l_n^2 entries per gap
+    n = data.draw(st.integers(1, max(k for k in range(1, m + 1) if circuit_length(spec, k) <= 40)), label="n")
+    l_m, l_n = circuit_length(spec, m), circuit_length(spec, n)
+    near = {l for k in range(n, m + 1) for l in (circuit_length(spec, k) + d for d in (-1, 0, 1))}
+    window = data.draw(
+        st.one_of(st.sampled_from(sorted(near - {0})), st.integers(1, 2 * l_m + 3)), label="window"
+    )
+    want = walk_gaps(spec, m, n, window)
+    table, engine = realized_gap_table(spec, m, n, window)
+    assert engine == "materialized" and np.array_equal(table, want)
+    vertices = range(l_n) if l_n <= 8 else sorted({0, 1, 2, l_n // 2, l_n - 2, l_n - 1})
+    for u in vertices:
+        for v in vertices:
+            got = gap_set(spec, m, n, u, v, window)
+            assert got.gaps == tuple(np.flatnonzero(want[u, v]).tolist()), (u, v)
 
 
 def test_materialized_table_never_counts_pairs():
-    # Both engines fill their tables from the occurrence rows of a full
-    # circuit walk: the whole walk, or the strip engine's core.  The strip
-    # engine scans no margin array besides its core, for the table or for
-    # one pair.
+    # No gap query builds a walk, under either label: the tables, the gap
+    # sets of every kind of pair and the mixing window are read off the
+    # level maps alone.
     mix = gen_mixing_family(l1=11, depth=8)
-    full, core = circuit_length(mix, 6) + 1, circuit_length(mix, 2) + 1  # l_2 = 47 > 32
-    filled, scanned = [], []
-    real_fill, real_scan = expansion._fill_pair_table, expansion._occurrence_gap_mask
-
-    def fill(walk, table):
-        filled.append(walk.size)
-        real_fill(walk, table)
-
-    def scan(walk, *args):
-        scanned.append(walk.size)
-        return real_scan(walk, *args)
-
     cap = circuit_length(mix, 5) + 1
-    with mock.patch.multiple(expansion, _fill_pair_table=fill, _occurrence_gap_mask=scan):
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a gap query built a walk")
+
+    with mock.patch.object(expansion, "_walk_array", no_walk), \
+            mock.patch.object(dynamics, "_walk_array", no_walk):
         assert realized_gap_table(mix, 6, 1, 32)[1] == "materialized"
         assert realized_gap_table(mix, 6, 1, 32, cap=cap)[1] == "strips"
-        assert gap_set(mix, 6, 1, 0, 3, 32, cap=cap).engine == "strips"
-    assert filled == [full, core]
-    assert scanned == [full] * 4 + [core] * 5
+        for u, v in ((0, 3), (3, 0), (0, 0), (2, 5)):
+            assert gap_set(mix, 6, 1, u, v, 32).engine == "materialized"
+            assert gap_set(mix, 6, 1, u, v, 32, cap=cap).engine == "strips"
+        assert mixing_window_check(mix, 9, 1).engine == "materialized"
+        assert mixing_window_check(mix, 9, 1, cap=cap).engine == "strips"
 
 
 # sha256 prefixes of the benchmark's gap_table answers on the mixing walk
@@ -587,115 +614,31 @@ def test_realized_gap_table_rejects_windows_below_one(max_gap):
         realized_gap_table(BASE, 4, 2, max_gap)
 
 
-def test_occurrence_mask_takes_dense_scan_when_it_is_cheaper():
-    # 3.1e6 steps with u = v = 6 and window 60: the join stays under the
-    # pair bound, but the model prices it above the dense scan.
-    walk = _walk_array(gen_mixing_family(l1=11, depth=12), 10, 1)
-    count = int(np.count_nonzero(walk == 6))
-    assert _join_pairs(walk.size, count, count, 60) <= _SPARSE_PAIRS
-    assert not _sparse_join_cheaper(walk.size, count, count, 60)
-    assert list(_occurrence_gap_mask(walk, 6, 6, 60)) == _direct_gap_mask(walk, 6, 6, 60)
-
-
-def test_occurrence_mask_takes_sparse_join_when_it_is_cheaper():
-    # Two rare vertices in a long walk: a few thousand pairs against a
-    # dense pass of the whole walk for each of the 400 gaps.
-    rng = np.random.default_rng(11)
-    walk = np.zeros(1_000_000, dtype=np.int8)
-    walk[rng.choice(walk.size, 2000, replace=False)] = rng.integers(1, 3, 2000)
-    walk[500_000: 500_400: 7] = 1
-    walk[500_003: 500_400: 11] = 2
-    counts = [int(np.count_nonzero(walk == x)) for x in (1, 2)]
-    for u, v in ((1, 2), (2, 1), (1, 1)):
-        assert _sparse_join_cheaper(walk.size, counts[u - 1], counts[v - 1], 400)
-        assert list(_occurrence_gap_mask(walk, u, v, 400)) == _direct_gap_mask(walk, u, v, 400)
-
-
-def _dense_gap_mask(walk, u, v, max_gap):
-    """``_occurrence_gap_mask`` with the sparse join ruled out."""
-    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: False):
-        return _occurrence_gap_mask(walk, u, v, max_gap)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from([1, 8, 64, 1 << 16]),
-    st.sampled_from([1, 2, 16]),
-    st.sampled_from([1, 3, 64, 1 << 15]),
-    st.sampled_from([8, 64, 1 << 18]),
-    st.data(),
+_SMEAR_SPECS = (
+    # loop runs far longer than the window, just below it, and at every
+    # doubling rung of the smear; zero runs and b = 1 levels between them
+    CoveringSpec(l1=3, levels=(LevelMap(a=(40, 7, 0, 33), b=3), LevelMap(a=(2, 64), b=1))),
+    CoveringSpec(l1=1, levels=(LevelMap(a=(5, 0, 8, 1), b=3), LevelMap(a=(1, 31, 1), b=2))),
+    CoveringSpec(l1=2, levels=(LevelMap(a=(0, 3, 0), b=2), LevelMap(a=(15, 16, 17), b=2))),
 )
-def test_dense_gap_scan_matches_direct_scan(prefix, first, block, pack, data):
-    # Tiny joined prefixes, scan steps and blocks send the drawn walks
-    # through every stage: the prefix join, the prefix scan, the run proofs
-    # and the one-by-one fallback; tiny packing blocks split the packed
-    # rows.  Vertices written near the end make gaps that the walk realizes
-    # only there.
-    size = data.draw(st.integers(2, 3000), label="size")
-    letters = data.draw(st.integers(2, 4), label="letters")
-    density = data.draw(st.sampled_from([0.002, 0.03, 0.3, 1.0]), label="density")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    walk = np.where(rng.random(size) < density, rng.integers(0, letters, size), 0).astype(np.int8)
-    tail = st.tuples(st.integers(1, letters - 1), st.integers(1, 200))
-    for x, back in data.draw(st.lists(tail, max_size=4), label="tail"):
-        walk[max(0, size - back)] = x
-    u = data.draw(st.integers(0, letters - 1), label="u")
-    v = data.draw(st.integers(0, letters - 1), label="v")
-    max_gap = data.draw(st.integers(1, 400), label="max_gap")
-    with mock.patch.multiple(
-        gapscan, _PREFIX=prefix, _SCAN_FIRST=first, _SCAN_WORDS=block, _PACK_BLOCK=pack
-    ):
-        got = _dense_gap_mask(walk, u, v, max_gap)
-    assert list(got) == _direct_gap_mask(walk, u, v, max_gap)
-
-
-def test_dense_gap_scan_proves_runs_and_falls_back():
-    # Gaps 20, 21 come from u at 7 (inside the joined prefix of 64 entries);
-    # 5, 9, 13 only from u at 19000, past the idle first scan step.  The
-    # open gaps form the runs 1..19 and 22..30: the second is proven empty,
-    # the first holds realized gaps and is scanned gap by gap.
-    walk = np.zeros(20_000, dtype=np.int8)
-    walk[[7, 19_000]] = 1
-    walk[[27, 28, 19_005, 19_009, 19_013]] = 2
-    runs, fallback = [], []
-
-    def run_hits(words_u, words_v, spans):
-        hits = real_run_hits(words_u, words_v, spans)
-        runs.append(list(zip(spans, hits)))
-        return hits
-
-    def scan_gaps(words_u, words_v, gaps, *args):
-        if not args:
-            fallback.append(gaps.tolist())
-        return real_scan_gaps(words_u, words_v, gaps, *args)
-
-    real_run_hits, real_scan_gaps = gapscan._run_hits, gapscan._scan_gaps
-    with mock.patch.multiple(gapscan, _PREFIX=64, _run_hits=run_hits, _scan_gaps=scan_gaps):
-        got = _dense_gap_mask(walk, 1, 2, 30)
-    assert list(np.flatnonzero(got)) == [5, 9, 13, 20, 21]
-    assert list(got) == _direct_gap_mask(walk, 1, 2, 30)
-    assert runs == [[((1, 19), True), ((22, 30), False)]]
-    assert fallback == [list(range(1, 20))]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_run_interval_tests_match_the_gap_differences(seed):
-    # Every run (a, b) with 1 <= a <= b <= 200 and width up to 70: widths on
-    # both sides of each doubling rung, starts at every bit offset and word.
-    rng = np.random.default_rng(seed)
-    walk = rng.choice(np.array([0, 1, 2], dtype=np.int8), 700, p=[0.9, 0.05, 0.05])
-    words = -(-walk.size // 64)
-    _, words_u = gapscan._packed_occurrences(walk, 1, words)
-    _, words_v = gapscan._packed_occurrences(walk, 2, words + 200 // 64 + 1)
-    diffs = np.subtract.outer(np.flatnonzero(walk == 2), np.flatnonzero(walk == 1)).ravel()
-    realized = np.zeros(202, dtype=bool)
-    realized[diffs[(diffs >= 1) & (diffs <= 200)]] = True
-    runs = [(a, b) for a in range(1, 201) for b in range(a, min(a + 70, 201))]
-    want = [bool(realized[a: b + 1].any()) for a, b in runs]
-    assert gapscan._run_hits(words_u, words_v, runs) == want
+    # A loop run of a steps adds its zeros as the interval e .. e + a, and
+    # the engine smears rows over it in O(log a) shifts: every window up to
+    # past the walk must equal the walk scan for all pairs.
+    spec = _SMEAR_SPECS[seed]
+    rng = random.Random(seed)
+    for m in range(1, spec.depth + 2):
+        for n in range(1, m + 1):
+            l_m = circuit_length(spec, m)
+            for window in sorted({1, 2, 3, 7, 8, 15, 16, 31, 32, 33, rng.randint(1, l_m + 3)}):
+                want = walk_gaps(spec, m, n, window)
+                assert np.array_equal(realized_gap_table(spec, m, n, window)[0], want), (m, n, window)
 
 
-@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("past_cap", [False, True])
 @pytest.mark.parametrize(
     "spec, m, n, max_gap, vertices",
     [
@@ -706,18 +649,20 @@ def test_run_interval_tests_match_the_gap_differences(seed):
         (gen_substitution_family(depth=6), 6, 2, 100, None),
     ],
 )
-def test_nonzero_pair_gap_set_reads_the_vertex_one_row(spec, m, n, max_gap, vertices, dense):
+def test_nonzero_pair_gap_set_reads_the_vertex_one_row(spec, m, n, max_gap, vertices, past_cap):
     # Every pair of nonzero vertices (u > v and u == v included) is read
-    # off the one v1 -> v1 distance row; it must equal the scan of both
-    # vertices' occurrences.
-    walk = _walk_array(spec, m, n)
-    vertices = vertices or range(1, circuit_length(spec, n))
-    with mock.patch.object(gapscan, "_sparse_join_cheaper", lambda *args: not dense):
-        for u in vertices:
-            for v in vertices:
-                want = tuple(np.flatnonzero(_direct_gap_mask(walk, u, v, max_gap)).tolist())
-                got = gap_set(spec, m, n, u, v, max_gap)
-                assert (got.gaps, got.engine) == (want, "materialized"), (u, v)
+    # off the one block-start row; it must equal the walk scan.  Past the
+    # cap, at the least cap that the window fits, the label reads "strips"
+    # unless the walk fits too (m == n).
+    l_m, l_n = circuit_length(spec, m), circuit_length(spec, n)
+    cap = max(min(max_gap, l_m), l_n) + 1 if past_cap else None
+    engine = "strips" if past_cap and l_m + 1 > cap else "materialized"
+    want = walk_gaps(spec, m, n, max_gap)
+    vertices = vertices or range(1, l_n)
+    for u in vertices:
+        for v in vertices:
+            got = gap_set(spec, m, n, u, v, max_gap, cap=cap)
+            assert (got.gaps, got.engine) == (tuple(np.flatnonzero(want[u, v]).tolist()), engine), (u, v)
 
 
 # GapSet.to_dict() of the benchmark's gap queries on the mixing walk (l1 = 11,
