@@ -579,7 +579,13 @@ def cmd_family(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", help="covering spec JSON file, or - for stdin")
-    common.add_argument("--cap", type=int, help="expansion cap override")
+    common.add_argument(
+        "--cap",
+        type=int,
+        help="expansion cap override (default 1e8 or PROXRANK2_CAP): the longest word or walk,"
+        " about 1 byte per step; a gap query's window stays below twice the cap, and its rows"
+        " below about 8 bytes per unit of cap",
+    )
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
         "--json-errors", action="store_true", help="report errors as JSON on stderr"

@@ -329,18 +329,13 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     ``hd``: ``near | runs`` shifted to each copy start up to the window,
     and ``tl`` smeared over each loop run that starts within it.  A smear
     over ``a`` takes ``O(log a)`` shifts, and no step loops over the bits
-    of a set.
-
-    Once circuit ``k`` is longer than the window, a pair within it crosses
-    at most one loop run, so the level costs one shift of ``twin`` per
-    distinct inner run and smears over the distinct runs, not one step per
-    slot.
+    of a set.  On the top level only the rows are kept up to date.
 
     Memory: about two dozen ints of ``window`` bits, and shifts of twice
     that while they are cut: at most about 4 bytes per window entry (3.7
     measured at a window of 1e6).  Time per level: a few shifts and ORs of
-    such ints per slot (per distinct run past the window), plus ``log a``
-    shifts per smear over a loop run of ``a`` steps.
+    such ints per slot, plus ``log a`` shifts per smear over a loop run of
+    ``a`` steps.
     """
     cut = window
     mask = (1 << cut + 1) - 1
@@ -374,51 +369,42 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     for k in range(n, m):
         lm = spec.levels[k - 1]
         a = lm.a
-        if l > cut:  # a pair within the window crosses at most one run
-            for x in set(a[1:-1]):
-                rows = [rows[p] | shift(twin[p], x) for p in pairs]
-            # The sweep's end state: only the last copy and run are in reach.
-            near = [shift(y, a[-1]) for y in twin]
-            if zeros:
-                for x in set(a[:-1]):  # a run's zeros to the next copy
-                    rows[2] |= smear(hd[0], x)
-                    rows[3] |= smear(hd[1], x)
-                for x in set(a[1:]):  # a copy to the next run's zeros
-                    rows[1] |= smear(tl[0], x)
-                    rows[3] |= smear(tl[1], x)
-                runs = [smear(y, a[-1]) for y in hd]
-                tail = [shift(tl[0], a[-1]), shift(tl[1], a[-1]) | smear(1, a[-1])]
-                head = [shift(hd[0], a[0]), shift(hd[1], a[0]) | smear(1, a[0])]
-        else:
-            near = [0] * len(rows)
-            runs, tail, head = [0, 0], [0, 1], [0, 1]
-            cur = 0
-            for j, x in enumerate(a):
-                if x:
-                    near = [shift(y, x) for y in near]
-                    if zeros:
-                        rows[1] |= smear(tail[0], x)
-                        rows[3] |= smear(tail[1], x)
-                        ones = smear(1, x)
-                        tail = [shift(tail[0], x), shift(tail[1], x) | ones]
-                        runs = [shift(runs[i], x) | smear(hd[i], x) for i in (0, 1)]
-                        if cur <= cut:
-                            head[1] |= shift(ones, cur)
-                    cur += x
-                if j == lm.b:
-                    break
-                for p in pairs:  # copy j starts at cur
-                    rows[p] |= near[p]
-                    near[p] = shift(near[p], l) | twin[p]
+        top = k == m - 1  # past the top level only the rows are read
+        near = [0] * len(rows)
+        runs, tail, head = [0, 0], [0, 1], [0, 1]
+        cur = 0
+        for j, x in enumerate(a):
+            if x:
                 if zeros:
-                    rows[2] |= runs[0]
-                    rows[3] |= runs[1]
+                    rows[1] |= smear(tail[0], x)
+                    rows[3] |= smear(tail[1], x)
+                if top and j == lm.b:
+                    break
+                near = [shift(y, x) for y in near]
+                if zeros:
+                    ones = smear(1, x)
+                    tail = [shift(tail[0], x), shift(tail[1], x) | ones]
+                    runs = [shift(runs[i], x) | smear(hd[i], x) for i in (0, 1)]
+                    if cur <= cut and not top:
+                        head[1] |= shift(ones, cur)
+                cur += x
+            if j == lm.b:
+                break
+            last = top and j == lm.b - 1  # no copy after this one reads near or runs
+            for p in pairs:  # copy j starts at cur
+                rows[p] |= near[p]
+                if not last:
+                    near[p] = shift(near[p], l) | twin[p]
+            if zeros:
+                rows[2] |= runs[0]
+                rows[3] |= runs[1]
+                if not last:
                     runs = [shift(y, l) for y in runs]
-                    tail = [shift(tail[i], l) | tl[i] for i in (0, 1)]
-                    if cur <= cut:
-                        head = [head[i] | shift(hd[i], cur) for i in (0, 1)]
-                cur += l
-        if k == m - 1:
+                tail = [shift(tail[i], l) | tl[i] for i in (0, 1)]
+                if cur <= cut and not top:
+                    head = [head[i] | shift(hd[i], cur) for i in (0, 1)]
+            cur += l
+        if top:
             break
         if zeros:
             near = [near[p] | runs[p & 1] if p >= 2 else near[p] for p in pairs]

@@ -390,9 +390,11 @@ def test_walk_and_time_row_stay_under_two_bytes_per_step():
 
 @pytest.mark.parametrize("shift", range(8))
 def test_dense_gap_mask_matches_direct_scan(shift):
-    # The gap rows are bit rows unpacked a byte at a time: gap rows of
-    # every size mod 8, and row reaches (max_gap + l_n - 1) of every size
-    # mod 8, must equal the walk scan for every pair.
+    # The dense gap mask is the bool row that gap_set and realized_gap_table
+    # unpack from a bitset row a byte at a time, and the direct scan is the
+    # walk scan: masks of every size mod 8, at row reaches (max_gap + l_n - 1)
+    # of every size mod 8, must equal it for every pair.  Every size, not
+    # the random ones of test_gap_engine_equals_walk_scan_for_all_pairs.
     for spec, m, n in ((gen_mixing_family(depth=5), 4, 1), (gen_not_weakmix_family(3, depth=8), 7, 2)):
         max_gap = 40 + shift
         want = walk_gaps(spec, m, n, max_gap)
@@ -548,7 +550,7 @@ _ENGINE_SPECS = (
 def test_gap_engine_equals_walk_scan_for_all_pairs(spec, data):
     # The table and the gap sets of every pair, vertex 0 included, equal the
     # walk scan.  Windows sit at l_k - 1, l_k and l_k + 1 of each level on
-    # the way, where the recursion stops reaching past one loop run, or
+    # the way, where a shift by the circuit length starts to cut to zero, or
     # anywhere up to past the walk.
     top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 4_000)
     m = data.draw(st.integers(1, top), label="m")
@@ -625,9 +627,10 @@ _SMEAR_SPECS = (
 
 @pytest.mark.parametrize("seed", range(3))
 def test_run_interval_tests_match_the_gap_differences(seed):
-    # A loop run of a steps adds its zeros as the interval e .. e + a, and
-    # the engine smears rows over it in O(log a) shifts: every window up to
-    # past the walk must equal the walk scan for all pairs.
+    # A loop run of a steps adds its zeros as the run interval e .. e + a,
+    # and the engine tests pairs against it by smearing rows over it in
+    # O(log a) shifts; those tests must match the gap differences of the
+    # walk scan for all pairs, at every window up to past the walk.
     spec = _SMEAR_SPECS[seed]
     rng = random.Random(seed)
     for m in range(1, spec.depth + 2):
