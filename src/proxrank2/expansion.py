@@ -331,11 +331,21 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     over ``a`` takes ``O(log a)`` shifts, and no step loops over the bits
     of a set.  On the top level only the rows are kept up to date.
 
+    Once ``l`` is past the window, a pair within it spans at most one loop
+    run, and the level needs no sweep: each distinct inner run ``x`` adds
+    ``twin`` shifted by ``x``, each distinct run after (before) a copy adds
+    ``tl`` (``hd``) smeared over it.  The new ``hd`` and ``tl`` are those of
+    the first and last copy shifted past the margins ``a_0`` and ``a_b``,
+    and the new ``twin`` the old one shifted past both, plus the zeros of
+    each margin against the copy at the other end.  Circuits only grow, so
+    the sweep runs while ``l <= window`` and this step after that.
+
     Memory: about two dozen ints of ``window`` bits, and shifts of twice
     that while they are cut: at most about 4 bytes per window entry (3.7
-    measured at a window of 1e6).  Time per level: a few shifts and ORs of
-    such ints per slot, plus ``log a`` shifts per smear over a loop run of
-    ``a`` steps.
+    measured at a window of 1e6).  Time per level: within the window, a
+    few shifts and ORs of such ints per slot; past it, one shift per
+    distinct inner run; both plus ``O(log a)`` shifts per smear over a loop
+    run of ``a`` steps.
     """
     cut = window
     mask = (1 << cut + 1) - 1
@@ -370,6 +380,31 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
         lm = spec.levels[k - 1]
         a = lm.a
         top = k == m - 1  # past the top level only the rows are read
+        if l > cut:  # a pair within the window spans at most one loop run
+            for x in set(a[1:-1]):  # a copy to the next one
+                rows = [rows[p] | shift(twin[p], x) for p in pairs]
+            if zeros:
+                for x in set(a[1:]):  # a copy to the zeros of the next run
+                    rows[1] |= smear(tl[0], x)
+                    rows[3] |= smear(tl[1], x)
+                for x in set(a[:-1]):  # the zeros of a run to the next copy
+                    rows[2] |= smear(hd[0], x)
+                    rows[3] |= smear(hd[1], x)
+            if top:
+                break
+            a0, ab = a[0], a[-1]  # the new tl ⊕ hd: the last copy and run, then the first run and copy
+            twin = [shift(y, a0 + ab) for y in twin]
+            if zeros:
+                for p in (1, 3):
+                    twin[p] |= shift(smear(tl[p >> 1], a0), ab)
+                for p in (2, 3):
+                    twin[p] |= shift(smear(hd[p & 1], ab), a0)
+                # The margins' own zeros stay out of hd, tl and twin: with the
+                # runs around them they fill one run of zeros at each junction
+                # of copies, whose distances the smears and twin[ZZ] give.
+                hd = [shift(y, a0) for y in hd]
+                tl = [shift(y, ab) for y in tl]
+            continue  # circuits only grow: every later level takes this step
         near = [0] * len(rows)
         runs, tail, head = [0, 0], [0, 1], [0, 1]
         cur = 0

@@ -40,6 +40,7 @@ from proxrank2 import (
 from proxrank2 import dynamics, expansion, mixing_window_check
 from proxrank2.expansion import (
     _block_start_differences,
+    _gap_rows,
     _time_row,
     _walk_array,
 )
@@ -532,6 +533,8 @@ _ENGINE_SPECS = (
     telescope(gen_not_weakmix_family(3, depth=10), [1, 8, 10]),
     telescope(gen_mixing_family(depth=6), [1, 4, 5]),
     telescope(gen_uniquely_ergodic_family(depth=6), [1, 4, 5]),
+    # margins >= 2 and repeated inner runs, some zero, past the window
+    CoveringSpec(l1=3, levels=(LevelMap(a=(3, 0, 2, 0, 2, 3), b=5),) * 4),
 )
 
 
@@ -550,14 +553,16 @@ _ENGINE_SPECS = (
 def test_gap_engine_equals_walk_scan_for_all_pairs(spec, data):
     # The table and the gap sets of every pair, vertex 0 included, equal the
     # walk scan.  Windows sit at l_k - 1, l_k and l_k + 1 of each level on
-    # the way, where a shift by the circuit length starts to cut to zero, or
-    # anywhere up to past the walk.
+    # the way, where a shift by the circuit length starts to cut to zero;
+    # or so that the rows' window (max_gap + l_n - 1) sits there, where a
+    # level stops sweeping its slots; or anywhere up to past the walk.
     top = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) <= 4_000)
     m = data.draw(st.integers(1, top), label="m")
     # the table has l_n^2 entries per gap
     n = data.draw(st.integers(1, max(k for k in range(1, m + 1) if circuit_length(spec, k) <= 40)), label="n")
     l_m, l_n = circuit_length(spec, m), circuit_length(spec, n)
     near = {l for k in range(n, m + 1) for l in (circuit_length(spec, k) + d for d in (-1, 0, 1))}
+    near |= {circuit_length(spec, k) - l_n + d for k in range(n, m + 1) for d in (0, 1, 2)}
     window = data.draw(
         st.one_of(st.sampled_from(sorted(near - {0})), st.integers(1, 2 * l_m + 3)), label="window"
     )
@@ -569,6 +574,85 @@ def test_gap_engine_equals_walk_scan_for_all_pairs(spec, data):
         for v in vertices:
             got = gap_set(spec, m, n, u, v, window)
             assert got.gaps == tuple(np.flatnonzero(want[u, v]).tolist()), (u, v)
+
+
+_FAMILIES = (
+    gen_mixing_family(depth=7),
+    gen_mixing_family(l1=13, depth=6),
+    gen_substitution_family(depth=8),
+    gen_not_weakmix_family(3, depth=10),
+    gen_weakmix_not_mix_family(depth=5),
+    gen_uniquely_ergodic_family(depth=8),
+)
+
+
+def _assert_rows_cut_from_swept(spec, m, n, windows):
+    # At window l_{m-1} every level sweeps its slots; levels whose circuits
+    # are longer than a window W take the closed-form step.  Cut to W, the
+    # swept rows must equal the rows built at W.
+    full = circuit_length(spec, m - 1)
+    for zeros in (True, False):
+        swept = _gap_rows(spec, m, n, full, zeros)
+        for window in sorted(w for w in windows if 0 <= w <= full):
+            mask = (1 << window + 1) - 1
+            cut = _gap_rows(spec, m, n, window, zeros)
+            assert cut == [row & mask for row in swept], (m, n, window, zeros)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_FAMILIES),
+        st.builds(
+            lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+            st.integers(1, 6),
+            st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=1, max_size=9),
+        ),
+    ),
+    st.data(),
+)
+def test_gap_rows_past_the_window_equal_the_swept_rows(spec, data):
+    # At lengths far past the walk scan's reach, for every base level n:
+    # every W up to 40, W at l_k - 1, l_k and l_k + 1 of each level on the
+    # way, and a random W up to l_{m-1}.
+    lengths = [circuit_length(spec, k) for k in range(1, spec.depth + 2)]
+    top = max(k for k in range(2, spec.depth + 2) if lengths[k - 2] <= 200_000)
+    m = data.draw(st.integers(2, top), label="m")
+    window = data.draw(st.integers(0, lengths[m - 2]), label="window")
+    for n in range(1, m):
+        near = {lengths[k - 1] + d for k in range(n, m) for d in (-1, 0, 1)}
+        _assert_rows_cut_from_swept(spec, m, n, near | set(range(41)) | {window})
+
+
+@pytest.mark.parametrize("l1, runs", [
+    (6, ((3, 3, 0), (3, 3, 1), (0, 3), (0, 2, 2), (3, 0))),
+    (11, ((3, 3, 2), (0, 3, 2, 2), (3, 1, 3), (2, 2, 1))),
+], ids=["l1_6", "l1_11"])
+def test_gap_rows_past_the_window_with_unequal_margins(l1, runs):
+    # The new twin shifts the last copy's tail past a_b and the first
+    # copy's head past a_0; margins that differ tell the two apart.
+    spec = CoveringSpec(l1=l1, levels=tuple(LevelMap(a=a, b=len(a) - 1) for a in runs))
+    for m in range(2, spec.depth + 2):
+        for n in range(1, m):
+            near = {circuit_length(spec, k) + d for k in range(n, m) for d in (-1, 0, 1)}
+            _assert_rows_cut_from_swept(spec, m, n, near | set(range(41)))
+
+
+# sha256 prefixes of hex() of the rows [BB, BZ, ZB, ZZ] of the mixing family
+# (depth 800, n = 1, window 2 (m - 1) + 10), captured while every level
+# still swept its slots.
+_PINNED_DEEP_ROWS = {
+    121: ("4069604d52ccac5c", "4069604d52ccac5c", "a52e2f9f0a094578", "a52e2f9f0a094578"),
+    401: ("df2171685558968f", "df2171685558968f", "76a336972cd8e3e2", "76a336972cd8e3e2"),
+    801: ("04cea791dcaa651e", "04cea791dcaa651e", "6798793b84eabcee", "6798793b84eabcee"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_PINNED_DEEP_ROWS))
+def test_deep_gap_rows_are_pinned(m):
+    rows = _gap_rows(gen_mixing_family(depth=800), m, 1, 2 * (m - 1) + 10)
+    digests = tuple(hashlib.sha256(hex(row).encode()).hexdigest()[:16] for row in rows)
+    assert digests == _PINNED_DEEP_ROWS[m]
 
 
 def test_materialized_table_never_counts_pairs():
