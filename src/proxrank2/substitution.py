@@ -19,8 +19,6 @@ from .covering import expansion_cap
 from .errors import ExpansionTooLarge, UsageError
 from .report import Report
 
-_MAX_STABILIZE_ITER = 64
-
 
 @dataclass(frozen=True)
 class Substitution:
@@ -50,10 +48,21 @@ BETA = Substitution({"0": "1001001", "1": "1"})
 
 
 def apply_word(sub: Substitution, word: str) -> str:
-    try:
-        return "".join(sub.rules[ch] for ch in word)
-    except KeyError as exc:
-        raise UsageError(f"letter {exc.args[0]!r} outside the alphabet {sub.alphabet}") from exc
+    bad = sub.problems()
+    if bad:
+        raise UsageError("; ".join(bad))
+    table = str.maketrans(sub.rules)
+    # Deleting the alphabet leaves the foreign letters in order; translate
+    # alone would pass them through unchanged.
+    foreign = word.translate(dict.fromkeys(table))
+    if foreign:
+        raise UsageError(f"letter {foreign[0]!r} outside the alphabet {sub.alphabet}")
+    return word.translate(table)
+
+
+def _image_length(sub: Substitution, word: str) -> int:
+    """``len(apply_word(sub, word))`` without building it (``word`` in the alphabet)."""
+    return sum(word.count(x) * len(w) for x, w in sub.rules.items())
 
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
@@ -74,11 +83,12 @@ def iterate(sub: Substitution, letter: str, k: int, cap: int | None = None) -> s
     word = letter
     if any(ch not in sub.rules for ch in word):
         raise UsageError(f"seed {letter!r} outside the alphabet {sub.alphabet}")
+    table = str.maketrans(sub.rules)
     for _ in range(k):
-        grown = sum(len(sub.rules[ch]) for ch in word)
+        grown = _image_length(sub, word)
         if grown > limit:
             raise ExpansionTooLarge(grown, limit, what="substitution iterate")
-        word = apply_word(sub, word)
+        word = word.translate(table)
     return word
 
 
@@ -109,23 +119,40 @@ def factor_language(
     """Union of the length-``length`` factors of all iterates ``sub^k(seed)``.
 
     The seed is iterated until it has ``length`` letters, at iterate ``k0``.
-    From ``G = Fact_L(sub^k0(seed))`` a breadth-first closure then adds
-    ``Fact_L(sub(v))`` for each newly found ``v``.  Images are nonempty, so a
-    window of ``sub(w)`` lies in the image of at most ``L`` consecutive
-    letters of ``w``, which extend to a length-``L`` factor once
-    ``|w| >= L``.  Hence
-    ``Fact_L(sub^(k+1)(seed)) = U_{v in Fact_L(sub^k(seed))} Fact_L(sub(v))``
-    for ``k >= k0``: layer ``j`` adds exactly the new factors of iterate
-    ``k0 + j``, and a layer that adds nothing leaves ``G`` closed under the
-    step, a fixed point that proves the union final.  ``stabilized_at`` is
-    the last iterate that added a factor (or the iterate at which a short
-    seed became a fixed word).
+    A word that does not grow for ``|A|`` consecutive steps (``A`` the
+    alphabet) never grows again: along those steps every letter position
+    repeats a letter, so each letter of the word lies on a cycle of
+    one-letter images.  Such a seed proves the union empty at that iterate
+    (or at once, if it is a fixed word); any other seed grows at least once
+    every ``|A| + 1`` steps and reaches ``length`` letters within
+    ``length * (|A| + 1)`` steps, unless the cap stops it first.
+
+    From ``G = Fact_L(sub^k0(seed))`` a breadth-first closure then adds one
+    iterate per layer.  Images are nonempty, so a window of ``sub(w)`` that
+    starts in ``sub(w_i)`` lies in ``sub(w_i ... w_(i+L-1))``.  It is thus a
+    window of ``sub(v)`` that starts in ``sub(v[0])`` for the factor
+    ``v = w[i: i + L]``, unless it starts in the image of one of the last
+    ``L - 1`` letters, and then it is a window of ``sub(T)`` for the
+    length-``L`` suffix ``T`` of ``w``.  Layer ``j`` therefore adds, for each
+    factor found by layer ``j - 1``, the windows of its image that start in
+    the image of its first letter, and every window of ``sub(T)`` for the
+    suffix ``T`` of iterate ``k0 + j - 1``, carried as ``T <- sub(T)[-L:]``.
+    Windows of factors found earlier were added by earlier layers, so layer
+    ``j`` adds exactly the new factors of iterate ``k0 + j``.  A layer that
+    adds nothing leaves ``G`` closed under ``v -> Fact_L(sub(v))``, a fixed
+    point that proves the union final.  ``stabilized_at`` is the last
+    iterate that added a factor (or the iterate at which a short seed was
+    proved never to grow).
+
+    Cost: for ``n`` factors found by the layer before, a layer slices
+    ``O(max|sub(x)| * (n + L))`` windows of ``L`` letters, where every
+    window of every ``sub(v)`` would be ``O(max|sub(x)| * n * L)``.  Images
+    are built by ``str.translate`` on one table.
 
     Memory bound: the factor set holds at most ``expansion_cap(cap)``
     letters (``len(factors) * length``; one byte per letter plus about 50
     bytes of ``str`` header per factor).  Past it, or when growing the seed
-    would pass the cap or take ``_MAX_STABILIZE_ITER`` steps, the partial set
-    is returned flagged unstabilized.
+    would pass the cap, the partial set is returned flagged unstabilized.
     """
     if length < 1:
         raise UsageError(f"factor length must be >= 1, got {length}")
@@ -137,6 +164,7 @@ def factor_language(
     if any(ch not in sub.rules for ch in seed):
         raise UsageError(f"seed {seed!r} outside the alphabet {sub.alphabet}")
     limit = expansion_cap(cap)
+    table = str.maketrans(sub.rules)
 
     def result(seen, stabilized_at, steps):
         return FactorLanguage(
@@ -147,23 +175,29 @@ def factor_language(
             iterations=steps,
         )
 
-    word, k = seed, 0
+    word, k, flat = seed, 0, 0
     while len(word) < length:
-        if k >= _MAX_STABILIZE_ITER or sum(len(sub.rules[ch]) for ch in word) > limit:
+        if _image_length(sub, word) > limit:
             return result((), None, k)
-        grown = apply_word(sub, word)
-        if grown == word:
-            # A fixed word shorter than a window: the union stays empty.
+        grown = word.translate(table)
+        if grown == word or flat == len(sub.rules):
+            # A word shorter than a window that never grows: the union stays empty.
             return result((), k, k)
+        flat = flat + 1 if len(grown) == len(word) else 0
         word, k = grown, k + 1
+    heads = {x: range(len(w)) for x, w in sub.rules.items()}
     seen = windows(word, length)
     frontier = seen
+    tail = word[-length:]
     while frontier:
         if len(seen) * length > limit:
             return result(seen, None, k)
-        found: set[str] = set()
+        image = tail.translate(table)
+        found = windows(image, length)
+        tail = image[-length:]
         for v in frontier:
-            found |= windows(apply_word(sub, v), length)
+            image = v.translate(table)
+            found.update([image[i: i + length] for i in heads[v[0]]])
         frontier = found - seen
         seen |= frontier
         k += 1
@@ -212,16 +246,15 @@ def conjugation_identity(k: int, ell: int, cap: int | None = None) -> bool:
     """Check ``ALPHA^k(1^ell 0) == BETA^k(1^(ell-k) 0 1^k)`` (needs ``ell > k >= 1``)."""
     if not 1 <= k < ell:
         raise UsageError(f"need ell > k >= 1, got k={k}, ell={ell}")
-    left_seed = "1" * ell + "0"
-    right_seed = "1" * (ell - k) + "0" + "1" * k
-    left = left_seed
-    right = right_seed
+    limit = expansion_cap(cap)
+    left = "1" * ell + "0"
+    right = "1" * (ell - k) + "0" + "1" * k
     for _ in range(k):
+        grown = max(_image_length(ALPHA, left), _image_length(BETA, right))
+        if grown > limit:
+            raise ExpansionTooLarge(grown, limit, what="conjugation check")
         left = apply_word(ALPHA, left)
         right = apply_word(BETA, right)
-        limit = expansion_cap(cap)
-        if len(left) > limit or len(right) > limit:
-            raise ExpansionTooLarge(max(len(left), len(right)), limit, what="conjugation check")
     return left == right
 
 

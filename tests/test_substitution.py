@@ -1,6 +1,8 @@
 """The two-letter substitution model and its bridge to the covering rows."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from proxrank2 import (
     ALPHA,
     BETA,
     TAU,
+    ExpansionTooLarge,
     Substitution,
     UsageError,
     apply_word,
@@ -17,6 +20,7 @@ from proxrank2 import (
     commute_check,
     compose,
     conjugation_identity,
+    expansion_cap,
     factor_language,
     gen_substitution_family,
     iterate,
@@ -50,6 +54,18 @@ def test_conjugation_identity_holds_in_required_range():
     for k in range(1, 5):
         for ell in range(k + 1, k + 6):
             assert conjugation_identity(k, ell) is True
+
+
+def test_conjugation_identity_stops_before_building_past_the_cap():
+    cap = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionTooLarge):
+            conjugation_identity(11, 12, cap=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cap
 
 
 def test_conjugation_identity_rejects_bad_exponents():
@@ -134,14 +150,16 @@ def test_bridge_across_window_sizes():
 
 
 def test_apply_word_rejects_foreign_letters():
-    with pytest.raises(UsageError):
-        apply_word(BETA, "0x1")
+    with pytest.raises(UsageError, match="letter 'x' outside"):
+        apply_word(BETA, "0x1y")
+    with pytest.raises(UsageError, match="single characters"):
+        apply_word(Substitution({"01": "1", "1": "1"}), "1")
 
 
 @st.composite
-def _substitutions(draw):
+def _substitutions(draw, max_image=4):
     alphabet = "012"[: draw(st.integers(2, 3))]
-    images = st.text(alphabet, min_size=1, max_size=4)
+    images = st.text(alphabet, min_size=1, max_size=max_image)
     return Substitution({x: draw(images) for x in alphabet}), alphabet
 
 
@@ -151,12 +169,8 @@ def test_factor_language_equals_brute_force_union(drawn, data, length):
     sub, alphabet = drawn
     seed = data.draw(st.text(alphabet, min_size=1, max_size=3))
     lang = factor_language(sub, seed, length)
-    if not lang.stabilized:
-        # only a seed whose iterates never reach `length` letters and never
-        # settle on a fixed word is left open
-        assert lang.factors == frozenset()
-        assert len(iterate(sub, seed, 64)) < length
-        return
+    # only the cap leaves a closure open, and the default cap never trips here
+    assert lang.stabilized
     word, union = seed, set()
     for k in range(lang.stabilized_at + 40):
         factors = {word[i: i + length] for i in range(len(word) - length + 1)}
@@ -169,6 +183,61 @@ def test_factor_language_equals_brute_force_union(drawn, data, length):
         word = apply_word(sub, word)
     assume(k > lang.stabilized_at)
     assert union == lang.factors
+
+
+def _whole_window_closure(sub, seed, length, cap):
+    """The closure that slices every window of ``sub(v)``; the seed grows
+    until it reaches ``length`` letters or stops growing for ``|A|`` steps."""
+    word, k, flat = seed, 0, 0
+    while len(word) < length:
+        grown = apply_word(sub, word)
+        if len(grown) > cap:
+            return frozenset(), False, None, k
+        if grown == word or flat == len(sub.rules):
+            return frozenset(), True, k, k
+        flat = flat + 1 if len(grown) == len(word) else 0
+        word, k = grown, k + 1
+    seen = frontier = {word[i: i + length] for i in range(len(word) - length + 1)}
+    while frontier:
+        if len(seen) * length > cap:
+            return frozenset(seen), False, None, k
+        found = set()
+        for v in frontier:
+            image = apply_word(sub, v)
+            found |= {image[i: i + length] for i in range(len(image) - length + 1)}
+        frontier = found - seen
+        seen |= frontier
+        k += 1
+    return frozenset(seen), True, k - 1, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _substitutions(max_image=7),
+    st.data(),
+    st.integers(1, 24),
+    st.one_of(st.none(), st.integers(1, 600)),
+)
+def test_factor_language_equals_whole_window_closure(drawn, data, length, cap):
+    # small caps trip mid-closure, so the unstabilized returns are compared too
+    sub, alphabet = drawn
+    seed = data.draw(st.text(alphabet, min_size=1, max_size=3))
+    lang = factor_language(sub, seed, length, cap=cap)
+    got = (lang.factors, lang.stabilized, lang.stabilized_at, lang.iterations)
+    assert got == _whole_window_closure(sub, seed, length, expansion_cap(cap))
+
+
+def test_short_seeds_that_stop_growing_stabilize_empty():
+    swap = factor_language(Substitution({"0": "1", "1": "0"}), "0", 3)
+    assert swap.stabilized and swap.factors == frozenset()
+    assert swap.stabilized_at == swap.iterations == 2
+    chain = factor_language(Substitution({"0": "1", "1": "2", "2": "0"}), "01", 5)
+    assert chain.stabilized and chain.factors == frozenset()
+    slow = Substitution({"0": "01", "1": "1"})
+    for length in (60, 80, 200):
+        lang = factor_language(slow, "0", length)
+        assert lang.stabilized and lang.stabilized_at == length
+        assert lang.factors == {"0" + "1" * (length - 1), "1" * length}
 
 
 def test_iterate_rejects_malformed_substitutions():
