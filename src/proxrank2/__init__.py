@@ -101,6 +101,7 @@ from .expansion import (
     gap_structure_report,
     realized_gap_table,
     time_word,
+    walk_windows,
 )
 from .families import (
     TAG_CUSTOM,

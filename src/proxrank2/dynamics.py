@@ -35,11 +35,14 @@ from .errors import (
 )
 from .expansion import (
     _block_start_differences,
+    _check_positions,
+    _gap_rows,
     _time_row,
     _walk_array,
     cumulative_runs,
     d_word,
     realized_gap_table,
+    walk_windows,
 )
 from .families import extend_family
 from .report import Report
@@ -390,6 +393,11 @@ def array_block(
     Relative time 0 is the seed position; a window reaching outside the span
     of the seed's top block raises :class:`WindowUndetermined` naming the
     first undetermined time.
+
+    Each row reads one window of its level's walk of the top circuit
+    (:func:`~proxrank2.expansion.walk_windows`), at any depth.  Memory per
+    row: one base walk of at most 2^20 entries, plus 8 bytes per window
+    entry for the index arrays, plus the row itself.
     """
     t0, t1 = window
     if t0 > t1:
@@ -400,18 +408,16 @@ def array_block(
         raise WindowUndetermined(t0)
     if pos + t1 > l_top - 1:
         raise WindowUndetermined(l_top - 1 - pos + 1)
-    walks = level_walks(spec, seed.top_level, seed.base_level, cap=cap)
+    span = t1 - t0 + 1
     rows = []
-    lo, hi = pos + t0, pos + t1
-    for k in sorted(walks, reverse=True):
-        walk = walks[k]
-        cuts = tuple(int(t0 + i) for i in np.flatnonzero(walk[lo: hi + 1] == 0))
+    for k in range(seed.top_level, seed.base_level - 1, -1):
+        walk = walk_windows(spec, seed.top_level, k, [pos + t0], span + 1, cap=cap)[0]
         rows.append(
             ArrayRow(
                 level=k,
-                symbols=_step_symbols(walk, lo, hi - lo + 1).tobytes().decode("ascii"),
-                cuts=cuts,
-                end_cut=bool(walk[hi + 1] == 0),
+                symbols=_step_symbols(walk, 0, span).tobytes().decode("ascii"),
+                cuts=tuple((np.flatnonzero(walk[:span] == 0) + t0).tolist()),
+                end_cut=bool(walk[span] == 0),
             )
         )
     return ArrayBlock(seed=seed, window=(t0, t1), rows=tuple(rows))
@@ -462,6 +468,12 @@ def li_yorke_witness(
     whose walk puts both orbits on the same level-``k`` vertex; a separation
     event is a time with differing level-1 symbols.  Events are reported,
     never asserted — the caller decides what they prove.
+
+    Each level reads the two windows of its walks of the top circuits
+    (:func:`~proxrank2.expansion.walk_windows`, one call when both seeds
+    share their top), at any depth.  Memory per level: one base walk of at
+    most 2^20 entries per top, plus 8 bytes per window entry for the index
+    arrays, plus the two windows and the ``int32`` row of deepest levels.
     """
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
@@ -478,36 +490,29 @@ def li_yorke_witness(
         if pos + t_hi > circuit_length(spec, top) - 1:
             raise WindowUndetermined(circuit_length(spec, top) - 1 - pos + 1)
     k_max = min(k_target, seed_a.top_level, seed_b.top_level)
-    walks: dict[int, dict[int, np.ndarray]] = {}
-    for top in {seed_a.top_level, seed_b.top_level}:
-        walks[top] = {
-            k: _walk_array(spec, top, k, cap=cap) for k in range(1, k_max + 1)
-        }
     span = t_hi - t_lo + 1
+    tops, starts = (seed_a.top_level, seed_b.top_level), (pos_a + t_lo, pos_b + t_lo)
+
+    def rows(k: int):  # both seeds' level-k windows, in one call when they share a top
+        if tops[0] == tops[1]:
+            return walk_windows(spec, tops[0], k, starts, span + 1, cap=cap)
+        return [walk_windows(spec, top, k, [s], span + 1, cap=cap)[0] for top, s in zip(tops, starts)]
+
     best = np.zeros(span, dtype=np.int32)
     for k in range(1, k_max + 1):
-        wa = walks[seed_a.top_level][k]
-        wb = walks[seed_b.top_level][k]
-        eq = (
-            wa[pos_a + t_lo: pos_a + t_hi + 1] == wb[pos_b + t_lo: pos_b + t_hi + 1]
-        )
-        best[eq] = k
-    wa1 = walks[seed_a.top_level][1]
-    wb1 = walks[seed_b.top_level][1]
-    sym_a = _step_symbols(wa1, pos_a + t_lo, span)
-    sym_b = _step_symbols(wb1, pos_b + t_lo, span)
-    sep = np.flatnonzero(sym_a != sym_b)
-    proximal = tuple(
-        (int(t_lo + i), int(best[i])) for i in np.flatnonzero(best >= 1)
-    )
+        wa, wb = rows(k)
+        best[wa[:span] == wb[:span]] = k
+        if k == 1:
+            sep = np.flatnonzero(_step_symbols(wa, 0, span) != _step_symbols(wb, 0, span))
+    near = np.flatnonzero(best >= 1)
     return LiYorkeWitness(
         seed_a=seed_a,
         seed_b=seed_b,
         horizon=horizon,
         direction=direction,
         k_target=k_target,
-        proximal_events=proximal,
-        separation_events=tuple(int(t_lo + i) for i in sep),
+        proximal_events=tuple(zip((near + t_lo).tolist(), best[near].tolist())),
+        separation_events=tuple((sep + t_lo).tolist()),
         best_k=int(best.max()) if span else 0,
     )
 
@@ -720,14 +725,11 @@ class ForbiddenWindowReport(Report):
         return {**super().to_dict(), "per_pair": per_pair}
 
 
-def _first_distance_above(dist: np.ndarray, floor: int) -> int | None:
-    """Least ``d > floor`` set in the bool row ``dist``, or ``None``."""
+def _first_distance_above(dist: int, floor: int) -> int | None:
+    """Least ``d > floor`` set in the bitset ``dist``, or ``None``."""
     lo = max(floor + 1, 0)
-    if lo >= dist.size:
-        return None
-    ahead = dist[lo:]
-    i = int(ahead.argmax())
-    return lo + i if ahead[i] else None
+    y = dist >> lo
+    return lo + (y & -y).bit_length() - 1 if y else None
 
 
 def forbidden_window_report(
@@ -751,10 +753,18 @@ def forbidden_window_report(
     first one above ``floor`` is ``d* + (v - u)`` with ``d*`` the least
     distance ``> floor - (v - u)``; over all non-central pairs it is
     ``max(floor + 1, d* - (l_n - 2))`` with ``d*`` the least distance
-    ``> floor - (l_n - 2)``.  Memory: the builder's bitsets over the full
-    window (a few ints of about ``(l_top - l_n) / 8`` bytes) and its row of
-    ``l_top - l_n + 1`` bytes, still refused with exit 3 when the top walk
-    of ``l_top + 1`` entries would exceed the cap.
+    ``> floor - (l_n - 2)``.
+
+    The distances come from the ``BB`` row of
+    :func:`~proxrank2.expansion._gap_rows`, cut at a window of ``2 (len +
+    l_n)`` first.  A row cut at a window is an exact prefix of the row of
+    the whole circuit (window ``l_top - l_n``), so a distance found in it is
+    the answer; while some distance is not found, the window doubles, up to
+    that whole one.  Memory: the builder's bitsets, about 4 bytes per window
+    entry, for a window of at most twice the last distance read (or the
+    whole one).  The call is still refused with exit 3 when the top walk of
+    ``l_top + 1`` entries would exceed the cap, which bounds that whole
+    window.
     """
     rec = spec.family_record
     if rec.problem is not None:
@@ -784,18 +794,22 @@ def forbidden_window_report(
             l_top + 1, limit, what=f"vertex walk of circuit {top} over level {n}"
         )
     l_n = circuit_length(spec, n)
-    dist = _block_start_differences(spec, top, n, l_top - l_n)
-    first = None
-    if l_n >= 2:
-        d = _first_distance_above(dist, len_arith - (l_n - 2))
-        first = None if d is None else max(len_arith + 1, d - (l_n - 2))
+    pairs = [(u, v) for u in range(1, l_n) for v in range(1, l_n)] if (l_n - 1) ** 2 <= 36 else []
+    # The floor of the first gap over all pairs, then one per listed pair.
+    floors = [len_arith - (l_n - 2)] + [len_arith - (v - u) for u, v in pairs] if l_n >= 2 else []
+    whole = l_top - l_n
+    window = min(2 * (len_arith + l_n), whole)
+    found = [None] * len(floors)
+    while floors:
+        dist = _gap_rows(spec, top, n, window, zeros=False)[0]
+        found = [_first_distance_above(dist, f) for f in floors]
+        if window == whole or None not in found:
+            break
+        window = min(2 * window, whole)
+    d = found[0] if found else None
+    first = None if d is None else max(len_arith + 1, d - (l_n - 2))
     width = None if first is None else first - len_arith - 1
-    per_pair: list[tuple[int, int, int | None]] = []
-    if (l_n - 1) ** 2 <= 36:
-        for u in range(1, l_n):
-            for v in range(1, l_n):
-                d = _first_distance_above(dist, len_arith - (v - u))
-                per_pair.append((u, v, None if d is None else d + (v - u)))
+    per_pair = [(u, v, None if d is None else d + (v - u)) for (u, v), d in zip(pairs, found[1:])]
     all_empty = first is None or first > len_arith + 1
     return ForbiddenWindowReport(
         m=m,
@@ -817,7 +831,7 @@ def forbidden_window_report(
 # Level-1 separation of distinct segments
 # --------------------------------------------------------------------------
 
-_SEPARATION_BLOCK = 1 << 18  # level-1 window bytes per batch of level1_separation_check
+_SEPARATION_BLOCK = 1 << 18  # window entries of one side of a batch of level1_separation_check
 
 
 @dataclass(frozen=True)
@@ -853,9 +867,17 @@ def level1_separation_check(
     draws and the pairs taken are those of drawing one pair at a time.  The
     segments of a batch are compared at once, and the least paddings of the
     pairs that differ are read off their level-1 windows with one masked
-    minimum.  Memory: the level-``n`` walk and the level-1 time row of the
-    top circuit, plus a batch of at most ``_SEPARATION_BLOCK`` window bytes
-    (and 8 bytes per window entry for the masked minimum).
+    minimum.
+
+    No row of the top circuit is built: each batch reads one window of the
+    level-``n`` walk per position (:func:`~proxrank2.expansion.walk_windows`),
+    from the padding before it to the padding after.  Its middle is the
+    segment, and step ``t``'s level-1 symbol is ``E`` where ``w[t] ==
+    w[t + 1] == 0`` (a loop step of level ``n``) and otherwise entry
+    ``w[t]`` of the level-1 time row of one level-``n`` block.  Memory: one
+    base walk of at most 2^20 entries, the level-1 row of ``l_n`` bytes,
+    and a batch of at most ``2 * _SEPARATION_BLOCK`` window entries, each with
+    8 bytes of index arrays and 8 bytes for the masked minimum.
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
@@ -873,13 +895,12 @@ def level1_separation_check(
     l_top = circuit_length(spec, top)
     if l_top < length + 2 * pad + 2:
         raise UsageError("top circuit too short for the requested length and padding")
+    _check_positions(spec, top, n)
     # A level-n segment is its walk slice: the vertices fix the cut pattern
     # and, for l_n >= 2, each step symbol (only a loop step stays on 0).
-    walk_n = _walk_array(spec, top, n, cap=cap)
-    row1 = _time_row(spec, top, 1, cap=cap)
-    segments = np.lib.stride_tricks.sliding_window_view(walk_n, length + 1)
+    # For l_n = 1 every segment is the same and no level-1 symbol is read.
+    block1 = _time_row(spec, n, 1, cap=cap)
     width = length + 2 * pad
-    windows = np.lib.stride_tricks.sliding_window_view(row1, width)
     # A difference at offset j of a padded window needs padding need[j].
     rel = np.arange(width) - pad
     need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
@@ -891,12 +912,16 @@ def level1_separation_check(
         batch = min(samples - done, 50 * samples - attempts, step)
         t = np.array(
             [rng.randrange(pad, l_top - length - pad) for _ in range(2 * batch)], dtype=np.int64
-        ).reshape(batch, 2)
-        t = t[(segments[t[:, 0]] != segments[t[:, 1]]).any(axis=1)]
+        )
+        w = walk_windows(spec, top, n, t - pad, width + 1, cap=cap).reshape(batch, 2, width + 1)
+        keep = (w[:, 0, pad: pad + length + 1] != w[:, 1, pad: pad + length + 1]).any(axis=1)
+        t, w = t.reshape(batch, 2)[keep], w[keep]
         attempts += batch
         done += len(t)
         skipped += batch - len(t)
-        least = np.where(windows[t[:, 0] - pad] != windows[t[:, 1] - pad], need, width).min(axis=1)
+        here = w[:, :, :-1]
+        symbols = np.where((here == 0) & (w[:, :, 1:] == 0), np.uint8(ord("E")), block1[here])
+        least = np.where(symbols[:, 0] != symbols[:, 1], need, width).min(axis=1)
         failures.extend(map(tuple, t[least == width].tolist()))
         max_padding = max(max_padding, int(least[least < width].max(initial=0)))
     return SeparationReport(

@@ -17,6 +17,8 @@ it writes one level-``n`` circuit block into a preallocated row, then copies
 the growing prefix into the circuit slots of each level map in turn, leaving
 the loop runs as fill.  A walk costs its dtype's itemsize per step (1 byte
 for ``l_n <= 128``); no string or index array is built on the way.
+Windows of a walk need no walk: :func:`walk_windows` builds the walk of one
+base circuit of at most 2^20 entries and descends each start to it.
 
 Gap sets ``N(u, v)`` collect the position differences ``pos(v) - pos(u) >= 1``
 between occurrences of two vertices in a walk.  One engine finds them, from
@@ -216,7 +218,9 @@ def _walk_array(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> n
     if not 1 <= n <= m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
     walk = np.zeros(l_m + 1, dtype=_walk_dtype(l_n))
-    _fill_runs(spec, m, n, walk[1:], np.roll(np.arange(l_n, dtype=walk.dtype), -1), 0)
+    block = np.zeros(l_n, dtype=walk.dtype)
+    block[:-1] = np.arange(1, l_n, dtype=walk.dtype)
+    _fill_runs(spec, m, n, walk[1:], block, 0)
     return walk
 
 
@@ -230,6 +234,101 @@ def expand_vertex_walk(spec: CoveringSpec, m: int, n: int, cap: int | None = Non
     if not 1 <= n < m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")
     return VertexWalk(level=n, m=m, vertices=_walk_array(spec, m, n, cap=cap))
+
+
+_WINDOW_BASE = 1 << 20  # entries of the base walk that walk_windows builds once per call
+_POSITION_LIMIT = 1 << 62  # circuits this long or longer are not descended in int64
+
+
+def _check_positions(spec: CoveringSpec, m: int, n: int) -> None:
+    """Refuse a circuit whose positions (plus a window) would pass int64."""
+    l_m = circuit_length(spec, m)
+    if l_m >= _POSITION_LIMIT:
+        raise ExpansionTooLarge(l_m + 1, _POSITION_LIMIT, what=f"window descent of circuit {m} over level {n}")
+
+
+def _descend_positions(spec: CoveringSpec, m: int, k0: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the int64 positions ``pos`` of circuit ``m`` inside their level-``k0`` copy.
+
+    Each level ``k = m - 1 .. k0`` finds the last copy of circuit ``k`` that
+    starts at or before a position, by ``np.searchsorted`` on the copy
+    starts ``a[0] + .. + a[j] + j l_k``, and subtracts its start.  A
+    position on a loop step of some level, or at the end of a copy, is not
+    inside: its vertex is 0, and its offset is set to 0, where every walk
+    holds vertex 0 too.  Returns the offsets and the ``inside`` mask.
+    """
+    inside = np.ones(pos.shape, dtype=bool)
+    for k in range(m - 1, k0 - 1, -1):
+        lm, l_k = spec.levels[k - 1], spec.lengths[k - 1]
+        starts = np.cumsum(np.array(lm.a[:-1], dtype=np.int64)) + np.arange(0, lm.b * l_k, l_k, dtype=np.int64)
+        # A position before copy 0 takes j = -1, the last start, and goes negative.
+        pos = pos - starts[np.searchsorted(starts, pos, side="right") - 1]
+        inside &= pos.view(np.uint64) < l_k
+        pos *= inside
+    return pos, inside
+
+
+def walk_windows(
+    spec: CoveringSpec, m: int, n: int, starts, width: int, cap: int | None = None
+) -> np.ndarray:
+    """Windows ``_walk_array(spec, m, n)[s : s + width]`` for each ``s`` in ``starts``, one per row.
+
+    The walk of circuit ``m`` is not built.  The level-``n`` walk of a base
+    circuit ``K`` is, once: ``K`` is the deepest circuit ``n <= K <= m``
+    whose walk has at most ``_WINDOW_BASE`` (2^20) entries and fits the cap
+    (for ``K = n`` the walk ``0, 1, .., l_n - 1, 0`` is read off the
+    offsets, not built).  Every start descends from ``m`` to ``K`` in int64
+    (:func:`_descend_positions`), and a window that lies inside the
+    level-``K`` copy of its start is a slice of the base walk.  A window
+    that starts on a loop step of a level above ``K`` or crosses the end of
+    its copy descends position by position.
+
+    Memory: the base walk (at most 2^20 entries of the walk dtype, 1 MB for
+    ``int8``), the returned rows, and 8 bytes per window entry for the index
+    arrays (of the windows that descend position by position, or all of
+    them for ``K = n``).  The cap bounds the entries returned; a circuit of
+    ``l_m >= 2^62`` steps raises
+    :class:`~proxrank2.errors.ExpansionTooLarge` naming the window descent.
+    """
+    if not 1 <= n <= m <= spec.depth + 1:
+        raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
+    _check_positions(spec, m, n)
+    limit = expansion_cap(cap)
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    if width < 0:
+        raise UsageError(f"window width must be >= 0, got {width}")
+    if starts.size * width > limit:
+        raise ExpansionTooLarge(starts.size * width, limit, what=f"walk windows of circuit {m} over level {n}")
+    l_m, l_n = spec.lengths[m - 1], spec.lengths[n - 1]
+    dtype = _walk_dtype(l_n)
+    if not starts.size:
+        return np.empty((0, width), dtype=dtype)
+    if starts.min() < 0 or starts.max() > l_m + 1 - width:
+        raise UsageError(f"walk windows must lie in 0..{l_m} (the walk of circuit {m})")
+    k0 = m
+    while k0 > n and spec.lengths[k0 - 1] + 1 > min(_WINDOW_BASE, limit):
+        k0 -= 1
+    base = _walk_array(spec, k0, n, cap=cap) if k0 > n else None
+
+    def rows(off: np.ndarray) -> np.ndarray:  # the windows at offsets ``off`` of the base walk
+        if base is None:
+            return ((off[:, None] + np.arange(width)) % l_n).astype(dtype)
+        # sliding_window_view(base, width), built without its checks (a few µs, not 25)
+        step = base.strides[0]
+        return np.ndarray((base.size - width + 1, width), dtype, base, 0, (step, step))[off]
+
+    if k0 == m:  # the whole walk is the base
+        return rows(starts)
+    off, inside = _descend_positions(spec, m, k0, starts)
+    fits = inside & (off <= spec.lengths[k0 - 1] + 1 - width)
+    if fits.all():
+        return rows(off)
+    out = np.empty((starts.size, width), dtype=dtype)
+    if fits.any():
+        out[fits] = rows(off[fits])
+    pos = _descend_positions(spec, m, k0, starts[~fits, None] + np.arange(width))[0]
+    out[~fits] = pos if base is None else base[pos]
+    return out
 
 
 # --------------------------------------------------------------------------

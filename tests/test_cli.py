@@ -359,3 +359,60 @@ def test_forbidden_command_stops_at_the_cap_of_the_top_walk(staged_spec_file, ca
         "error: vertex walk of circuit 8 over level 1 needs 4323648 materialized entries, "
         "cap is 4323647\n",
     )
+
+
+# Circuit 15 of both specs is past the default cap (5.4e8 and 3.2e9 steps):
+# these commands read windows of its walks and answer.  The lines were
+# checked against the seed descent (seed_from_position, one position at a time).
+_PAST_THE_CAP = {
+    "sep1": (
+        "substitution",
+        ["sep1", "3", "6"],
+        "samples=200 max_padding=7 skipped_identical=7\n",
+    ),
+    "array": (
+        "mixing",
+        ["array", "--position", "15:123456789", "--window=-5:20"],
+        "n=1   CCCCCCC|E|CCCCCCCCCCC|CCCCCCC",
+    ),
+    "liyorke": (
+        "mixing",
+        ["liyorke", "--position-a", "15:1234567891", "--position-b", "15:1234567893",
+         "--horizon", "1910", "--k-target", "3"],
+        "best_k=3 proximal=80 at_target=5 separations=240\nfirst_at_target=556\nfirst_separation=4\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PAST_THE_CAP))
+def test_window_commands_answer_past_the_cap(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("PROXRANK2_CAP", raising=False)
+    tag, argv, want = _PAST_THE_CAP[command]
+    gen = gen_substitution_family if tag == "substitution" else gen_mixing_family
+    path = tmp_path / "deep.json"
+    path.write_text(spec_to_json(gen(depth=14)))
+    code, out, err = run(capsys, [*argv, "--spec", str(path)])
+    assert (code, err) == (0, "")
+    assert want in out
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["sep1", "3", "6"], 3),
+        (["array", "--position", "41:5", "--window=0:3"], 41),
+        (["liyorke", "--position-a", "41:5", "--position-b", "41:6", "--horizon", "3"], 1),
+    ],
+    ids=["sep1", "array", "liyorke"],
+)
+def test_window_commands_exit_three_past_int64(tmp_path, capsys, argv, level):
+    # Circuit 41 has 2^81 - 1 steps: positions are descended in int64 only
+    # below 2^62, so the commands end with exit 3 and a message, no traceback.
+    path = tmp_path / "sub40.json"
+    path.write_text(spec_to_json(gen_substitution_family(depth=40)))
+    assert run(capsys, [*argv, "--spec", str(path)]) == (
+        3,
+        "",
+        f"error: window descent of circuit 41 over level {level} needs "
+        f"2417851639229258349412352 materialized entries, cap is 4611686018427387904\n",
+    )

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -46,7 +47,7 @@ from proxrank2 import (
     unstable_point,
     validate_seed,
 )
-from proxrank2 import dynamics
+from proxrank2 import dynamics, expansion
 from proxrank2.expansion import _time_row, _walk_array
 
 from _corpus import walk_gaps
@@ -412,6 +413,49 @@ def test_li_yorke_nearby_mixing_pairs_are_proximal_then_separate():
         assert min(wit.separation_events) <= horizon
 
 
+def _li_yorke_reference(spec, seed_a, seed_b, horizon, k_target, direction):
+    """``li_yorke_witness(...).to_dict()`` read off the whole walks of both top circuits."""
+    pos_a, pos_b = position_of_seed(spec, seed_a), position_of_seed(spec, seed_b)
+    t_lo, t_hi = (0, horizon) if direction == "forward" else (-horizon, 0)
+    span = t_hi - t_lo + 1
+    best = np.zeros(span, dtype=int)
+    for k in range(1, min(k_target, seed_a.top_level, seed_b.top_level) + 1):
+        wa, wb = _walk_array(spec, seed_a.top_level, k), _walk_array(spec, seed_b.top_level, k)
+        best[wa[pos_a + t_lo: pos_a + t_hi + 1] == wb[pos_b + t_lo: pos_b + t_hi + 1]] = k
+    rows = [_walk_array(spec, seed.top_level, 1) for seed in (seed_a, seed_b)]
+    symbols = [
+        (w[p + t_lo: p + t_hi + 1] == 0) & (w[p + t_lo + 1: p + t_hi + 2] == 0)
+        for w, p in zip(rows, (pos_a, pos_b))
+    ]
+    return {
+        "seed_a": seed_a.to_dict(), "seed_b": seed_b.to_dict(), "horizon": horizon,
+        "direction": direction, "k_target": k_target,
+        "proximal_events": [[t_lo + int(i), int(best[i])] for i in np.flatnonzero(best)],
+        "separation_events": [t_lo + int(i) for i in np.flatnonzero(symbols[0] != symbols[1])],
+        "best_k": int(best.max()),
+    }
+
+
+def test_li_yorke_equals_whole_walk_scan_across_top_levels():
+    # Seeds of different top levels read their windows from different walks.
+    rng = random.Random(0x11F0)
+    for spec in (BASE, gen_mixing_family(depth=5), gen_not_weakmix_family(3, depth=8)):
+        for _ in range(12):
+            horizon, direction = rng.randint(0, 60), rng.choice(("forward", "backward"))
+            seeds = []
+            for top in rng.sample(range(2, spec.depth + 2), 2):
+                l_top = circuit_length(spec, top)
+                lo, hi = (0, l_top - 1 - horizon) if direction == "forward" else (horizon, l_top - 1)
+                if lo > hi:
+                    break
+                seeds.append(seed_from_position(spec, top, rng.randint(lo, hi)))
+            if len(seeds) < 2:
+                continue
+            k_target = rng.randint(1, spec.depth + 1)
+            got = li_yorke_witness(spec, *seeds, horizon, k_target, direction=direction)
+            assert got.to_dict() == _li_yorke_reference(spec, *seeds, horizon, k_target, direction)
+
+
 # ------------------------------------------------------- mixing criteria ---
 
 def test_mixing_window_check_passes_at_stated_depth():
@@ -645,6 +689,28 @@ def test_forbidden_window_requires_stage_metadata():
         forbidden_window_report(BASE, 3)
 
 
+def test_forbidden_window_reads_windowed_rows(monkeypatch):
+    # Stage 3 needs distances up to about 1300, far below the whole window
+    # of the top circuit (l_8 - l_1 = 4323644 bits): rows are read cut at
+    # 2 (len + l_n) = 868 and doubled, never at the whole window.
+    calls = []
+    real = dynamics._gap_rows
+    monkeypatch.setattr(dynamics, "_gap_rows", lambda *args, **kw: calls.append(args[1:4]) or real(*args, **kw))
+    want = forbidden_window_report(_STAGED, 3)
+    assert calls == [(8, 1, 868), (8, 1, 1736)]
+    whole = circuit_length(_STAGED, 8) - circuit_length(_STAGED, 1)
+    calls.clear()
+    forbidden_window_report(_STAGED, 6)
+    assert calls and all(window < whole for (_, _, window) in calls), calls
+    tracemalloc.start()
+    try:
+        assert forbidden_window_report(_STAGED, 3) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 # ------------------------------------------------------- level-1 separation ---
 
 def test_level1_separation_of_base_family():
@@ -723,3 +789,78 @@ def test_level1_separation_equals_the_one_pair_loop(spec):
                 with mock.patch.object(dynamics, "_SEPARATION_BLOCK", rng.choice((1, 64, 1 << 18))):
                     got = level1_separation_check(spec, n, length, samples, seed, pad_max=pad_max)
                 assert got.to_dict() == want, (n, length, pad_max, samples, seed)
+
+
+
+def test_forbidden_window_widens_until_every_distance_is_found(monkeypatch):
+    # A made-up distance row for stage 3 (len 431, l_n = 3): the floors are
+    # 430, 431 and 432, and distance 430 sits on one of them.  The least
+    # distance above 430 is in the first window (868), those above 431 and
+    # 432 only at 5000, so the window doubles three times.
+    row = sum(1 << d for d in (0, 430, 431, 5000))
+    windows = []
+
+    def rows(spec, m, n, window, zeros=True):
+        windows.append(window)
+        return [row & (1 << window + 1) - 1]
+
+    monkeypatch.setattr(dynamics, "_gap_rows", rows)
+    rep = forbidden_window_report(_STAGED, 3)
+    assert windows == [868, 1736, 3472, 6944]
+    assert (rep.first_realized, rep.width, rep.all_pairs_empty) == (432, 0, False)
+    assert rep.per_pair == ((1, 1, 5000), (1, 2, 432), (2, 1, 4999), (2, 2, 5000))
+
+@pytest.mark.parametrize("budget", [40, 300, 5000])
+def test_level1_separation_reads_windows_across_small_bases(budget):
+    # With the base walk of walk_windows cut to a few hundred entries, most
+    # windows descend from far above the base, and many cross a copy end.
+    rng = random.Random(budget)
+    # The last spec is not reduced: its level words start with a circuit
+    # step, so a block's first step is a C at level 1.
+    permissive = CoveringSpec(l1=3, levels=(
+        LevelMap(a=(0, 1, 2), b=2), LevelMap(a=(0, 0, 1, 1), b=3),
+        LevelMap(a=(1, 0, 2), b=2), LevelMap(a=(0, 2, 1), b=2),
+    ))
+    for spec in (gen_substitution_family(depth=8), gen_mixing_family(depth=5),
+                 gen_not_weakmix_family(3, depth=9), permissive):
+        for n in (2, 3):
+            length, seed, pad_max = rng.choice((1, 4, 8)), rng.randrange(1000), rng.choice((None, 2))
+            want = _separation_reference(spec, n, length, 60, seed, pad_max)
+            with mock.patch.object(expansion, "_WINDOW_BASE", budget):
+                got = level1_separation_check(spec, n, length, 60, seed, pad_max=pad_max)
+            assert got.to_dict() == want, (n, length, pad_max, seed)
+
+
+def _seed_rows(spec, top, k, lo, count):
+    """Entries ``lo .. lo + count - 1`` of the level-``k`` walk of circuit ``top``, by seed descent."""
+    l_top = circuit_length(spec, top)
+    return np.array([
+        0 if p == l_top else seed_from_position(spec, top, p, base_level=k).offset
+        for p in range(lo, lo + count)
+    ])
+
+
+def test_array_and_li_yorke_past_the_cap_equal_seed_descent():
+    # Circuit 15 of the mixing family has 3.2e9 steps: no walk of it fits the cap.
+    mix = gen_mixing_family(depth=14)
+    top, pos = 15, 1_234_567_891
+    assert circuit_length(mix, top) > 10**9
+    block = array_block(mix, seed_from_position(mix, top, pos), (-30, 40))
+    for row in block.rows:
+        walk = _seed_rows(mix, top, row.level, pos - 30, 72)
+        assert row.cuts == tuple(int(t) - 30 for t in np.flatnonzero(walk[:71] == 0)), row.level
+        assert row.end_cut == (walk[71] == 0)
+        symbols = np.where((walk[:-1] == 0) & (walk[1:] == 0), "E", "C")
+        assert row.symbols == "".join(symbols), row.level
+    horizon = 10 * circuit_length(mix, 3)
+    a, b = seed_from_position(mix, top, pos), seed_from_position(mix, top, pos + 2)
+    wit = li_yorke_witness(mix, a, b, horizon, 3)
+    best = np.zeros(horizon + 1, dtype=int)
+    for k in (1, 2, 3):
+        best[_seed_rows(mix, top, k, pos, horizon + 1) == _seed_rows(mix, top, k, pos + 2, horizon + 1)] = k
+    assert wit.proximal_events == tuple((int(t), int(best[t])) for t in np.flatnonzero(best))
+    one_a, one_b = _seed_rows(mix, top, 1, pos, horizon + 2), _seed_rows(mix, top, 1, pos + 2, horizon + 2)
+    sym_a = (one_a[:-1] == 0) & (one_a[1:] == 0)
+    sym_b = (one_b[:-1] == 0) & (one_b[1:] == 0)
+    assert wit.separation_events == tuple(np.flatnonzero(sym_a != sym_b).tolist())
+    assert wit.best_k == 3 and wit.separation_events

@@ -35,7 +35,9 @@ from proxrank2 import (
     level_walks,
     realized_gap_table,
     telescope,
+    seed_from_position,
     time_word,
+    walk_windows,
 )
 from proxrank2 import dynamics, expansion, mixing_window_check
 from proxrank2.expansion import (
@@ -792,3 +794,89 @@ def test_benchmark_gap_sets_are_pinned():
         if strips:
             got = gap_set(mix, m, 1, u, v, 60, cap=circuit_length(mix, m) // 2)
             assert (got.engine, digest(got)) == ("strips", strips), (m, u, v)
+
+
+# --------------------------------------------------------------------------
+# Walk windows without the walk
+# --------------------------------------------------------------------------
+
+_FAMILIES = (
+    gen_substitution_family,
+    gen_mixing_family,
+    gen_weakmix_not_mix_family,
+    lambda depth: gen_not_weakmix_family(3, depth=depth),
+    gen_uniquely_ergodic_family,
+)
+
+_window_specs = st.one_of(
+    _builder_specs,
+    st.tuples(st.sampled_from(_FAMILIES), st.integers(1, 6)).map(lambda fd: fd[0](depth=fd[1])),
+)
+
+
+def _draw_windows(data, l_m, width):
+    """Starts of windows of ``width`` entries in a walk of ``l_m + 1``, the last one included."""
+    top = l_m + 1 - width
+    starts = data.draw(st.lists(st.integers(0, top), max_size=12), label="starts")
+    return starts + data.draw(st.sampled_from([[], [top], [0, top]]), label="ends")
+
+
+@settings(max_examples=250, deadline=None)
+@given(_window_specs, st.data())
+def test_walk_windows_equal_walk_slices(spec, data):
+    # Base budgets down to a few entries make windows cross copy ends and
+    # start on loop steps above the base, so that every path is taken.
+    lengths = [circuit_length(spec, k) for k in range(1, spec.depth + 2)]
+    top = max(k for k in range(1, spec.depth + 2) if lengths[k - 1] <= 20_000)
+    m = data.draw(st.integers(1, top), label="m")
+    n = data.draw(st.integers(1, m), label="n")
+    walk = _walk_array(spec, m, n)
+    width = data.draw(st.integers(0, min(walk.size, 70)), label="width")
+    starts = _draw_windows(data, walk.size - 1, width)
+    budget = data.draw(st.sampled_from([1, 8, 40, 300, 1 << 20]), label="budget")
+    with mock.patch.object(expansion, "_WINDOW_BASE", budget):
+        got = walk_windows(spec, m, n, starts, width)
+    assert got.dtype == walk.dtype
+    assert got.shape == (len(starts), width)
+    for row, s in zip(got, starts):
+        assert np.array_equal(row, walk[s: s + width]), s
+
+
+def _seed_vertex(spec, m, n, p):
+    """Entry ``p`` of the level-``n`` walk of circuit ``m``, by descent: the offset of its seed."""
+    if p == circuit_length(spec, m):
+        return 0
+    return seed_from_position(spec, m, p, base_level=n).offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.data())
+def test_walk_windows_past_the_cap_equal_seed_offsets(family, data):
+    # Circuits of up to 2^61 steps: their walks are never built.
+    spec = family(depth=40)
+    m = max(k for k in range(1, spec.depth + 2) if circuit_length(spec, k) < 2**61)
+    m = data.draw(st.integers(max(2, m - 8), m), label="m")
+    n = data.draw(st.integers(1, m), label="n")
+    width = data.draw(st.integers(1, 40), label="width")
+    starts = _draw_windows(data, circuit_length(spec, m), width)[:4]
+    starts += [circuit_length(spec, m - 1) - 3]  # across the end of the first copy, mostly
+    got = walk_windows(spec, m, n, starts, width)
+    for row, s in zip(got, starts):
+        assert row.tolist() == [_seed_vertex(spec, m, n, p) for p in range(s, s + width)], s
+
+
+def test_walk_windows_refuse_bad_windows_and_int64_circuits():
+    spec = gen_substitution_family(depth=40)
+    assert circuit_length(spec, 32) > 2**62 > circuit_length(spec, 31)
+    with pytest.raises(ExpansionTooLarge) as info:
+        walk_windows(spec, 32, 3, [0], 5)
+    assert (info.value.needed, info.value.cap) == (circuit_length(spec, 32) + 1, 2**62)
+    assert info.value.what == "window descent of circuit 32 over level 3"
+    assert walk_windows(spec, 31, 3, [circuit_length(spec, 31) - 4], 5).tolist() == [[0] * 5]
+    with pytest.raises(ExpansionTooLarge) as info:
+        walk_windows(spec, 31, 3, [0, 1], 60, cap=100)
+    assert (info.value.needed, info.value.what) == (120, "walk windows of circuit 31 over level 3")
+    for starts, width in (([-1], 3), ([circuit_length(BASE, 4) - 1], 3), ([0], -1)):
+        with pytest.raises(UsageError):
+            walk_windows(BASE, 4, 2, starts, width)
+    assert walk_windows(BASE, 4, 2, [], 3).shape == (0, 3)
