@@ -241,8 +241,10 @@ class CoveringSpec:
     once: :attr:`lengths` holds ``l_1 .. l_{D+1}`` and :attr:`windings` the
     winding products ``B(1, 1) .. B(D+1, 1)`` (one int per level each), built
     on first use and read by :func:`circuit_length` and
-    :func:`winding_product`; :attr:`family_record` holds what the family
-    construction certifies, checked once.
+    :func:`winding_product`; :attr:`run_ends` marks the runs of levels with
+    equal loop runs, which the gap engine steps over at once;
+    :attr:`family_record` holds what the family construction certifies,
+    checked once.
 
     Loading lets through maps that :func:`validate` rejects.  Building
     :attr:`lengths` checks the shape of every map once, so code that reads a
@@ -288,6 +290,21 @@ class CoveringSpec:
         return tuple(accumulate((lm.b for lm in self.levels), mul, initial=1))
 
     @cached_property
+    def run_ends(self) -> tuple[int, ...]:
+        """Entry ``k - 1``: the first level past ``k`` whose loop runs ``a`` differ from level ``k``'s.
+
+        ``depth + 1`` when every later level has the same ``a``.  Levels ``k
+        .. run_ends[k - 1] - 1`` share ``a`` (and so ``b``), whatever their
+        restricted data.  Built once per spec, back to front, one comparison
+        per level.
+        """
+        ends = [self.depth + 1] * self.depth
+        for k in range(self.depth - 1, 0, -1):  # level k against level k + 1
+            cur, nxt = self.levels[k - 1], self.levels[k]
+            ends[k - 1] = ends[k] if nxt is cur or nxt.a == cur.a else k + 1
+        return tuple(ends)
+
+    @cached_property
     def family_record(self):
         """:func:`proxrank2.families.recognize` of this spec, computed once."""
         from .families import recognize  # families imports this module
@@ -315,15 +332,22 @@ def validate(spec: CoveringSpec) -> ValidationReport:
 
     Invalid data never raises here: all failures are reported.  A winding
     number of 1 at some level yields a warning (such a level does not refine
-    the partition into a Cantor set on its own), not an error.
+    the partition into a Cantor set on its own), not an error.  Each
+    distinct map object is checked once per call; the messages are still
+    given per level.
     """
     problems: list[str] = []
     warnings: list[str] = []
     summaries: list[str] = []
     if not _is_int(spec.l1) or spec.l1 < 2:
         problems.append(f"l1 must be an int >= 2, got {spec.l1!r}")
+    # Generated specs repeat one map object, which is checked once.  Keyed
+    # by id, not by value: a map loaded from JSON may hold unhashable fields.
+    checked: dict[int, list[str]] = {}
     for idx, lm in enumerate(spec.levels, start=1):
-        lp = lm.problems()
+        lp = checked.get(id(lm))
+        if lp is None:
+            lp = checked[id(lm)] = lm.problems()
         for p in lp:
             problems.append(f"level {idx}: {p}")
         if not lp:

@@ -762,9 +762,9 @@ def forbidden_window_report(
     the answer; while some distance is not found, the window doubles, up to
     that whole one.  Memory: the builder's bitsets, about 4 bytes per window
     entry, for a window of at most twice the last distance read (or the
-    whole one).  The call is still refused with exit 3 when the top walk of
-    ``l_top + 1`` entries would exceed the cap, which bounds that whole
-    window.
+    whole one).  The cap bounds the window read: before each row is built,
+    a window of ``window + 1`` entries past the cap is refused with exit 3,
+    naming the gap window.
     """
     rec = spec.family_record
     if rec.problem is not None:
@@ -788,19 +788,16 @@ def forbidden_window_report(
     len_measured = (len(dw) - n_c) + n_c * circuit_length(spec, n)
     top = spec.depth + 1
     limit = expansion_cap(cap)
-    l_top = circuit_length(spec, top)
-    if l_top + 1 > limit:
-        raise ExpansionTooLarge(
-            l_top + 1, limit, what=f"vertex walk of circuit {top} over level {n}"
-        )
     l_n = circuit_length(spec, n)
     pairs = [(u, v) for u in range(1, l_n) for v in range(1, l_n)] if (l_n - 1) ** 2 <= 36 else []
     # The floor of the first gap over all pairs, then one per listed pair.
     floors = [len_arith - (l_n - 2)] + [len_arith - (v - u) for u, v in pairs] if l_n >= 2 else []
-    whole = l_top - l_n
+    whole = circuit_length(spec, top) - l_n
     window = min(2 * (len_arith + l_n), whole)
     found = [None] * len(floors)
     while floors:
+        if window + 1 > limit:
+            raise ExpansionTooLarge(window + 1, limit, what=f"gap window of circuit {top} over level {n}")
         dist = _gap_rows(spec, top, n, window, zeros=False)[0]
         found = [_first_distance_above(dist, f) for f in floors]
         if window == whole or None not in found:

@@ -397,6 +397,61 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # Gap engine
 # --------------------------------------------------------------------------
 
+def _window_ops(cut: int) -> tuple:
+    """``shift, smear, comb, tri, bit``: bitset operations on Python ints cut to bits ``0 .. cut``.
+
+    ``comb`` and ``tri`` are the ORs of the shifts that a run of equal level
+    maps adds to the rows of :func:`_gap_rows`; ``smear`` is
+    ``comb(x, 1, a + 1)``.  Each is built by doubling, and a shift past the
+    cut adds nothing, so the counts are capped at the cut.
+    """
+    mask = (1 << cut + 1) - 1
+
+    def fit(x: int) -> int:  # x cut, masked only when it has bits past the cut
+        return x & mask if x.bit_length() > cut + 1 else x
+
+    def shift(x: int, s: int) -> int:  # x << s, cut
+        return fit(x << s) if s <= cut else 0
+
+    def comb(x: int, t: int, r: int) -> int:  # x | x << t | .. | x << (r - 1) t, in O(log r) shifts
+        if r < 1:
+            return 0
+        r = min(r, cut // t + 1) if t else 1
+        k = 1  # x shifted by 0 .. (k - 1) t
+        while 2 * k <= r:
+            x = fit(x | x << k * t)
+            k *= 2
+        return fit(x | x << (r - k) * t) if k < r else x
+
+    def smear(x: int, a: int) -> int:  # x | x << 1 | .. | x << a
+        if a >= cut:  # every bit from the lowest one of x up
+            return -(x & -x) & mask
+        return comb(x, 1, a + 1)
+
+    def tri(f: int, c: int, s: int, r: int) -> int:  # OR of f << (i c + d s) over i + d < r (c <= s)
+        if not c:
+            return comb(f, s, r)
+        r = min(r, cut // c + 1)  # i + d past cut // c shifts past the cut
+        if r < 1:
+            return 0
+        tr = sq = f  # the ORs over i + d < k and over i, d < k
+        k = 1
+        while 2 * k <= r:  # i + d < 2 k: both below k, or i + d < k past k in i or in d
+            tr = sq | shift(tr | shift(tr, k * (s - c)), k * c)
+            sq |= shift(sq, k * c)
+            sq |= shift(sq, k * s)
+            k *= 2
+        if k < r:  # i + d < r: below k, or past r - k in i or in d, or both below r - k <= k
+            j = r - k
+            tr |= shift(tr | shift(tr, j * (s - c)), j * c) | comb(comb(f, c, j), s, j)
+        return tr
+
+    def bit(x: int) -> int:
+        return 1 << x if x <= cut else 0
+
+    return shift, smear, comb, tri, bit
+
+
 def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = True) -> list[int]:
     """Distance rows up to ``window`` between block starts and zeros of the walk of circuit ``m``.
 
@@ -439,34 +494,30 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     each margin against the copy at the other end.  Circuits only grow, so
     the sweep runs while ``l <= window`` and this step after that.
 
+    That step is taken once per run of ``R`` levels with the same map
+    (:attr:`~proxrank2.covering.CoveringSpec.run_ends`).  With
+    ``s = a_0 + a_b``, level ``i`` of the run holds ``twin << i s``, ``hd
+    << i a_0`` and ``tl << i a_b``, plus the margin terms ``F << (j c + d
+    s)`` for ``j + d < i``, where ``F`` is ``smear(tl, a_0) << a_b`` with
+    ``c = a_b`` or ``smear(hd, a_b) << a_0`` with ``c = a_0``.  So the run
+    adds ``comb(twin, s, R) | tri(F, c, s, R - 1)`` shifted by each inner
+    run, and the smears of ``comb(tl, a_b, R)`` and ``comb(hd, a_0, R)``
+    over the largest run after and before a copy (an OR of smears is the
+    smear by the largest run).  After it ``twin`` is ``twin << R s`` plus
+    ``comb(F << (R - 1) c, s - c, R)`` (:func:`_window_ops`).  ``R = 1``
+    is the step of one level.
+
     Memory: about two dozen ints of ``window`` bits, and shifts of twice
     that while they are cut: at most about 4 bytes per window entry (3.7
-    measured at a window of 1e6).  Time per level: within the window, a
-    few shifts and ORs of such ints per slot; past it, one shift per
-    distinct inner run; both plus ``O(log a)`` shifts per smear over a loop
-    run of ``a`` steps.
+    measured at a window of 1e6).  Time per level within the window: a few
+    shifts and ORs of such ints per slot.  Past it, per run of ``R`` equal
+    maps: ``O(log R)`` shifts per distinct inner run and per margin term,
+    however many levels and copies the run has.  Both plus ``O(log a)``
+    shifts per smear over a loop run of ``a`` steps.
     """
+    shift, smear, comb, tri, bit = _window_ops(window)
     cut = window
-    mask = (1 << cut + 1) - 1
     l = circuit_length(spec, n)
-
-    def fit(x: int) -> int:  # x cut, masked only when it has bits past the cut
-        return x & mask if x.bit_length() > cut + 1 else x
-
-    def shift(x: int, s: int) -> int:  # x << s, cut
-        return fit(x << s) if s <= cut else 0
-
-    def smear(x: int, a: int) -> int:  # x | x << 1 | .. | x << a, cut, in O(log a) shifts
-        if a >= cut:  # every bit from the lowest one of x up
-            return -(x & -x) & mask
-        k = 1  # x shifted by 0 .. k - 1
-        while 2 * k <= a + 1:
-            x = fit(x | x << k)
-            k *= 2
-        return fit(x | x << a + 1 - k) if k <= a else x
-
-    def bit(x: int) -> int:
-        return 1 << x if x <= cut else 0
 
     if zeros:
         hd, tl = [1, 1 | bit(l)], [bit(l), 1 | bit(l)]
@@ -475,35 +526,48 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     else:
         rows, twin = [1], [bit(l)]
     pairs = range(len(rows))
-    for k in range(n, m):
+    k = n
+    while k < m:
         lm = spec.levels[k - 1]
         a = lm.a
-        top = k == m - 1  # past the top level only the rows are read
         if l > cut:  # a pair within the window spans at most one loop run
-            for x in set(a[1:-1]):  # a copy to the next one
-                rows = [rows[p] | shift(twin[p], x) for p in pairs]
+            r = min(spec.run_ends[k - 1], m) - k  # levels k .. k + r - 1 share the map a
+            k += r
+            a0, ab = a[0], a[-1]
+            s = a0 + ab  # each level shifts twin by s, hd by a0 and tl by ab
+            # The zeros of each margin against the copy at the other end, as
+            # (row p, term f, step c): level i of the run adds f << i c to twin[p].
+            margins = []
             if zeros:
-                for x in set(a[1:]):  # a copy to the zeros of the next run
-                    rows[1] |= smear(tl[0], x)
-                    rows[3] |= smear(tl[1], x)
-                for x in set(a[:-1]):  # the zeros of a run to the next copy
-                    rows[2] |= smear(hd[0], x)
-                    rows[3] |= smear(hd[1], x)
-            if top:
+                margins = [(p, shift(smear(tl[p >> 1], a0), ab), ab) for p in (1, 3)]
+                margins += [(p, shift(smear(hd[p & 1], ab), a0), a0) for p in (2, 3)]
+            inner = set(a[1:-1])
+            if inner:  # a copy to the next one, at each level of the run
+                seen = [comb(y, s, r) for y in twin]
+                for p, f, c in margins:
+                    seen[p] |= tri(f, c, s, r - 1)
+                for x in inner:
+                    rows = [rows[p] | shift(seen[p], x) for p in pairs]
+            if zeros:  # a copy to the zeros of the next run, and those zeros to the next copy
+                after, before = max(a[1:]), max(a[:-1])
+                rows[1] |= smear(comb(tl[0], ab, r), after)
+                rows[3] |= smear(comb(tl[1], ab, r), after)
+                rows[2] |= smear(comb(hd[0], a0, r), before)
+                rows[3] |= smear(comb(hd[1], a0, r), before)
+            if k == m:  # past the top level only the rows are read
                 break
-            a0, ab = a[0], a[-1]  # the new tl ⊕ hd: the last copy and run, then the first run and copy
-            twin = [shift(y, a0 + ab) for y in twin]
+            # The new tl ⊕ hd: the last copy and run, then the first run and copy.
+            twin = [shift(y, r * s) for y in twin]
+            for p, f, c in margins:
+                twin[p] |= comb(shift(f, (r - 1) * c), s - c, r)
             if zeros:
-                for p in (1, 3):
-                    twin[p] |= shift(smear(tl[p >> 1], a0), ab)
-                for p in (2, 3):
-                    twin[p] |= shift(smear(hd[p & 1], ab), a0)
                 # The margins' own zeros stay out of hd, tl and twin: with the
                 # runs around them they fill one run of zeros at each junction
                 # of copies, whose distances the smears and twin[ZZ] give.
-                hd = [shift(y, a0) for y in hd]
-                tl = [shift(y, ab) for y in tl]
+                hd = [shift(y, r * a0) for y in hd]
+                tl = [shift(y, r * ab) for y in tl]
             continue  # circuits only grow: every later level takes this step
+        top = k == m - 1  # past the top level only the rows are read
         near = [0] * len(rows)
         runs, tail, head = [0, 0], [0, 1], [0, 1]
         cur = 0
@@ -557,6 +621,7 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
         if zeros:
             hd, tl = head, tail
         l = lm.next_length(l)
+        k += 1
     return rows
 
 
@@ -669,9 +734,10 @@ def gap_set(
 
     Read off the :func:`_gap_rows` rows up to ``top + l_n - 1``, by the index
     rules of :func:`_fill_pair_table`: a pair of nonzero vertices off ``BB``
-    alone, a pair with vertex 0 off all four rows.  Memory: the rows' ints
-    (about 4 bytes per window entry), a bool row of ``top + 2 l_n`` bytes,
-    and the answer, about 50 bytes per realized gap as Python ints.
+    alone, by one index array, a pair with vertex 0 off all four rows.
+    Memory: the rows' ints (about 4 bytes per window entry), a bool row of
+    ``top + l_n`` bytes, an index array of ``8 (top + 1)`` bytes, and the
+    answer, about 50 bytes per realized gap as Python ints.
     ``engine`` reports whether the walk would fit the cap (:func:`_gap_window`).
     """
     if not 1 <= n <= m <= spec.depth + 1:
@@ -684,9 +750,9 @@ def gap_set(
         raise UsageError(f"max_gap must be >= 1, got {max_gap}")
     top, engine = _gap_window(spec, m, n, max_gap, cap)
     window = top + l_n - 1
-    if u and v:
+    if u and v:  # T[u, v, g] = R11[|g - (v - u)|]
         dist = _bits(_gap_rows(spec, m, n, window, zeros=False)[0], window)
-        mask = _nonzero_pair_rows(dist, l_n, top + 1)[u - 1, v - 1]
+        mask = dist[np.abs(np.arange(top + 1) - (v - u))]
     else:
         bb, bz, zb, zz = _gap_rows(spec, m, n, window)
         mask = _bits(bz >> u if u else zb << v if v else zz, top + 1)

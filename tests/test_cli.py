@@ -348,17 +348,24 @@ def test_forbidden_command_output_is_pinned(staged_spec_file, capsys, m):
     assert run(capsys, ["forbidden", m, "--json", "--spec", staged_spec_file]) == (0, js, "")
 
 
-def test_forbidden_command_stops_at_the_cap_of_the_top_walk(staged_spec_file, capsys, monkeypatch):
-    # the top circuit has 4323647 steps, so its walk has one entry more
-    monkeypatch.setenv("PROXRANK2_CAP", "4323648")
-    assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file])[0] == 0
-    monkeypatch.setenv("PROXRANK2_CAP", "4323647")
+def test_forbidden_command_stops_at_the_cap_of_the_gap_window(staged_spec_file, capsys, monkeypatch):
+    # The top circuit has 4323647 steps, but the report reads only gap
+    # windows: 2 (len + l_n) = 868, doubled once to 1736 to find the first
+    # distance, 1301.  So the cap of the top walk no longer refuses, and a
+    # cap below the doubled window of 1737 entries refuses naming it.
+    for cap in ("4323647", "1737"):
+        monkeypatch.setenv("PROXRANK2_CAP", cap)
+        assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file]) == (0, _FORBIDDEN_OUT["3"][0], "")
+    monkeypatch.setenv("PROXRANK2_CAP", "1736")
     assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file]) == (
         3,
         "",
-        "error: vertex walk of circuit 8 over level 1 needs 4323648 materialized entries, "
-        "cap is 4323647\n",
+        "error: gap window of circuit 8 over level 1 needs 1737 materialized entries, "
+        "cap is 1736\n",
     )
+    # below the first window's 869 entries the d-word (1479 symbols) refuses first
+    monkeypatch.setenv("PROXRANK2_CAP", "868")
+    assert run(capsys, ["forbidden", "3", "--spec", staged_spec_file])[:2] == (3, "")
 
 
 # Circuit 15 of both specs is past the default cap (5.4e8 and 3.2e9 steps):

@@ -130,6 +130,32 @@ def test_validate_flags_broken_margins():
     assert any("margin" in p for p in report.problems)
 
 
+def test_validate_checks_a_repeated_map_once_and_reports_every_level(monkeypatch):
+    # One map object at levels 1 and 3, an equal copy at level 2, and an
+    # unhashable (list) field: each object is checked once, and the
+    # messages still name every level.
+    bad, good = LevelMap(a=[0, 1, 1], b=2), LevelMap(a=(1, 1), b=1)
+    spec = CoveringSpec(l1=2, levels=(bad, LevelMap(a=[0, 1, 1], b=2), bad, good))
+    calls = []
+    real = LevelMap.problems
+    monkeypatch.setattr(LevelMap, "problems", lambda lm: calls.append(id(lm)) or real(lm))
+    report = validate(spec)
+    assert len(calls) == 3
+    assert report.problems == tuple(
+        f"level {k}: a must be a tuple of b+1=3 entries, got [0, 1, 1]" for k in (1, 2, 3)
+    )
+    assert report.level_summaries == (
+        "level 1: INVALID (1 problem(s))",
+        "level 2: INVALID (1 problem(s))",
+        "level 3: INVALID (1 problem(s))",
+        "level 4: ok (general, b=1, sum(a)=2)",
+    )
+    assert report.warnings == (
+        "level 4: b=1 (a single winding refines no partition; "
+        "the system is Cantor only if b >= 2 at infinitely many levels)",
+    )
+
+
 def test_validate_flags_short_base_circuit():
     bad = CoveringSpec(l1=1, levels=(LevelMap(a=(1, 1), b=1),))
     report = validate(bad)

@@ -45,6 +45,7 @@ from proxrank2.expansion import (
     _gap_rows,
     _time_row,
     _walk_array,
+    _window_ops,
 )
 
 from _corpus import random_plain_spec, random_restricted_spec, reduced_specs, walk_gaps
@@ -626,6 +627,48 @@ def test_gap_rows_past_the_window_equal_the_swept_rows(spec, data):
         _assert_rows_cut_from_swept(spec, m, n, near | set(range(41)) | {window})
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(1, 4).flatmap(_permissive_level), st.integers(1, 12)), min_size=1, max_size=4),
+    st.data(),
+)
+def test_gap_rows_over_runs_of_equal_maps_equal_the_swept_rows(l1, runs, data):
+    # Past the window a run of equal maps takes one step.  Runs of 1 to 12
+    # levels, stopping below the top or at it; small windows, so that most
+    # levels of a run lie past the window.
+    spec = CoveringSpec(l1=l1, levels=tuple(lm for lm, r in runs for _ in range(r)))
+    lengths = [circuit_length(spec, k) for k in range(1, spec.depth + 2)]
+    top = max(k for k in range(2, spec.depth + 2) if lengths[k - 2] <= 200_000)
+    m = data.draw(st.integers(2, top), label="m")
+    window = data.draw(st.integers(0, 200), label="window")
+    for n in range(1, m):
+        _assert_rows_cut_from_swept(spec, m, n, set(range(41)) | {window})
+
+
+def test_comb_and_tri_equal_their_brute_force_ors():
+    # Counts at and around powers of two, where the doubling steps and the
+    # last overlapping step of tri change; small shifts, so that the last
+    # terms stay below the cut.
+    rng = random.Random(0xC0B)
+    for _ in range(400):
+        cut = rng.randint(0, 250)
+        _, smear, comb_of, tri_of, _ = _window_ops(cut)
+        mask = (1 << cut + 1) - 1
+        x = rng.getrandbits(cut + 1) & rng.getrandbits(cut + 1)
+        s = rng.randint(0, 7)
+        c, t = rng.randint(0, s), rng.randint(0, 30)
+        r = rng.choice([0, 1, 2, 3, 4, 7, 8, 9, 13, 14, 15, 16, 29, 31, rng.randint(0, 70)])
+        comb = tri = 0
+        for i in range(r):
+            comb |= x << i * t
+            for d in range(r - i):
+                tri |= x << i * c + d * s
+        assert comb_of(x, t, r) == comb & mask, (cut, x, t, r)
+        assert tri_of(x, c, s, r) == tri & mask, (cut, x, c, s, r)
+        assert smear(x, t) == comb_of(x, 1, t + 1), (cut, x, t)
+
+
 @pytest.mark.parametrize("l1, runs", [
     (6, ((3, 3, 0), (3, 3, 1), (0, 3), (0, 2, 2), (3, 0))),
     (11, ((3, 3, 2), (0, 3, 2, 2), (3, 1, 3), (2, 2, 1))),
@@ -652,9 +695,12 @@ _PINNED_DEEP_ROWS = {
 
 @pytest.mark.parametrize("m", sorted(_PINNED_DEEP_ROWS))
 def test_deep_gap_rows_are_pinned(m):
-    rows = _gap_rows(gen_mixing_family(depth=800), m, 1, 2 * (m - 1) + 10)
+    spec = gen_mixing_family(depth=800)
+    rows = _gap_rows(spec, m, 1, 2 * (m - 1) + 10)
     digests = tuple(hashlib.sha256(hex(row).encode()).hexdigest()[:16] for row in rows)
     assert digests == _PINNED_DEEP_ROWS[m]
+    bb = _gap_rows(spec, m, 1, 2 * (m - 1) + 10, zeros=False)
+    assert len(bb) == 1 and hashlib.sha256(hex(bb[0]).encode()).hexdigest()[:16] == _PINNED_DEEP_ROWS[m][0]
 
 
 def test_materialized_table_never_counts_pairs():
