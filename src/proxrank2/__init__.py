@@ -64,7 +64,6 @@ from .dynamics import (
     forbidden_window_report,
     language,
     level1_separation_check,
-    level_walks,
     li_yorke_witness,
     mixing_window_check,
     position_of_seed,

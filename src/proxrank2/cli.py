@@ -178,7 +178,7 @@ def cmd_gaps(args) -> int:
 
 def cmd_gapstruct(args) -> int:
     spec = _load_spec(args)
-    report = gap_structure_report(spec, args.m, args.n, cap=args.cap)
+    report = gap_structure_report(spec, args.m, args.n)
     if args.json:
         _print_json(report.to_dict())
     else:

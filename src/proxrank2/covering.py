@@ -78,41 +78,13 @@ class RestrictedLevelMap:
     def to_level_map(self) -> "LevelMap":
         """The same map in run-length form, carrying the restricted fields.
 
-        Assembled run-by-run, so huge ``s``/``t`` exponents never materialize
-        a word.
+        The loop runs are read off the fields, so huge ``s``/``s'`` exponents
+        never materialize a word: ``s``, ``t - 1`` zeros, the runs between the
+        ``C``'s of ``a_mid``, ``t' - 1`` zeros and ``s'``.
         """
-        runs: list[list] = []
-
-        def push(sym: str, cnt: int) -> None:
-            if cnt <= 0:
-                return
-            if runs and runs[-1][0] == sym:
-                runs[-1][1] += cnt
-            else:
-                runs.append([sym, cnt])
-
-        push("E", self.s)
-        push("C", self.t)
-        prev = ""
-        cnt = 0
-        for ch in self.a_mid:
-            if ch == prev:
-                cnt += 1
-            else:
-                push(prev, cnt)
-                prev, cnt = ch, 1
-        push(prev, cnt)
-        push("C", self.t2)
-        push("E", self.s2)
-        a = [0]
-        b = 0
-        for sym, count in runs:
-            if sym == "E":
-                a[-1] += count
-            else:
-                b += count
-                a.extend([0] * count)
-        return LevelMap(a=tuple(a), b=b, restricted=self)
+        mid = [len(run) for run in self.a_mid.split("C")]
+        a = (self.s, *[0] * (self.t - 1), *mid, *[0] * (self.t2 - 1), self.s2)
+        return LevelMap(a=a, b=len(a) - 1, restricted=self)
 
     @property
     def s_bar(self) -> int:
@@ -140,21 +112,6 @@ class RestrictedLevelMap:
         return out
 
 
-def _word_to_runs(word: str) -> tuple[tuple[int, ...], int]:
-    """Run-length parse an {E, C} word into (loop exponents a, winding b)."""
-    if not word or any(ch not in "EC" for ch in word):
-        raise UsageError(f"level-map word must be a nonempty word over {{E, C}}, got {word!r}")
-    a = [0]
-    b = 0
-    for ch in word:
-        if ch == "E":
-            a[-1] += 1
-        else:
-            b += 1
-            a.append(0)
-    return tuple(a), b
-
-
 @dataclass(frozen=True)
 class LevelMap:
     """One level of the presentation: loop exponents ``a`` around ``b`` windings.
@@ -171,8 +128,11 @@ class LevelMap:
 
     @classmethod
     def from_word(cls, word: str, restricted: RestrictedLevelMap | None = None) -> "LevelMap":
-        a, b = _word_to_runs(word)
-        return cls(a=a, b=b, restricted=restricted)
+        """Run-length parse of an {E, C} word: the loop runs around its ``C``'s."""
+        if not word or any(ch not in "EC" for ch in word):
+            raise UsageError(f"level-map word must be a nonempty word over {{E, C}}, got {word!r}")
+        a = tuple(len(run) for run in word.split("C"))
+        return cls(a=a, b=len(a) - 1, restricted=restricted)
 
     def word(self) -> str:
         parts = ["E" * self.a[0]]
@@ -421,9 +381,14 @@ def telescope(spec: CoveringSpec, keep_levels: Sequence[int], cap: int | None = 
     """Compose consecutive level maps, retaining only the listed levels.
 
     ``keep_levels`` must be strictly increasing presented levels; the result
-    presents the same circuits at the retained levels (the composed map
-    between retained neighbors is the run-length parse of the composed word).
-    Keeping every presented level returns the spec unchanged.
+    presents the same circuits at the retained levels.  Keeping every
+    presented level returns the spec unchanged.
+
+    The map between kept neighbours ``lo < hi`` is composed from loop runs,
+    never spelled: with ``r`` the runs of circuit ``k`` over level ``lo``,
+    circuit ``k + 1`` has ``[a_0 + r_0, inner, r_B + a_1 + r_0, inner, ..,
+    r_B + a_b]`` (``inner = r[1:-1]``).  Memory: the ``B(hi, lo) + 1`` ints
+    of each map, which ``cap`` bounds before it is built.
     """
     keep = list(keep_levels)
     if not keep:
@@ -436,12 +401,23 @@ def telescope(spec: CoveringSpec, keep_levels: Sequence[int], cap: int | None = 
         )
     if keep == list(range(1, spec.depth + 2)):
         return spec
+    limit = expansion_cap(cap)
     new_levels: list[LevelMap] = []
     for lo, hi in zip(keep, keep[1:]):
         if hi == lo + 1:
             new_levels.append(spec.levels[lo - 1])
-        else:
-            new_levels.append(LevelMap.from_word(compose_word(spec, hi, lo, cap=cap)))
+            continue
+        need = winding_product(spec, hi, lo) + 1
+        if need > limit:
+            raise ExpansionTooLarge(need, limit, what=f"loop runs of circuit {hi} over level {lo}")
+        runs = [0, 0]  # circuit lo over itself: one C
+        for lm in spec.levels[lo - 1: hi - 1]:
+            inner = runs[1:-1]
+            out = [lm.a[0] + runs[0]]
+            for x in lm.a[1:-1]:
+                out += [*inner, runs[-1] + x + runs[0]]
+            runs = out + inner + [runs[-1] + lm.a[-1]]
+        new_levels.append(LevelMap(a=tuple(runs), b=len(runs) - 1))
     family = spec.family
     if family is not None:
         original = family.params.get("original_levels")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,11 +35,12 @@ from .errors import (
     WindowUndetermined,
 )
 from .expansion import (
+    _POSITION_LIMIT,
     _block_start_differences,
     _check_positions,
     _gap_rows,
+    _gap_window,
     _time_row,
-    _walk_array,
     cumulative_runs,
     d_word,
     realized_gap_table,
@@ -204,22 +206,6 @@ def unstable_point(spec: CoveringSpec, top_level: int) -> PointSeed:
     """The seed whose time 0 is the first circuit edge of every level."""
     slots = [level_map(spec, k).a[0] for k in range(1, top_level)]  # first C
     return PointSeed(top_level=top_level, slot_path=tuple(slots), offset=0, base_level=1)
-
-
-def level_walks(
-    spec: CoveringSpec, top_level: int, base_level: int = 1, cap: int | None = None
-) -> dict[int, np.ndarray]:
-    """Vertex walks of the top circuit through every graph ``base..top``.
-
-    Each walk takes its dtype's itemsize per step (``int8`` up to ``l_k =
-    128``), plus one level copy while it is built on ``b = 1`` levels: at the
-    default cap of 1e8 steps about 100 MB per ``int8`` walk and 400 MB per
-    ``int32`` walk, all levels held at once.
-    """
-    return {
-        k: _walk_array(spec, top_level, k, cap=cap)
-        for k in range(base_level, top_level + 1)
-    }
 
 
 # --------------------------------------------------------------------------
@@ -611,17 +597,6 @@ class ResidueReport(Report):
     witnesses: tuple[str, ...]
 
 
-def _residue_classes(occ: np.ndarray, p: int, size: int) -> tuple[int, ...]:
-    """The residues mod ``p`` of the positions ``occ`` (all ``< size``), ascending.
-
-    Marked in a bool row of ``min(p, size)`` entries, not sorted: at most one
-    byte per walk entry, however large ``p`` is.
-    """
-    marks = np.zeros(min(p, size), dtype=bool)
-    marks[occ % p] = True
-    return tuple(np.flatnonzero(marks).tolist())
-
-
 def residue_obstruction(
     spec: CoveringSpec,
     n: int,
@@ -637,20 +612,24 @@ def residue_obstruction(
     next), then lists the realized gaps up to ``max_gap`` exactly.  On
     failure, concrete witness gaps are reported.
 
-    Since ``l_n >= 3``, ``v2`` sits one step after ``v1`` in every level-``n``
-    block, so the classes and the gaps of both pairs are read off the
-    occurrences of ``v1``: the classes of ``v2`` are those of ``v1`` shifted
-    by one, and with ``dist`` the distances between occurrences of ``v1``
-    (0 included), gap ``g`` is realized from ``v1`` to ``v1`` when ``dist[g]``
-    is set and from ``v1`` to ``v2`` when ``dist[g - 1]`` is.
+    ``v1`` sits at each level-``n`` block start + 1 and ``v2`` one step
+    later (``l_n >= 3``), and no walk is built.  The block-start residues
+    ``R`` follow the level maps: circuit ``k + 1`` holds copies of circuit
+    ``k`` at ``c_j = a_0 + .. + a_j + j l_k``, so ``R <- (R + c_j) mod p``.
+    Positions below ``p`` are their own residues, so ``p`` is clamped to
+    ``l_m + 1``, exact for every ``p``.  The witness, two consecutive blocks
+    not 0 mod ``p`` apart, lies in copy 0 if circuit ``k`` has one, else at
+    the first junction of two copies.  Gap ``g`` is realized from ``v1`` to
+    ``v1`` (``v2``) when entry ``g`` (``g - 1``) of the block-start
+    distances up to ``w = min(max_gap, l_m)`` is set
+    (:func:`~proxrank2.expansion._block_start_differences`).
 
-    The walk is built for the classes and the witnesses.  ``dist`` is the
-    row of block-start distances up to ``w = min(max_gap, l_m)``, built from
-    the level maps (:func:`~proxrank2.expansion._block_start_differences`;
-    ``v1`` sits at block start + 1).  Memory: the walk, the positions of
-    ``v1`` (8 bytes each), the bitsets of that builder (a few ints of about
-    ``w / 8`` bytes) and its row of at most ``w + 1`` bytes, and the residue
-    classes in a bool row of ``min(p, l_m + 1)`` bytes.
+    Memory: while a level is built, the sums of ``R`` and the distinct
+    ``c_j``: at most ``B(m, n)`` int64 entries (Python ints once ``p`` and
+    ``l_m`` pass 2^62), 8 bytes each and twice that while ``np.unique``
+    sorts them.  ``cap`` bounds them before each level
+    and bounds the gap window (:func:`~proxrank2.expansion._gap_window`),
+    whose rows take a few ints of ``w / 8`` bytes.
     """
     if p < 1:
         raise UsageError(f"p must be >= 1, got {p}")
@@ -660,27 +639,45 @@ def residue_obstruction(
         raise UsageError(f"need 1 <= n <= m <= {spec.depth + 1}, got n={n}, m={m}")
     if circuit_length(spec, n) < 3:
         raise UsageError("need l_n >= 3 so that the vertices v1 and v2 exist")
-    walk = _walk_array(spec, m, n, cap=cap)
-    occ1 = np.flatnonzero(walk == 1).astype(np.int64, copy=False)
-    classes1 = _residue_classes(occ1, p, walk.size)
+    limit = expansion_cap(cap)
+    w, _ = _gap_window(spec, m, n, max_gap, cap)
+    q = min(p, circuit_length(spec, m) + 1)  # positions below q are their own residues mod p
+    dtype = np.int64 if q < _POSITION_LIMIT else object  # object: exact Python ints
+    starts = np.zeros(1, dtype=dtype)  # the block-start residues mod q less ``shift``, ascending
+    shift = 0  # the levels whose copies all start in one class shift the row by it
+    first = last = 0  # the first and the last block start
+    pair = None  # the first two consecutive block starts not 0 mod p apart
+    for k in range(n, m):
+        lm, l_k = spec.levels[k - 1], spec.lengths[k - 1]
+        c = [x + j * l_k for j, x in enumerate(accumulate(lm.a[:-1]))]
+        if pair is not None:
+            pair = (c[0] + pair[0], c[0] + pair[1])
+        else:  # the first junction of two copies whose blocks are not 0 mod p apart
+            j = next((j for j in range(1, lm.b) if (c[j] + first - c[j - 1] - last) % p), 0)
+            pair = (c[j - 1] + last, c[j] + first) if j else None
+        first, last = c[0] + first, c[-1] + last
+        shifts = sorted({x % q for x in c})
+        if len(shifts) == 1:
+            shift = (shift + shifts[0]) % q
+            continue
+        if starts.size * len(shifts) > limit:
+            raise ExpansionTooLarge(
+                starts.size * len(shifts), limit, what=f"residue row of circuit {m} over level {n}"
+            )
+        starts = np.unique((starts[:, None] + np.array(shifts, dtype=dtype)) % q)
+    classes1 = tuple(np.unique((starts + shift + 1) % q).tolist())
     classes2 = tuple(sorted((c + 1) % p for c in classes1))
     class_ok = len(classes1) == 1
     witnesses = []
     if not class_ok:
-        diffs = np.diff(occ1) % p
-        bad = np.flatnonzero(diffs != 0)
-        if bad.size:
-            i = int(bad[0])
-            witnesses.append(
-                f"v1 at {int(occ1[i])} and {int(occ1[i + 1])}: gap "
-                f"{int(occ1[i + 1] - occ1[i])} != 0 mod {p}"
-            )
-    w = min(max_gap, walk.size - 1)
+        x, y = pair
+        witnesses.append(f"v1 at {x + 1} and {y + 1}: gap {y - x} != 0 mod {p}")
     dist = _block_start_differences(spec, m, n, w)
     gaps11 = np.flatnonzero(dist[1:]) + 1
     gaps12 = np.flatnonzero(dist[:w]) + 1
-    bad11 = tuple(gaps11[gaps11 % p != 0][:8].tolist())
-    bad12 = tuple(gaps12[gaps12 % p != 1 % p][:8].tolist())
+    pw = min(p, w + 1)  # gaps below pw are their own residues mod p
+    bad11 = tuple(gaps11[gaps11 % pw != 0][:8].tolist())
+    bad12 = tuple(gaps12[gaps12 % pw != 1 % pw][:8].tolist())
     for g in bad11[:1]:
         witnesses.append(f"realized v1->v1 gap {g} != 0 mod {p}")
     for g in bad12[:1]:

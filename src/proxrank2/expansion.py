@@ -30,7 +30,8 @@ the gaps from ``u`` to ``v`` are the block-start distances shifted by
 read off the three rows with the zeros (:func:`_fill_pair_table`).
 :func:`gap_set`, :func:`realized_gap_table`, ``residue_obstruction`` and
 ``forbidden_window_report`` build no walk, at any depth; the cap bounds
-the window (:func:`_gap_window`).
+the window (:func:`_gap_window`).  :func:`gap_structure_report` spells no
+word: it reads the loop runs between blocks off the level maps.
 """
 from __future__ import annotations
 
@@ -783,33 +784,36 @@ def realized_gap_table(
     return table, engine
 
 
-def gap_structure_report(spec: CoveringSpec, m: int, n: int, cap: int | None = None) -> GapStructureReport:
+def gap_structure_report(spec: CoveringSpec, m: int, n: int) -> GapStructureReport:
     """Scan which cumulative-run separations occur between circuit blocks.
 
     Reports, for each ``k`` in ``n .. m-2``, whether the loop run of length
     ``tau(k, n)`` (sum of both margins over levels ``n .. k``) is realized
     between consecutive ``C`` blocks of the level-``n`` symbol word, plus
     whether adjacent traversals (``CC``) occur at the top expansion level.
+
+    No word is spelled: circuit ``k + 1`` joins copies of circuit ``k`` by
+    the inner runs ``x`` of level ``k``, which add the interior runs ``T +
+    x + A`` (``A``, ``T``: the margins summed over levels ``n .. k - 1``).
+    Memory: one int per distinct interior run, at most the windings of
+    levels ``n .. m - 1`` summed.
     """
     if not 1 <= n < m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")
-    word = compose_word(spec, m, n, cap=cap)
-    first = word.index("C")
-    last = word.rindex("C")
-    pieces = word[first:last + 1].split("C")[1:-1]
-    interior = sorted({len(p) for p in pieces})
-    realized = set(interior)
+    spec.lengths  # checks the shape of every map
+    realized: set[int] = set()
     taus = []
-    tau = 0  # running e_run_margins(spec, k + 1, n), both margins summed
-    for k in range(n, m - 1):
-        lm = level_map(spec, k)
-        tau += lm.a[0] + lm.a[-1]
-        taus.append((k, tau, tau in realized))
-    cc_present = "CC" in compose_word(spec, m, m - 1, cap=cap)
+    lead = trail = 0  # e_run_margins(spec, k, n)
+    for k in range(n, m):
+        a = level_map(spec, k).a
+        realized.update(trail + x + lead for x in a[1:-1])
+        lead += a[0]
+        trail += a[-1]
+        taus.append((k, lead + trail))
     return GapStructureReport(
         level=n,
         m=m,
-        cc_present=cc_present,
-        taus=tuple(taus),
-        interior_runs=tuple(interior),
+        cc_present=0 in level_map(spec, m - 1).a[1:-1],
+        taus=tuple((k, tau, tau in realized) for k, tau in taus[:-1]),
+        interior_runs=tuple(sorted(realized)),
     )

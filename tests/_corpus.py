@@ -74,6 +74,13 @@ def random_plain_spec(
     return CoveringSpec(l1=l1, levels=tuple(levels))
 
 
+def permissive_level(b: int):
+    """Level maps of ``b`` windings, every loop run 0-3: zero margins and zero inner runs allowed."""
+    return st.lists(st.integers(0, 3), min_size=b + 1, max_size=b + 1).map(
+        lambda a: LevelMap(a=tuple(a), b=b)
+    )
+
+
 def _level_maps(b: int):
     inner = st.lists(st.integers(0, 5), min_size=b - 1, max_size=b - 1)
     return st.tuples(st.integers(1, 5), inner, st.integers(1, 5)).map(

@@ -126,6 +126,21 @@ def test_residue_command_on_p3_family(tmp_path, capsys):
     assert (code, err) == (2, "error: max_gap must be >= 0, got -5\n")
 
 
+def test_residue_command_with_a_modulus_past_int64(tmp_path, capsys):
+    path = tmp_path / "nw.json"
+    path.write_text(spec_to_json(gen_not_weakmix_family(3, depth=6)))
+    p = str(2**70)
+    code, out, err = run(capsys, ["residue", "1", p, "5", "--max-gap", "50", "--spec", str(path)])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "scanned v1v1=15 v1v2=16 up to 50",
+        "failed",
+        f"witness: v1 at 13 and 16: gap 3 != 0 mod {p}",
+        f"witness: realized v1->v1 gap 3 != 0 mod {p}",
+        f"witness: realized v1->v2 gap 4 != 1 mod {p}",
+    ]
+
+
 def test_ergodic_command_prints_label(base_spec_file, capsys):
     code, out, _ = run(capsys, ["ergodic", "--spec", base_spec_file])
     assert code == 0

@@ -6,11 +6,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxrank2 import (
     CoveringSpec,
+    ExpansionTooLarge,
     LevelMap,
     RestrictedLevelMap,
     UsageError,
@@ -33,7 +34,13 @@ from proxrank2 import (
     winding_product,
 )
 
-from _corpus import random_plain_spec, random_restricted_spec, raw_lengths, reduced_specs
+from _corpus import (
+    permissive_level,
+    random_plain_spec,
+    random_restricted_spec,
+    raw_lengths,
+    reduced_specs,
+)
 
 
 def test_base_family_lengths_follow_recurrence():
@@ -240,6 +247,40 @@ def test_telescope_keeps_certified_classification():
     report = classify_ergodicity(tel)
     assert report.verdict == "TwoErgodic"
     assert report.certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        reduced_specs,
+        st.builds(
+            lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+            st.integers(1, 6),
+            st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=1, max_size=8),
+        ),
+    ),
+    st.data(),
+)
+def test_telescope_equals_the_parse_of_the_composed_word(spec, data):
+    keep = sorted(data.draw(st.sets(st.integers(1, spec.depth + 1), min_size=1), label="keep"))
+    assume(all(symbol_count(spec, hi, lo) <= 50_000 for lo, hi in zip(keep, keep[1:])))
+    tel = telescope(spec, keep)
+    want = [
+        spec.levels[lo - 1] if hi == lo + 1 else LevelMap.from_word(compose_word(spec, hi, lo))
+        for lo, hi in zip(keep, keep[1:])
+    ]
+    assert tel.l1 == circuit_length(spec, keep[0])
+    assert list(tel.levels) == want
+    assert [LevelMap.from_word(lm.word()) for lm in spec.levels] == list(spec.levels)
+
+
+def test_telescope_cap_bounds_the_composed_loop_runs():
+    spec = gen_weakmix_not_mix_family(depth=12)
+    tel = telescope(spec, [1, 4, 7, 10, 13], cap=126)  # 125 windings per map
+    assert circuit_length(tel, 5) == circuit_length(spec, 13) == 216182364729
+    with pytest.raises(ExpansionTooLarge) as info:
+        telescope(spec, [1, 4, 7, 10, 13], cap=125)
+    assert (info.value.needed, info.value.what) == (126, "loop runs of circuit 4 over level 1")
 
 
 def test_telescope_rejects_bad_keep_lists():

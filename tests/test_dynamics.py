@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from proxrank2 import (
     BETA,
     CoveringSpec,
+    ExpansionTooLarge,
     LevelMap,
     MissingStageMetadata,
     PointSeed,
@@ -550,39 +551,82 @@ def _residue_reference(spec, n, p, m, max_gap):
     }
 
 
+def _permissive_spec(rng):
+    """``l1 >= 3`` and 1-6 levels of 1-4 windings, every loop run 0-3: zero margins,
+    zero inner runs and ``b = 1`` levels included."""
+    levels = []
+    for _ in range(rng.randint(1, 6)):
+        b = rng.randint(1, 4)
+        levels.append(LevelMap(a=tuple(rng.randint(0, 3) for _ in range(b + 1)), b=b))
+    return CoveringSpec(l1=rng.randint(3, 6), levels=tuple(levels))
+
+
+# A level of 2048 slots below circuit 12: the walk has 294,907 entries at m = 3.
+_WIDE = telescope(gen_not_weakmix_family(3, depth=15), [1, 12, 16])
+
 _RESIDUE_SPECS = (
     gen_not_weakmix_family(3, depth=12),
     telescope(gen_not_weakmix_family(3, depth=12), [1, 3, 7, 13]),
     gen_mixing_family(depth=6),
+    _WIDE,
+    *(_permissive_spec(random.Random(seed)) for seed in range(12)),
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_RESIDUE_SPECS), st.sampled_from([1, 2, 3, 5]), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_RESIDUE_SPECS), st.sampled_from([1, 2, 3, 5, 7, 2**70]), st.data())
 def test_residue_obstruction_matches_walk_scan_reference(spec, p, data):
     m = data.draw(st.integers(1, spec.depth + 1), label="m")
     n = data.draw(st.integers(1, m), label="n")
     if circuit_length(spec, n) < 3:
         n = 1
-    max_gap = data.draw(st.integers(1, 2 * circuit_length(spec, m)), label="max_gap")
+    # the reference scans the walk gap by gap: slow past a few thousand on _WIDE
+    top = 1000 if spec is _WIDE else 2 * circuit_length(spec, m)
+    max_gap = data.draw(st.integers(1, top), label="max_gap")
     got = residue_obstruction(spec, n, p, m, max_gap=max_gap).to_dict()
     assert got == _residue_reference(spec, n, p, m, max_gap)
 
 
-@pytest.mark.parametrize("p", [10**12, 4603 + 2])
-def test_residue_classes_of_a_modulus_beyond_the_walk(p):
-    # the residue counts stop at the walk's size (4603 entries at m = 10)
+@pytest.mark.parametrize("p", [10**12, 4603 + 2, 2**70])
+def test_residue_classes_of_a_modulus_beyond_the_circuit(p):
+    # positions below p are their own residues (4603 of them at m = 10)
     spec = gen_not_weakmix_family(3, depth=12)
     got = residue_obstruction(spec, 1, p, 10, max_gap=50).to_dict()
     assert got == _residue_reference(spec, 1, p, 10, 50)
     assert len(got["classes_v1"]) > 1
 
 
+def test_residue_classes_past_64_bit_positions():
+    # Block starts 2^62 and 2^62 + 3 in a circuit of 2^63 + 6 steps: exact
+    # residues for a modulus past int64, and mod 3 one class.
+    spec = CoveringSpec(l1=3, levels=(LevelMap(a=(2**62, 0, 2**62), b=2),))
+    big = residue_obstruction(spec, 1, 2**70, 2, max_gap=10)
+    assert big.classes_v1 == (2**62 + 1, 2**62 + 4)
+    assert big.classes_v2 == (2**62 + 2, 2**62 + 5)
+    assert (big.violations_v1v1, big.violations_v1v2) == ((3,), (4,))
+    assert big.witnesses[0] == f"v1 at {2**62 + 1} and {2**62 + 4}: gap 3 != 0 mod {2**70}"
+    # a gap at the edge of the window is still its own residue
+    assert residue_obstruction(spec, 1, 2**70, 2, max_gap=3).violations_v1v1 == (3,)
+    small = residue_obstruction(spec, 1, 3, 2, max_gap=10)
+    assert small.passed and small.classes_v1 == (2,)
+
+
+def test_residue_obstruction_past_the_walk_cap():
+    # circuit 801 has about 2^800 steps: the classes need no walk
+    nw = gen_not_weakmix_family(3, depth=800)
+    rep = residue_obstruction(nw, 1, 3, 801)
+    assert rep.passed and (rep.classes_v1, rep.classes_v2) == ((1,), (2,))
+    assert (rep.scanned_v1v1, rep.scanned_v1v2) == (33332, 33333)
+    with pytest.raises(ExpansionTooLarge) as info:
+        residue_obstruction(gen_mixing_family(depth=8), 1, 10**6, 9, max_gap=10, cap=1000)
+    assert info.value.what == "residue row of circuit 9 over level 1"
+
+
 def test_residue_obstruction_reads_one_windowed_row(monkeypatch):
     # One distance path whatever the winding number: one row of block-start
     # distances cut at the window.
     nw = gen_not_weakmix_family(3, depth=15)
-    wide = telescope(nw, [1, 12, 16])  # circuit 16 again, with b = 2048 on level 1
+    wide = _WIDE  # circuit 16 again, with b = 2048 on level 1
     calls = []
     real = dynamics._block_start_differences
     monkeypatch.setattr(

@@ -32,15 +32,16 @@ from proxrank2 import (
     gen_substitution_family,
     gen_uniquely_ergodic_family,
     gen_weakmix_not_mix_family,
-    level_walks,
     realized_gap_table,
     telescope,
     seed_from_position,
+    symbol_count,
     time_word,
     walk_windows,
 )
-from proxrank2 import dynamics, expansion, mixing_window_check
+from proxrank2 import covering, expansion, mixing_window_check, residue_obstruction
 from proxrank2.expansion import (
+    GapStructureReport,
     _block_start_differences,
     _gap_rows,
     _time_row,
@@ -48,7 +49,13 @@ from proxrank2.expansion import (
     _window_ops,
 )
 
-from _corpus import random_plain_spec, random_restricted_spec, reduced_specs, walk_gaps
+from _corpus import (
+    permissive_level,
+    random_plain_spec,
+    random_restricted_spec,
+    reduced_specs,
+    walk_gaps,
+)
 
 BASE = gen_substitution_family(depth=6)
 
@@ -75,8 +82,7 @@ def test_vertex_walk_marks_circuit_cuts_at_zero():
 
 
 def test_walks_nest_across_levels():
-    walks = level_walks(BASE, 3)
-    w1, w2 = walks[1], walks[2]
+    w1, w2 = _walk_array(BASE, 3, 1), _walk_array(BASE, 3, 2)
     # a level-2 cut is always a level-1 cut
     assert set(np.flatnonzero(w2 == 0)) <= set(np.flatnonzero(w1 == 0))
 
@@ -277,6 +283,29 @@ def test_gap_structure_report_of_base_family():
     assert rep.taus == ((2, 2, True), (3, 4, True))
 
 
+def _gap_structure_reference(spec, m, n):
+    """``gap_structure_report(spec, m, n)`` read off the spelled word, split at each C."""
+    word = compose_word(spec, m, n, cap=10**9)
+    pieces = word[word.index("C"): word.rindex("C") + 1].split("C")[1:-1]
+    realized = {len(p) for p in pieces}
+    taus = [(k, sum(e_run_margins(spec, k + 1, n))) for k in range(n, m - 1)]
+    return GapStructureReport(
+        level=n,
+        m=m,
+        cc_present="CC" in compose_word(spec, m, m - 1),
+        taus=tuple((k, tau, tau in realized) for k, tau in taus),
+        interior_runs=tuple(sorted(realized)),
+    )
+
+
+def test_gap_structure_report_of_a_deep_staged_spec():
+    # a word of 2.2e11 symbols: read off the level maps instead
+    rep = gap_structure_report(gen_weakmix_not_mix_family(depth=12), 13, 1)
+    assert rep.interior_runs == (
+        0, 2, 4, 1298, 1300, 1302, 649846, 649848, 649850, 324923394, 324923396, 324923398
+    )
+
+
 def test_expansion_cap_is_enforced():
     with pytest.raises(ExpansionTooLarge) as info:
         time_word(BASE, 6, 1, cap=100)
@@ -334,13 +363,6 @@ def _assert_builder_matches_reference(spec, m, n):
         assert (info.value.needed, info.value.what) == (l_m, f"time word of circuit {m} over level {n}")
 
 
-def _permissive_level(b):
-    # zero margins and zero inner runs allowed; b = 1 levels included
-    return st.lists(st.integers(0, 3), min_size=b + 1, max_size=b + 1).map(
-        lambda a: LevelMap(a=tuple(a), b=b)
-    )
-
-
 _builder_specs = st.one_of(
     reduced_specs,
     st.integers(0, 2**32).map(
@@ -349,7 +371,7 @@ _builder_specs = st.one_of(
     st.builds(
         lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
         st.integers(1, 6),
-        st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=1, max_size=6),
+        st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=1, max_size=6),
     ),
 )
 
@@ -508,7 +530,7 @@ def test_block_start_differences_past_64_bit_lengths(m):
 _table_specs = st.builds(
     lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
     st.sampled_from([1, 2, 3, 11]),
-    st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=0, max_size=5),
+    st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=0, max_size=5),
 )
 
 
@@ -539,6 +561,24 @@ _ENGINE_SPECS = (
     # margins >= 2 and repeated inner runs, some zero, past the window
     CoveringSpec(l1=3, levels=(LevelMap(a=(3, 0, 2, 0, 2, 3), b=5),) * 4),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_ENGINE_SPECS),
+        _table_specs,
+        reduced_specs,
+        st.integers(0, 2**32).map(lambda seed: random_plain_spec(random.Random(seed), depth=5)),
+    )
+)
+def test_gap_structure_report_equals_word_split(spec):
+    # Every (m, n) whose word has at most 20,000 symbols; zero margins, zero
+    # inner runs and b = 1 levels included.
+    for m in range(2, spec.depth + 2):
+        for n in range(1, m):
+            if symbol_count(spec, m, n) <= 20_000:
+                assert gap_structure_report(spec, m, n) == _gap_structure_reference(spec, m, n), (m, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -609,7 +649,7 @@ def _assert_rows_cut_from_swept(spec, m, n, windows):
         st.builds(
             lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
             st.integers(1, 6),
-            st.lists(st.integers(1, 4).flatmap(_permissive_level), min_size=1, max_size=9),
+            st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=1, max_size=9),
         ),
     ),
     st.data(),
@@ -630,7 +670,7 @@ def test_gap_rows_past_the_window_equal_the_swept_rows(spec, data):
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 6),
-    st.lists(st.tuples(st.integers(1, 4).flatmap(_permissive_level), st.integers(1, 12)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(1, 4).flatmap(permissive_level), st.integers(1, 12)), min_size=1, max_size=4),
     st.data(),
 )
 def test_gap_rows_over_runs_of_equal_maps_equal_the_swept_rows(l1, runs, data):
@@ -706,15 +746,26 @@ def test_deep_gap_rows_are_pinned(m):
 def test_materialized_table_never_counts_pairs():
     # No gap query builds a walk, under either label: the tables, the gap
     # sets of every kind of pair and the mixing window are read off the
-    # level maps alone.
+    # level maps alone.  Nor do residue classes, gap structure and
+    # telescoping (the classifier of a telescoped spec included) build a
+    # walk or spell a word.
     mix = gen_mixing_family(l1=11, depth=8)
     cap = circuit_length(mix, 5) + 1
+    nw = gen_not_weakmix_family(3, depth=12)
+    wm = gen_weakmix_not_mix_family(depth=12)
 
     def no_walk(*args, **kwargs):
-        raise AssertionError("a gap query built a walk")
+        raise AssertionError("an analysis built a walk or spelled a word")
 
     with mock.patch.object(expansion, "_walk_array", no_walk), \
-            mock.patch.object(dynamics, "_walk_array", no_walk):
+            mock.patch.object(expansion, "compose_word", no_walk), \
+            mock.patch.object(covering, "compose_word", no_walk):
+        assert residue_obstruction(nw, 1, 3, 13).passed
+        assert not residue_obstruction(nw, 1, 2, 13).passed
+        assert gap_structure_report(wm, 13, 1).cc_present
+        tel = telescope(wm, [1, 4, 7, 10, 13])
+        assert [lm.b for lm in tel.levels] == [125] * 4
+        assert tel.family_record.problem is None
         assert realized_gap_table(mix, 6, 1, 32)[1] == "materialized"
         assert realized_gap_table(mix, 6, 1, 32, cap=cap)[1] == "strips"
         for u, v in ((0, 3), (3, 0), (0, 0), (2, 5)):

@@ -274,6 +274,12 @@ def test_telescoped_staged_family_keeps_its_intact_stages():
     assert classify_ergodicity(tel).label == "UniquelyErgodic(certified)"
 
 
+def test_staged_family_telescoped_past_the_cap_of_its_words_stays_certified():
+    # 125 windings per composed map, whose words have up to 1.6e11 symbols
+    tel = telescope(gen_weakmix_not_mix_family(depth=12), [1, 4, 7, 10, 13])
+    assert classify_ergodicity(tel).label == "UniquelyErgodic(certified)"
+
+
 @pytest.mark.parametrize("make", [gen_substitution_family, gen_mixing_family])
 def test_deep_generators_round_trip_and_certify(make):
     spec = make(depth=8000)
