@@ -12,8 +12,10 @@ Vershik successor is exactly ``position + 1``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .covering import (
     CoveringSpec,
@@ -43,6 +45,11 @@ class Edge:
     ordinal: int
 
 
+#: One row of :attr:`OrderedBratteliDiagram.path_rows`: vertex names, their
+#: incoming edges and the prefix path counts of those edges.
+PathRow = tuple[tuple[str, ...], tuple[tuple[Edge, ...], ...], tuple[tuple[int, ...], ...]]
+
+
 @dataclass(frozen=True)
 class OrderedBratteliDiagram:
     """Vertex rows plus ordered incoming-edge lists, bottom row first.
@@ -53,9 +60,15 @@ class OrderedBratteliDiagram:
     unique maximal and unique minimal infinite path, which makes the Vershik
     map fix it.
 
-    The diagram is immutable, so its path counts are tabulated once:
-    :attr:`span_rows` holds one dict per vertex row (two ints per row of a
-    two-vertex diagram), built on first use.
+    The diagram is immutable, so its path counts are tabulated once, on
+    first use:
+
+    * :attr:`path_rows` holds, per row, the incoming edges of each vertex
+      and the prefix path counts of those edges (one int per edge, plus one
+      per vertex).  :meth:`incoming` and the path arithmetic read it, so a
+      row of a path costs one lookup and, from a position, one ``bisect``;
+    * :attr:`span_rows` holds one dict per vertex row (two ints per row of a
+      two-vertex diagram, shared with :attr:`path_rows`).
     """
 
     vertex_rows: tuple[tuple[str, ...], ...]
@@ -76,10 +89,11 @@ class OrderedBratteliDiagram:
         """Incoming edges of a vertex at row >= 1, ordered by ordinal."""
         if not 1 <= row <= self.rows:
             raise UsageError(f"row {row} outside 1..{self.rows}")
-        for name, edges in self.edge_rows[row - 1]:
-            if name == vertex:
-                return edges
-        raise UsageError(f"no vertex {vertex!r} at row {row}")
+        names, edges, _ = self.path_rows[row - 1]
+        try:
+            return edges[names.index(vertex)]  # the first entry of that name
+        except ValueError:
+            raise UsageError(f"no vertex {vertex!r} at row {row}") from None
 
     def span(self, row: int, vertex: str) -> int:
         """Number of finite paths from the root into the vertex."""
@@ -103,12 +117,37 @@ class OrderedBratteliDiagram:
 
     @cached_property
     def span_rows(self) -> tuple[dict[str, int], ...]:
-        """Path counts of every vertex, one dict per row, computed bottom-up once."""
-        spans = {v: 1 for v in self.vertex_rows[0]}
-        out = [spans]
+        """Path counts of every vertex, one dict per row: the spans that close :attr:`path_rows`."""
+        rows = ({name: p[-1] for name, p in zip(names, prefix)} for names, _, prefix in self.path_rows)
+        return (dict.fromkeys(self.vertex_rows[0], 1), *rows)
+
+    @cached_property
+    def path_rows(self) -> tuple[PathRow, ...]:
+        """Per row ``i + 1``: ``(names, edges, prefix)``, aligned with ``edge_rows[i]``.
+
+        ``names`` lists the vertices in the order of ``edge_rows[i]``,
+        ``edges[j]`` the incoming edges of ``names[j]`` and ``prefix[j]`` the
+        path counts before each of them: ``prefix[j][o]`` counts the paths
+        through edges ``1 .. o`` of that vertex, from ``prefix[j][0] = 0``
+        to its span.  Memory: one int per edge plus one per vertex; the
+        edge tuples are those of ``edge_rows``, and equal name tuples of
+        consecutive rows are shared.  Built once, bottom-up.  An edge from a
+        source missing below (which :func:`validate_diagram` rejects) counts
+        no path, so :meth:`incoming` still answers on such a diagram.
+        """
+        out = []
+        names: tuple[str, ...] = ()
+        spans = dict.fromkeys(self.vertex_rows[0], 1)
         for edges_row in self.edge_rows:
-            spans = {name: sum(spans[e.source] for e in edges) for name, edges in edges_row}
-            out.append(spans)
+            row_names = tuple(name for name, _ in edges_row)
+            names = names if row_names == names else row_names
+            edges = tuple(vertex_edges for _, vertex_edges in edges_row)
+            prefix = tuple(
+                tuple(accumulate((spans.get(e.source, 0) for e in vertex_edges), initial=0))
+                for vertex_edges in edges
+            )
+            out.append((names, edges, prefix))
+            spans = {name: p[-1] for name, p in zip(names, prefix)}
         return tuple(out)
 
 
@@ -361,26 +400,45 @@ def diagram_to_covering(diagram: OrderedBratteliDiagram) -> CoveringSpec:
 # Paths, positions, Vershik successor
 # --------------------------------------------------------------------------
 
-def resolve_path(diagram: OrderedBratteliDiagram, path: FinitePath) -> tuple[Edge, ...]:
-    """Edges of the path from bottom to top, validating each ordinal."""
-    if not 1 <= path.target_row <= diagram.rows:
-        raise UsageError(f"target row {path.target_row} outside 1..{diagram.rows}")
-    if len(path.ordinals) != path.target_row:
-        raise UsageError(
-            f"path has {len(path.ordinals)} ordinals for target row {path.target_row}"
-        )
+def _resolve(
+    diagram: OrderedBratteliDiagram, path: FinitePath, position: bool = False
+) -> tuple[list[Edge], int]:
+    """The path's edges from top to bottom, validating each ordinal.
+
+    With ``position``, also the path's position: the sum of the prefix path
+    counts before each chosen edge.  Otherwise that sum (one big-int
+    addition per row) is skipped and 0 is returned.
+    """
+    top = path.target_row
+    if not 1 <= top <= diagram.rows:
+        raise UsageError(f"target row {top} outside 1..{diagram.rows}")
+    if len(path.ordinals) != top:
+        raise UsageError(f"path has {len(path.ordinals)} ordinals for target row {top}")
     edges: list[Edge] = []
+    pos = 0
     vertex = path.target
-    for row in range(path.target_row, 0, -1):
-        incoming = diagram.incoming(row, vertex)
-        o = path.ordinals[row - 1]
+    rows = zip(range(top, 0, -1), reversed(diagram.path_rows[:top]), reversed(path.ordinals))
+    for row, (names, edges_of, prefix_of), o in rows:
+        try:
+            j = names.index(vertex)
+        except ValueError:
+            raise UsageError(f"no vertex {vertex!r} at row {row}") from None
+        incoming = edges_of[j]
         if not 1 <= o <= len(incoming):
             raise UsageError(
                 f"row {row}: ordinal {o} outside 1..{len(incoming)} into {vertex!r}"
             )
         edge = incoming[o - 1]
+        if position:
+            pos += prefix_of[j][o - 1]
         edges.append(edge)
         vertex = edge.source
+    return edges, pos
+
+
+def resolve_path(diagram: OrderedBratteliDiagram, path: FinitePath) -> tuple[Edge, ...]:
+    """Edges of the path from bottom to top, validating each ordinal."""
+    edges, _ = _resolve(diagram, path)
     edges.reverse()
     return tuple(edges)
 
@@ -411,38 +469,33 @@ def maximal_path(
 
 
 def position_of_path(diagram: OrderedBratteliDiagram, path: FinitePath) -> int:
-    """Time offset of the path among all paths into its target (top edge heaviest)."""
-    edges = resolve_path(diagram, path)
-    tables = diagram.span_rows
-    pos = 0
-    vertex = path.target
-    for row in range(path.target_row, 0, -1):
-        incoming = diagram.incoming(row, vertex)
-        chosen = edges[row - 1]
-        pos += sum(tables[row - 1][e.source] for e in incoming[: chosen.ordinal - 1])
-        vertex = chosen.source
-    return pos
+    """Time offset of the path among all paths into its target (top edge heaviest).
+
+    Each row adds the prefix path count before the chosen edge, read off
+    :attr:`OrderedBratteliDiagram.path_rows`.
+    """
+    return _resolve(diagram, path, position=True)[1]
 
 
 def path_from_position(
     diagram: OrderedBratteliDiagram, target_row: int, target: str, position: int
 ) -> FinitePath:
-    """Inverse of :func:`position_of_path`."""
+    """Inverse of :func:`position_of_path`: one ``bisect`` on each row's prefix counts."""
     total = diagram.span(target_row, target)
     if not 0 <= position < total:
         raise UsageError(f"position {position} outside 0..{total - 1}")
-    tables = diagram.span_rows
     ordinals: list[int] = []
     vertex = target
     rem = position
-    for row in range(target_row, 0, -1):
-        for e in diagram.incoming(row, vertex):
-            span = tables[row - 1][e.source]
-            if rem < span:
-                ordinals.append(e.ordinal)
-                vertex = e.source
-                break
-            rem -= span
+    # Each edge's source is a vertex of the row below (validate_diagram).
+    for names, edges_of, prefix_of in reversed(diagram.path_rows[:target_row]):
+        j = names.index(vertex)
+        prefix = prefix_of[j]
+        i = bisect_right(prefix, rem) - 1  # prefix[i] <= rem < prefix[i + 1]
+        edge = edges_of[j][i]
+        rem -= prefix[i]
+        ordinals.append(edge.ordinal)
+        vertex = edge.source
     ordinals.reverse()
     return FinitePath(target_row=target_row, target=target, ordinals=tuple(ordinals))
 
@@ -457,29 +510,23 @@ def vershik_successor(
     successor fixes it.  Any other all-maximal path is truncated: its
     successor depends on rows the finite diagram does not hold.
     """
-    edges = resolve_path(diagram, path)
-    vertex_at = [path.target]
-    for edge in reversed(edges):
-        vertex_at.append(edge.source)
-    vertex_at.reverse()  # vertex_at[row] = vertex of the path at that row
-    for row in range(1, path.target_row + 1):
-        incoming = diagram.incoming(row, vertex_at[row])
-        chosen = edges[row - 1]
+    edges, _ = _resolve(diagram, path)  # edges[top - row] enters row
+    top = path.target_row
+    paths = diagram.path_rows
+    for row in range(1, top + 1):
+        vertex = edges[top - row - 1].source if row < top else path.target
+        names, edges_of, _ = paths[row - 1]
+        incoming = edges_of[names.index(vertex)]  # _resolve found the vertex
+        chosen = edges[top - row]
         if chosen.ordinal < len(incoming):
             bumped = incoming[chosen.ordinal]  # next ordinal, same target
-            prefix = minimal_path(diagram, row - 1, bumped.source) if row > 1 else None
             ordinals = list(path.ordinals)
             ordinals[row - 1] = bumped.ordinal
-            if prefix is not None:
-                ordinals[: row - 1] = list(prefix.ordinals)
-            return FinitePath(
-                target_row=path.target_row, target=path.target, ordinals=tuple(ordinals)
-            )
-    if path.target == _loop_vertex(diagram, path.target_row) and diagram.certified_max_min:
+            ordinals[: row - 1] = [1] * (row - 1)  # the minimal path into bumped.source
+            return FinitePath(target_row=top, target=path.target, ordinals=tuple(ordinals))
+    if path.target == _loop_vertex(diagram, top) and diagram.certified_max_min:
         return path
-    raise TruncatedMaximal(
-        f"all edges maximal into {path.target!r} at row {path.target_row}"
-    )
+    raise TruncatedMaximal(f"all edges maximal into {path.target!r} at row {top}")
 
 
 def _loop_vertex(diagram: OrderedBratteliDiagram, row: int) -> str | None:

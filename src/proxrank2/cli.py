@@ -292,9 +292,10 @@ def _seed_from_flags(spec: CoveringSpec, args, suffix: str) -> dyn.PointSeed:
         )
     if raw is not None:
         try:
-            return dyn.PointSeed.from_dict(json.loads(raw))
-        except json.JSONDecodeError as exc:
+            data = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
             raise UsageError(f"bad seed JSON: {exc}") from exc
+        return dyn.PointSeed.from_dict(data)
     if pos is not None:
         try:
             top_s, pos_s = pos.split(":")

@@ -197,12 +197,18 @@ class CoveringSpec:
     ``levels[n-1]``, describing circuit ``n+1`` over graph ``n``).  A spec of
     depth ``D`` presents circuit lengths for levels ``1 .. D+1``.
 
-    The spec is immutable, so its circuit lengths and windings are tabulated
-    once: :attr:`lengths` holds ``l_1 .. l_{D+1}`` and :attr:`windings` the
-    winding products ``B(1, 1) .. B(D+1, 1)`` (one int per level each), built
-    on first use and read by :func:`circuit_length` and
-    :func:`winding_product`; :attr:`run_ends` marks the runs of levels with
-    equal loop runs, which the gap engine steps over at once;
+    The spec is immutable, so its per-level tables are built once, on first
+    use, at one int per level each:
+
+    * :attr:`lengths` holds ``l_1 .. l_{D+1}`` (read by
+      :func:`circuit_length` and the seed descent);
+    * :attr:`windings` holds the winding products ``B(1, 1) .. B(D+1, 1)``
+      (read by :func:`winding_product` and the classifier);
+    * :attr:`loop_totals` holds the loop steps ``sum(a)`` of each map (read
+      by the seed descent and the loop-mass classifier);
+    * :attr:`run_ends` marks the runs of levels with equal loop runs, which
+      the gap engine steps over at once.
+
     :attr:`family_record` holds what the family construction certifies,
     checked once.
 
@@ -248,6 +254,15 @@ class CoveringSpec:
         """
         self.lengths  # checks the shape of every map
         return tuple(accumulate((lm.b for lm in self.levels), mul, initial=1))
+
+    @cached_property
+    def loop_totals(self) -> tuple[int, ...]:
+        """Loop steps ``sum(a)`` of the maps of levels ``1 .. depth``: one int per level.
+
+        Raises the :class:`UsageError` of :attr:`lengths` on a malformed map.
+        """
+        self.lengths  # checks the shape of every map
+        return tuple(sum(lm.a) for lm in self.levels)
 
     @cached_property
     def run_ends(self) -> tuple[int, ...]:

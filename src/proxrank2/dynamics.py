@@ -23,7 +23,6 @@ import numpy as np
 
 from .covering import (
     CoveringSpec,
-    LevelMap,
     circuit_length,
     expansion_cap,
     level_map,
@@ -77,8 +76,9 @@ class PointSeed(Report):
 
     @classmethod
     def from_dict(cls, d: dict) -> "PointSeed":
+        """A seed from JSON; every field must be an int (bools rejected)."""
         try:
-            return cls(
+            seed = cls(
                 top_level=d["top_level"],
                 slot_path=tuple(d["slot_path"]),
                 offset=d["offset"],
@@ -86,64 +86,73 @@ class PointSeed(Report):
             )
         except (KeyError, TypeError) as exc:
             raise UsageError(f"seed dict needs top_level/slot_path/offset, got {d!r}") from exc
+        _check_seed_fields(seed)
+        return seed
 
 
-def _slot_time(lm: LevelMap, l_k: int, slot: int) -> tuple[int, str]:
-    """Time offset and kind of symbol ``slot`` (in range) of a level map's word.
+def _check_seed_fields(seed: PointSeed) -> None:
+    """Raise :class:`UsageError` unless every field of the seed is an int.
 
-    Walks the runs (``a[j]`` loop steps, then one circuit block of ``l_k``
-    steps) instead of spelling out the word.
+    An int means exactly ``int``: bools, floats and strings are refused.
+    One ``type`` per slot, so the check stays a small share of a descent.
     """
-    time = 0
-    for run in lm.a[:-1]:
-        if slot < run:
-            return time + slot, "E"
-        if slot == run:
-            return time + run, "C"
-        slot -= run + 1
-        time += run + l_k
-    return time + slot, "E"
+    fields = (seed.top_level, seed.base_level, seed.offset)
+    path = seed.slot_path
+    if not (isinstance(path, tuple) and {*map(type, fields), *map(type, path)} <= {int}):
+        raise UsageError(
+            "seed needs int top_level, base_level and offset and a tuple of int "
+            f"slots, got {seed!r}"
+        )
 
 
-def _time_slot(lm: LevelMap, l_k: int, time: int) -> tuple[int, str, int]:
-    """Inverse of :func:`_slot_time`: (slot, kind, time left inside that block)."""
-    slot = 0
-    for run in lm.a[:-1]:
-        if time < run:
-            return slot + time, "E", 0
-        if time < run + l_k:
-            return slot + run, "C", time - run
-        time -= run + l_k
-        slot += run + 1
-    return slot + time, "E", 0
+def _check_top(spec: CoveringSpec, top_level: int, base_level: int = 1) -> None:
+    """Raise :class:`UsageError` unless ``1 <= base_level <= top_level <= depth + 1``."""
+    if not 1 <= base_level <= top_level <= spec.depth + 1:
+        raise UsageError(f"need 1 <= base {base_level} <= top {top_level} <= {spec.depth + 1}")
 
 
 def _descend(spec: CoveringSpec, seed: PointSeed) -> tuple[int, str]:
-    """Validate a seed and return (absolute position, base block kind)."""
-    if not 1 <= seed.base_level <= seed.top_level <= spec.depth + 1:
-        raise UsageError(
-            f"need 1 <= base {seed.base_level} <= top {seed.top_level} <= {spec.depth + 1}"
-        )
-    if len(seed.slot_path) != seed.top_level - seed.base_level:
-        raise UsageError(
-            f"slot_path length {len(seed.slot_path)} != top-base = "
-            f"{seed.top_level - seed.base_level}"
-        )
+    """Validate a seed and return (absolute position, base block kind).
+
+    Reads the spec's length and loop tables; symbol ``slot`` of a level
+    word is found by walking its runs (``a[j]`` loop steps, then one
+    circuit block of ``l_k`` steps), never by spelling the word.
+    """
+    _check_seed_fields(seed)
+    top, base, path = seed.top_level, seed.base_level, seed.slot_path
+    _check_top(spec, top, base)
+    if len(path) != top - base:
+        raise UsageError(f"slot_path length {len(path)} != top-base = {top - base}")
+    lo = base - 1
+    lengths = spec.lengths
+    # Level k with its slot, map, loop steps and circuit length, top first.
+    rows = zip(
+        range(top - 1, lo, -1),
+        reversed(path),
+        reversed(spec.levels[lo : top - 1]),
+        reversed(spec.loop_totals[lo : top - 1]),
+        reversed(lengths[lo : top - 1]),
+    )
     pos = 0
     kind = "C"
-    for k in range(seed.top_level - 1, seed.base_level - 1, -1):
-        slot = seed.slot_at(k)
+    for k, slot, lm, loops, l_k in rows:
         if kind == "E":
             if slot != 0:
                 raise UsageError(f"level-{k} slot must be 0 under a loop block, got {slot}")
             continue
-        lm = level_map(spec, k)
-        symbols = lm.a_total + lm.b
+        symbols = loops + lm.b
         if not 0 <= slot < symbols:
             raise UsageError(f"level-{k} slot {slot} outside 0..{symbols - 1}")
-        time, kind = _slot_time(lm, circuit_length(spec, k), slot)
-        pos += time
-    base_span = circuit_length(spec, seed.base_level) if kind == "C" else 1
+        pos += slot  # one step per symbol, and l_k - 1 more per circuit block passed
+        for run in lm.a:  # slot < a[b] once the last run is reached
+            if slot < run:
+                kind = "E"
+                break
+            if slot == run:
+                break
+            slot -= run + 1
+            pos += l_k - 1
+    base_span = lengths[lo] if kind == "C" else 1
     if not 0 <= seed.offset < base_span:
         raise UsageError(
             f"offset {seed.offset} outside the base {kind}-block span 0..{base_span - 1}"
@@ -163,22 +172,40 @@ def position_of_seed(spec: CoveringSpec, seed: PointSeed) -> int:
 def seed_from_position(
     spec: CoveringSpec, top_level: int, position: int, base_level: int = 1
 ) -> PointSeed:
-    """Inverse of :func:`position_of_seed` (block indices of an absolute time)."""
-    if not 1 <= base_level <= top_level <= spec.depth + 1:
-        raise UsageError(f"need 1 <= base {base_level} <= top {top_level} <= {spec.depth + 1}")
-    if not 0 <= position < circuit_length(spec, top_level):
+    """Inverse of :func:`position_of_seed` (block indices of an absolute time).
+
+    Reads the spec's length table and walks the runs of each map, as
+    :func:`position_of_seed` does.
+    """
+    _check_top(spec, top_level, base_level)
+    lengths = spec.lengths
+    if not 0 <= position < lengths[top_level - 1]:
         raise UsageError(
             f"position {position} outside circuit {top_level} "
-            f"(0..{circuit_length(spec, top_level) - 1})"
+            f"(0..{lengths[top_level - 1] - 1})"
         )
+    lo = base_level - 1
     slots: list[int] = []
     kind = "C"
     rem = position
-    for k in range(top_level - 1, base_level - 1, -1):
+    rows = zip(reversed(spec.levels[lo : top_level - 1]), reversed(lengths[lo : top_level - 1]))
+    for lm, l_k in rows:
         if kind == "E":
             slots.append(0)
             continue
-        slot, kind, rem = _time_slot(level_map(spec, k), circuit_length(spec, k), rem)
+        slot = 0
+        for run in lm.a:  # rem < a[b] once the last run is reached
+            if rem < run:
+                slot += rem
+                rem = 0
+                kind = "E"
+                break
+            rem -= run
+            if rem < l_k:
+                slot += run
+                break
+            rem -= l_k
+            slot += run + 1
         slots.append(slot)
     slots.reverse()
     return PointSeed(top_level=top_level, slot_path=tuple(slots), offset=rem, base_level=base_level)
@@ -190,9 +217,9 @@ def stable_point(spec: CoveringSpec, top_level: int) -> PointSeed:
     Located by descent search (last circuit block at every level), not by a
     closed formula.
     """
+    _check_top(spec, top_level)
     slots = []
-    for k in range(1, top_level):
-        lm = level_map(spec, k)
+    for lm in spec.levels[: top_level - 1]:
         slots.append(sum(lm.a[:-1]) + lm.b - 1)  # symbol index of the last C
     return PointSeed(
         top_level=top_level,
@@ -204,7 +231,8 @@ def stable_point(spec: CoveringSpec, top_level: int) -> PointSeed:
 
 def unstable_point(spec: CoveringSpec, top_level: int) -> PointSeed:
     """The seed whose time 0 is the first circuit edge of every level."""
-    slots = [level_map(spec, k).a[0] for k in range(1, top_level)]  # first C
+    _check_top(spec, top_level)
+    slots = [lm.a[0] for lm in spec.levels[: top_level - 1]]  # first C
     return PointSeed(top_level=top_level, slot_path=tuple(slots), offset=0, base_level=1)
 
 

@@ -25,6 +25,7 @@ Family tags:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .covering import (
@@ -233,9 +234,9 @@ class FamilyRecord:
             if m - _STAGE + 1 in pos and pos.get(m + 1) == pos[m - _STAGE + 1] + _STAGE
         }
 
-    @property
+    @cached_property
     def evidence(self) -> str:
-        """The check the record rests on, for certificates."""
+        """The check the record rests on, for certificates (built once per record)."""
         n = len(self.levels) - 1
         what = f"l1 and all {n} presented levels equal the regenerated {self.tag} construction"
         if self.levels != tuple(range(1, len(self.levels) + 1)):

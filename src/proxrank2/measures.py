@@ -73,8 +73,9 @@ def r_value(spec: CoveringSpec, n: int) -> Fraction:
 
 
 def one_minus_r(spec: CoveringSpec, n: int) -> Fraction:
-    """Loop mass of one refinement step: ``sum(a(n)) / l_{n+1}``."""
-    return Fraction(level_map(spec, n).a_total, circuit_length(spec, n + 1))
+    """Loop mass of one refinement step: ``sum(a(n)) / l_{n+1}``, read off the spec's tables."""
+    level_map(spec, n)  # checks the range of n
+    return Fraction(spec.loop_totals[n - 1], circuit_length(spec, n + 1))
 
 
 def r_product(spec: CoveringSpec, m: int, n: int) -> Fraction:
@@ -221,7 +222,7 @@ class LoopSeries(Sequence):
     __slots__ = ("_loops", "_tops", "_windings", "_l1", "_rows", "_sums")
 
     def __init__(
-        self, loops: list[int], tops: tuple[int, ...], windings: tuple[int, ...], l1: int
+        self, loops: tuple[int, ...], tops: tuple[int, ...], windings: tuple[int, ...], l1: int
     ):
         self._loops, self._tops, self._windings, self._l1 = loops, tops, windings, l1
         self._rows: list[ErgodicityRow | None] = [None] * len(loops)
@@ -295,9 +296,11 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     """Tabulate the loop-mass series and give a verdict.
 
     Each row holds ``1 - r(i) = sum(a(i)) / l_{i+1}`` and the partial product
-    ``r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}``, read off the spec's length
-    and winding tables (:attr:`~proxrank2.covering.CoveringSpec.lengths`,
-    :attr:`~proxrank2.covering.CoveringSpec.windings`).  ``rows`` is a
+    ``r(i + 1, 1) = B(i + 1, 1) l_1 / l_{i+1}``, read off the spec's length,
+    winding and loop tables (:attr:`~proxrank2.covering.CoveringSpec.lengths`,
+    :attr:`~proxrank2.covering.CoveringSpec.windings`,
+    :attr:`~proxrank2.covering.CoveringSpec.loop_totals`), sliced to the
+    ``top`` levels asked for, so no map is read again.  ``rows`` is a
     :class:`LoopSeries` over those integer columns, so the cost is paid where
     it is read:
 
@@ -333,7 +336,7 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
         raise UsageError("need at least one presented level")
-    loops = [lm.a_total for lm in spec.levels[:top]]
+    loops = spec.loop_totals[:top]
     tops = spec.lengths[1 : top + 1]  # l_{i+1} of row i
     rows = LoopSeries(loops, tops, spec.windings[1 : top + 1], spec.l1)
 
@@ -344,9 +347,9 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
             f"not a recognized family construction ({rec.problem}): a finite prefix "
             "cannot decide whether the loop-mass series converges",
         )
-    spans = list(zip(rec.levels, rec.levels[1:]))  # original-level interval [p, q) of each map
+    levels = rec.levels  # map i spans the original levels [levels[i - 1], levels[i])
     if rec.kind == "convergence":  # 0 < ratio < 1
-        if not _under_geometric_bound(loops, tops, spans, rec.scale, rec.ratio):
+        if not _under_geometric_bound(loops, tops, levels, rec.scale, rec.ratio):
             return _undetermined(rows, "the construction's convergence bound FAILED verification")
         return ErgodicityReport(
             "TwoErgodic",
@@ -357,11 +360,12 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
             rows,
         )
     marked = rec.boundaries
-    checked = [
-        k
-        for k, (p, q) in enumerate(spans[:top])
-        if rec.kind == "divergence" or bisect_left(marked, q) > bisect_left(marked, p)
-    ]
+    if rec.kind == "divergence":
+        checked = range(top)
+    else:  # the maps whose span holds a boundary level
+        checked = [
+            k for k in range(top) if bisect_left(marked, levels[k + 1]) > bisect_left(marked, levels[k])
+        ]
     dn, dd = rec.delta.numerator, rec.delta.denominator
     if not all(loops[k] * dd >= dn * tops[k] for k in checked):  # 1 - r >= delta
         return _undetermined(rows, f"the construction's {rec.kind} bound FAILED verification")
@@ -378,10 +382,11 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     )
 
 
-def _under_geometric_bound(loops, lengths, spans, scale: Fraction, ratio: Fraction) -> bool:
-    """Whether ``loops[k] / lengths[k]`` is within the geometric bound over ``spans[k]``.
+def _under_geometric_bound(loops, lengths, levels, scale: Fraction, ratio: Fraction) -> bool:
+    """Whether each ``loops[k] / lengths[k]`` is within the geometric bound of its span.
 
-    Over the original-level interval ``[p, q)`` of a map the bound is
+    Map ``k`` spans the original levels ``[p, q) = [levels[k], levels[k + 1])``,
+    over which the bound is
     ``scale * r^p`` when ``q = p + 1``, and the sum
     ``scale * (r^p - r^q) / (1 - r)`` of ``scale * r^j`` over ``p <= j < q``
     for a telescoped map, with ``r = ratio`` in ``(0, 1)``.  Writing
@@ -396,8 +401,8 @@ def _under_geometric_bound(loops, lengths, spans, scale: Fraction, ratio: Fracti
     """
     sn, sd = scale.numerator, scale.denominator
     rn, rd = ratio.numerator, ratio.denominator
-    rn_p, rd_p = rn ** spans[0][0], rd ** spans[0][0]
-    for a, l, (p, q) in zip(loops, lengths, spans):
+    rn_p, rd_p = rn ** levels[0], rd ** levels[0]
+    for a, l, p, q in zip(loops, lengths, levels, levels[1:]):
         if q == p + 1:
             rn_q, rd_q = rn_p * rn, rd_p * rd
             over = a * sd * rd_p > sn * rn_p * l

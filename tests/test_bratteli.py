@@ -25,7 +25,11 @@ from proxrank2 import (
     diagram_to_covering,
     diagram_to_dot,
     diagram_to_json,
+    gen_mixing_family,
+    gen_not_weakmix_family,
     gen_substitution_family,
+    gen_uniquely_ergodic_family,
+    gen_weakmix_not_mix_family,
     maximal_path,
     minimal_path,
     path_from_position,
@@ -37,10 +41,17 @@ from proxrank2 import (
     vershik_successor,
 )
 
-from _corpus import random_plain_spec, random_restricted_spec, reduced_specs
+from _corpus import permissive_level, random_plain_spec, random_restricted_spec, reduced_specs
 
 BASE = gen_substitution_family(depth=6)
 DIAG = covering_to_diagram(BASE, rows=4)
+_FAMILIES = (
+    gen_substitution_family,
+    gen_mixing_family,
+    gen_weakmix_not_mix_family,
+    gen_not_weakmix_family,
+    gen_uniquely_ergodic_family,
+)
 
 
 def test_edge_counts_match_level_words():
@@ -340,6 +351,314 @@ def test_resolve_path_returns_edges():
     edges = resolve_path(DIAG, path)
     assert len(edges) == 3
     assert all(isinstance(e, Edge) for e in edges)
+
+
+_PATH_MESSAGES = [
+    (lambda: path_from_position(DIAG, 3, "c", 31), "position 31 outside 0..30"),
+    (lambda: path_from_position(DIAG, 3, "c", -1), "position -1 outside 0..30"),
+    (lambda: path_from_position(DIAG, 3, "x", 0), "no vertex 'x' at row 3"),
+    (lambda: path_from_position(DIAG, 5, "c", 0), "row 5 outside 0..4"),
+    (lambda: position_of_path(DIAG, FinitePath(3, "c", (1, 9, 1))),
+     "row 2: ordinal 9 outside 1..1 into 'e'"),
+    (lambda: position_of_path(DIAG, FinitePath(3, "c", (1, 1, 8))),
+     "row 3: ordinal 8 outside 1..7 into 'c'"),
+    (lambda: position_of_path(DIAG, FinitePath(3, "c", (0, 1, 1))),
+     "row 1: ordinal 0 outside 1..1 into 'e'"),
+    (lambda: position_of_path(DIAG, FinitePath(3, "c", (1, 1))),
+     "path has 2 ordinals for target row 3"),
+    (lambda: position_of_path(DIAG, FinitePath(3, "x", (1, 1, 1))), "no vertex 'x' at row 3"),
+    (lambda: position_of_path(DIAG, FinitePath(5, "c", (1,) * 5)), "target row 5 outside 1..4"),
+    (lambda: position_of_path(DIAG, FinitePath(0, "c", ())), "target row 0 outside 1..4"),
+    (lambda: resolve_path(DIAG, FinitePath(3, "c", (1, 2, 1))),
+     "row 2: ordinal 2 outside 1..1 into 'e'"),
+    (lambda: vershik_successor(DIAG, FinitePath(3, "e", (1, 1, 2))),
+     "row 3: ordinal 2 outside 1..1 into 'e'"),
+    (lambda: vershik_successor(DIAG, maximal_path(DIAG, 3, "c")),
+     "all edges maximal into 'c' at row 3"),
+    (lambda: minimal_path(DIAG, 5, "c"), "row 5 outside 1..4"),
+    (lambda: minimal_path(DIAG, 3, "x"), "no vertex 'x' at row 3"),
+    (lambda: maximal_path(DIAG, 5, "e"), "row 5 outside 1..4"),
+    (lambda: maximal_path(DIAG, 3, "x"), "no vertex 'x' at row 3"),
+    (lambda: DIAG.incoming(2, "x"), "no vertex 'x' at row 2"),
+    (lambda: DIAG.incoming(0, "c"), "row 0 outside 1..4"),
+    (lambda: DIAG.incoming(5, "c"), "row 5 outside 1..4"),
+    (lambda: path_to_seed(DIAG, minimal_path(DIAG, 3, "e")),
+     "paths into the loop vertex do not pin a circuit block"),
+]
+
+
+@pytest.mark.parametrize("call, message", _PATH_MESSAGES)
+def test_path_error_messages_are_pinned(call, message):
+    with pytest.raises(ProxRank2Error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# The path arithmetic as it scanned edge lists and summed spans row by row,
+# kept as the reference for the table-reading versions.
+
+def _span_rows_reference(diagram):
+    spans = {v: 1 for v in diagram.vertex_rows[0]}
+    out = [spans]
+    for edges_row in diagram.edge_rows:
+        spans = {name: sum(spans[e.source] for e in edges) for name, edges in edges_row}
+        out.append(spans)
+    return tuple(out)
+
+
+def _incoming_reference(diagram, row, vertex):
+    if not 1 <= row <= diagram.rows:
+        raise UsageError(f"row {row} outside 1..{diagram.rows}")
+    for name, edges in diagram.edge_rows[row - 1]:
+        if name == vertex:
+            return edges
+    raise UsageError(f"no vertex {vertex!r} at row {row}")
+
+
+def _resolve_path_reference(diagram, path):
+    if not 1 <= path.target_row <= diagram.rows:
+        raise UsageError(f"target row {path.target_row} outside 1..{diagram.rows}")
+    if len(path.ordinals) != path.target_row:
+        raise UsageError(
+            f"path has {len(path.ordinals)} ordinals for target row {path.target_row}"
+        )
+    edges = []
+    vertex = path.target
+    for row in range(path.target_row, 0, -1):
+        incoming = _incoming_reference(diagram, row, vertex)
+        o = path.ordinals[row - 1]
+        if not 1 <= o <= len(incoming):
+            raise UsageError(
+                f"row {row}: ordinal {o} outside 1..{len(incoming)} into {vertex!r}"
+            )
+        edge = incoming[o - 1]
+        edges.append(edge)
+        vertex = edge.source
+    edges.reverse()
+    return tuple(edges)
+
+
+def _minimal_path_reference(diagram, target_row, target):
+    ordinals = []
+    vertex = target
+    for row in range(target_row, 0, -1):
+        ordinals.append(1)
+        vertex = _incoming_reference(diagram, row, vertex)[0].source
+    ordinals.reverse()
+    return FinitePath(target_row=target_row, target=target, ordinals=tuple(ordinals))
+
+
+def _maximal_path_reference(diagram, target_row, target):
+    ordinals = []
+    vertex = target
+    for row in range(target_row, 0, -1):
+        incoming = _incoming_reference(diagram, row, vertex)
+        ordinals.append(len(incoming))
+        vertex = incoming[-1].source
+    ordinals.reverse()
+    return FinitePath(target_row=target_row, target=target, ordinals=tuple(ordinals))
+
+
+def _position_of_path_reference(diagram, path):
+    edges = _resolve_path_reference(diagram, path)
+    tables = _span_rows_reference(diagram)
+    pos = 0
+    vertex = path.target
+    for row in range(path.target_row, 0, -1):
+        incoming = _incoming_reference(diagram, row, vertex)
+        chosen = edges[row - 1]
+        pos += sum(tables[row - 1][e.source] for e in incoming[: chosen.ordinal - 1])
+        vertex = chosen.source
+    return pos
+
+
+def _path_from_position_reference(diagram, target_row, target, position):
+    tables = _span_rows_reference(diagram)
+    if not 0 <= target_row <= diagram.rows:
+        raise UsageError(f"row {target_row} outside 0..{diagram.rows}")
+    if target not in tables[target_row]:
+        raise UsageError(f"no vertex {target!r} at row {target_row}")
+    total = tables[target_row][target]
+    if not 0 <= position < total:
+        raise UsageError(f"position {position} outside 0..{total - 1}")
+    ordinals = []
+    vertex = target
+    rem = position
+    for row in range(target_row, 0, -1):
+        for e in _incoming_reference(diagram, row, vertex):
+            span = tables[row - 1][e.source]
+            if rem < span:
+                ordinals.append(e.ordinal)
+                vertex = e.source
+                break
+            rem -= span
+    ordinals.reverse()
+    return FinitePath(target_row=target_row, target=target, ordinals=tuple(ordinals))
+
+
+def _vershik_successor_reference(diagram, path):
+    edges = _resolve_path_reference(diagram, path)
+    vertex_at = [path.target]
+    for edge in reversed(edges):
+        vertex_at.append(edge.source)
+    vertex_at.reverse()
+    for row in range(1, path.target_row + 1):
+        incoming = _incoming_reference(diagram, row, vertex_at[row])
+        chosen = edges[row - 1]
+        if chosen.ordinal < len(incoming):
+            bumped = incoming[chosen.ordinal]
+            prefix = _minimal_path_reference(diagram, row - 1, bumped.source) if row > 1 else None
+            ordinals = list(path.ordinals)
+            ordinals[row - 1] = bumped.ordinal
+            if prefix is not None:
+                ordinals[: row - 1] = list(prefix.ordinals)
+            return FinitePath(
+                target_row=path.target_row, target=path.target, ordinals=tuple(ordinals)
+            )
+    singles = [
+        v for v in diagram.vertex_rows[path.target_row]
+        if _span_rows_reference(diagram)[path.target_row][v] == 1
+    ]
+    loop = singles[0] if len(singles) == 1 else None
+    if path.target == loop and diagram.certified_max_min:
+        return path
+    raise TruncatedMaximal(f"all edges maximal into {path.target!r} at row {path.target_row}")
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ProxRank2Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_paths_against_reference(diagram, row, vertex, positions):
+    """Every path call at ``row`` / ``vertex`` equals the reference, errors included."""
+    for make in (minimal_path, maximal_path):
+        ref = _minimal_path_reference if make is minimal_path else _maximal_path_reference
+        assert _outcome(make, diagram, row, vertex) == _outcome(ref, diagram, row, vertex)
+    for position in positions:
+        got = _outcome(path_from_position, diagram, row, vertex, position)
+        assert got == _outcome(_path_from_position_reference, diagram, row, vertex, position)
+        if not isinstance(got, FinitePath):
+            continue
+        for call, ref in (
+            (position_of_path, _position_of_path_reference),
+            (resolve_path, _resolve_path_reference),
+            (vershik_successor, _vershik_successor_reference),
+        ):
+            assert _outcome(call, diagram, got) == _outcome(ref, diagram, got)
+        if row >= 1:
+            assert position_of_path(diagram, got) == position
+
+
+_path_specs = st.one_of(
+    reduced_specs.filter(lambda spec: circuit_length(spec, spec.depth + 1) < 10**60),
+    st.builds(
+        lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+        st.integers(1, 6),
+        st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=0, max_size=8),
+    ),
+    st.sampled_from([gen(depth=6) for gen in _FAMILIES]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_path_specs, st.data())
+def test_path_arithmetic_equals_the_scanning_reference(spec, data):
+    diagram = covering_to_diagram(spec)
+    assert diagram.span_rows == _span_rows_reference(diagram)
+    row = data.draw(st.integers(0, diagram.rows + 1), label="row")
+    vertex = data.draw(st.sampled_from(["c", "e", "v0", "x"]), label="vertex")
+    span = _outcome(diagram.span, row, vertex)
+    span = span if isinstance(span, int) else 1
+    positions = [0, span - 1, span, -1, data.draw(st.integers(0, span - 1), label="position")]
+    _check_paths_against_reference(diagram, row, vertex, positions)
+    # an ordinal out of range at any row, with the reference's message
+    if 1 <= row <= diagram.rows and vertex in ("c", "e"):
+        path = path_from_position(diagram, row, vertex, positions[-1])
+        ordinals = list(path.ordinals)
+        k = data.draw(st.integers(0, row - 1), label="bad row")
+        ordinals[k] = data.draw(st.sampled_from([0, -1, ordinals[k] + 1, 10**6]), label="bad ordinal")
+        bad = FinitePath(row, vertex, tuple(ordinals))
+        for call, ref in (
+            (position_of_path, _position_of_path_reference),
+            (resolve_path, _resolve_path_reference),
+            (vershik_successor, _vershik_successor_reference),
+        ):
+            assert _outcome(call, diagram, bad) == _outcome(ref, diagram, bad)
+
+
+@pytest.mark.parametrize("gen", _FAMILIES)
+def test_vershik_at_maximal_paths_equals_the_reference(gen):
+    spec = gen(depth=800)
+    edges = [spec.l1 + sum(lm.a_total + lm.b for lm in spec.levels[:k]) for k in range(40)]
+    for rows in (1, 2, 3, max(k + 1 for k in range(40) if edges[k] <= 20_000)):
+        diagram = covering_to_diagram(spec, rows=rows)
+        for row in range(1, rows + 1):
+            for vertex in ("c", "e"):
+                top = maximal_path(diagram, row, vertex)
+                assert top == _maximal_path_reference(diagram, row, vertex)
+                assert _outcome(vershik_successor, diagram, top) == _outcome(
+                    _vershik_successor_reference, diagram, top
+                )
+                last = _outcome(path_from_position, diagram, row, vertex, diagram.span(row, vertex) - 1)
+                assert last == top
+        assert diagram.span_rows == _span_rows_reference(diagram)
+
+
+def _three_vertex_diagram():
+    """Three vertices a row; the edge rows list them in another order than ``vertex_rows``."""
+    return OrderedBratteliDiagram(
+        vertex_rows=(("v0",), ("x", "y", "z"), ("p", "q", "r"), ("s", "t", "u")),
+        edge_rows=(
+            (
+                ("z", (Edge("v0", 1), Edge("v0", 2), Edge("v0", 3))),
+                ("x", (Edge("v0", 1),)),
+                ("y", (Edge("v0", 1), Edge("v0", 2))),
+            ),
+            (
+                ("r", (Edge("y", 1), Edge("x", 2))),
+                ("p", (Edge("z", 1), Edge("x", 2), Edge("z", 3), Edge("y", 4))),
+                ("q", (Edge("x", 1),)),
+            ),
+            (
+                ("t", (Edge("p", 1), Edge("q", 2), Edge("r", 3))),
+                ("u", (Edge("r", 1), Edge("r", 2))),
+                ("s", (Edge("q", 1), Edge("p", 2), Edge("p", 3))),
+            ),
+        ),
+    )
+
+
+def test_three_vertex_rows_in_another_order_equal_the_reference():
+    diagram = _three_vertex_diagram()
+    report = validate_diagram(diagram)
+    assert report.ok and report.warnings, report
+    spans = _span_rows_reference(diagram)
+    assert diagram.span_rows == spans
+    for row in range(0, diagram.rows + 2):
+        for vertex in ("x", "y", "z", "p", "q", "r", "s", "t", "u", "v0", "w"):
+            total = spans[row].get(vertex, 1) if row < len(spans) else 1
+            _check_paths_against_reference(diagram, row, vertex, range(-1, total + 1))
+    for row in range(1, diagram.rows + 1):
+        for vertex in ("x", "p", "s", "w"):
+            assert _outcome(diagram.incoming, row, vertex) == _outcome(
+                _incoming_reference, diagram, row, vertex
+            )
+
+
+def test_incoming_keeps_its_first_match_lookup():
+    # A repeated name in an edge row (validate_diagram refuses it): the
+    # first entry answers, as the scan did.
+    first, second = (Edge("v0", 1), Edge("v0", 2)), (Edge("v0", 1),)
+    diagram = OrderedBratteliDiagram(
+        vertex_rows=(("v0",), ("a", "b")),
+        edge_rows=((("a", first), ("b", second), ("a", second)),),
+    )
+    assert not validate_diagram(diagram).ok
+    assert diagram.incoming(1, "a") is first == _incoming_reference(diagram, 1, "a")
+    assert diagram.incoming(1, "b") is second
 
 
 def test_diagram_rejects_non_two_vertex_rows():

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, output shapes, error payloads."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrank2 import (
     classify_ergodicity,
@@ -297,6 +301,83 @@ def test_bratteli_vershik_command(base_spec_file, capsys):
     )
     assert code == 0
     assert "30" in out
+
+
+def test_bratteli_vershik_at_depth_800(tmp_path, capsys):
+    spec_file = tmp_path / "mix800.json"
+    spec_file.write_text(spec_to_json(gen_mixing_family(depth=800)))
+    start = 123456789123456789
+    code, out, _ = run(
+        capsys,
+        ["bratteli", "vershik", "--position", str(start), "--steps", "3", "--spec", str(spec_file)],
+    )
+    assert code == 0
+    assert out == ",".join(str(start + k) for k in range(4)) + "\n"
+
+
+def test_stablepoint_past_the_top_names_the_presented_range(base_spec_file, capsys):
+    code, out, err = run(capsys, ["stablepoint", "900", "--spec", base_spec_file])
+    assert (code, out) == (2, "")
+    assert err == "error: need 1 <= base 1 <= top 900 <= 7\n"
+
+
+def test_fractional_slot_in_point_json_exits_two(base_spec_file, capsys):
+    point = '{"top_level":3,"slot_path":[1.5,2],"offset":0}'
+    code, out, err = run(capsys, ["array", "--point", point, "--window=0:3", "--spec", base_spec_file])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed needs int top_level")
+
+
+@pytest.fixture(scope="module")
+def seed_spec_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seeds") / "base.json"
+    path.write_text(spec_to_json(gen_substitution_family(depth=6)))
+    return str(path)
+
+
+_NOT_INT = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _hostile_seed_json(draw):
+    """Seed JSON with a field that is not an int, a key missing, another shape, or no JSON."""
+    seed = {"top_level": 3, "slot_path": [1, 2], "offset": 0, "base_level": 1}
+    how = draw(st.sampled_from(["field", "slot", "missing", "shape", "text"]))
+    if how == "field":
+        seed[draw(st.sampled_from(sorted(seed)))] = draw(_NOT_INT)
+    elif how == "slot":
+        slots = draw(st.lists(st.integers(-1, 3), max_size=3))
+        slots.insert(draw(st.integers(0, len(slots))), draw(_NOT_INT))
+        seed["slot_path"] = slots
+    elif how == "missing":
+        del seed[draw(st.sampled_from(["top_level", "slot_path", "offset"]))]
+    elif how == "shape":
+        seed = draw(st.one_of(_NOT_INT, st.lists(_NOT_INT, max_size=3), st.integers()))
+    else:
+        return draw(st.text(max_size=12).filter(lambda t: not t.lstrip().startswith("{")))
+    return json.dumps(seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hostile_seed_json(), st.sampled_from(["--point", "--point-a", "--point-b"]))
+def test_hostile_point_json_exits_two_with_a_message(seed_spec_file, text, flag):
+    if flag == "--point":
+        argv = ["array", f"--point={text}", "--window=0:3"]
+    else:
+        other = "--position-b" if flag == "--point-a" else "--position-a"
+        argv = ["liyorke", f"{flag}={text}", other, "3:0", "--horizon", "5"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--spec", seed_spec_file])
+    assert code == 2, (text, out.getvalue())
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_language_command_exit_reflects_stabilization(base_spec_file, capsys, tmp_path):

@@ -51,7 +51,7 @@ from proxrank2 import (
 from proxrank2 import dynamics, expansion
 from proxrank2.expansion import _time_row, _walk_array
 
-from _corpus import walk_gaps
+from _corpus import permissive_level, walk_gaps
 
 BASE = gen_substitution_family(depth=6)
 
@@ -135,6 +135,247 @@ def test_seed_validation_rejects_bad_slots():
     bad = PointSeed(top_level=3, slot_path=(9, 0), offset=0)
     with pytest.raises(UsageError):
         validate_seed(BASE, bad)
+
+
+# BASE: l1 = 2, maps (1, 1, 1) then (1, 0, 1, 0, 1); l_1 .. l_3 = 2, 7, 31.
+_SEED_MESSAGES = [
+    (PointSeed(3, (9, 0), 0), "level-1 slot must be 0 under a loop block, got 9"),
+    (PointSeed(3, (1, 0), 0), "level-1 slot must be 0 under a loop block, got 1"),
+    (PointSeed(3, (0, -1), 0), "level-2 slot -1 outside 0..6"),
+    (PointSeed(3, (0, 7), 0), "level-2 slot 7 outside 0..6"),
+    (PointSeed(3, (0, 0), 2), "offset 2 outside the base E-block span 0..0"),
+    (PointSeed(3, (1, 1), 2), "offset 2 outside the base C-block span 0..1"),
+    (PointSeed(3, (1, 1), -1), "offset -1 outside the base C-block span 0..1"),
+    (PointSeed(3, (1,), 0), "slot_path length 1 != top-base = 2"),
+    (PointSeed(3, (0,), 0, base_level=3), "slot_path length 1 != top-base = 0"),
+    (PointSeed(9, (0,) * 8, 0), "need 1 <= base 1 <= top 9 <= 7"),
+    (PointSeed(3, (), 0, base_level=4), "need 1 <= base 4 <= top 3 <= 7"),
+    (PointSeed(3, (), 0, base_level=0), "need 1 <= base 0 <= top 3 <= 7"),
+]
+
+
+@pytest.mark.parametrize("seed, message", _SEED_MESSAGES)
+def test_seed_error_messages_are_pinned(seed, message):
+    for call in (validate_seed, position_of_seed):
+        with pytest.raises(UsageError) as exc:
+            call(BASE, seed)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "top, position, base, message",
+    [
+        (3, 31, 1, "position 31 outside circuit 3 (0..30)"),
+        (3, -1, 1, "position -1 outside circuit 3 (0..30)"),
+        (8, 0, 1, "need 1 <= base 1 <= top 8 <= 7"),
+        (3, 0, 4, "need 1 <= base 4 <= top 3 <= 7"),
+        (0, 0, 1, "need 1 <= base 1 <= top 0 <= 7"),
+    ],
+)
+def test_seed_from_position_messages_are_pinned(top, position, base, message):
+    with pytest.raises(UsageError) as exc:
+        seed_from_position(BASE, top, position, base_level=base)
+    assert str(exc.value) == message
+
+
+def test_stable_and_unstable_points_check_the_top_level_first():
+    for call in (stable_point, unstable_point):
+        for top in (0, 8, 900):
+            with pytest.raises(UsageError) as exc:
+                call(BASE, top)
+            assert str(exc.value) == f"need 1 <= base 1 <= top {top} <= 7"
+    assert stable_point(BASE, 7).top_level == unstable_point(BASE, 1).top_level + 6
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"slot_path": "12"},
+        {"slot_path": [1.5, 2]},
+        {"slot_path": [True, 0]},
+        {"base_level": None},
+        {"base_level": 1.0},
+        {"top_level": True},
+        {"top_level": "3"},
+        {"offset": 0.0},
+        {"offset": [0]},
+    ],
+)
+def test_seed_fields_must_be_ints(fields):
+    d = {"top_level": 3, "slot_path": [1, 2], "offset": 0, **fields}
+    with pytest.raises(UsageError) as exc:
+        PointSeed.from_dict(d)
+    assert "int" in str(exc.value)
+    # the descent checks the same, for seeds built without from_dict
+    seed = PointSeed(d["top_level"], tuple(d["slot_path"]), d["offset"], d.get("base_level", 1))
+    with pytest.raises(UsageError):
+        position_of_seed(gen_mixing_family(depth=5), seed)
+
+
+def test_non_int_slot_gives_no_fractional_position():
+    with pytest.raises(UsageError):
+        position_of_seed(gen_mixing_family(depth=5), PointSeed(3, (1.5, 2), 0))
+    with pytest.raises(UsageError):
+        validate_seed(BASE, PointSeed(3, [1, 1], 0))  # a list, not a tuple
+
+
+# The descent as it walked one level at a time through the accessors, kept
+# as the reference for the table-reading descent.
+
+def _slot_time_reference(lm, l_k, slot):
+    time = 0
+    for run in lm.a[:-1]:
+        if slot < run:
+            return time + slot, "E"
+        if slot == run:
+            return time + run, "C"
+        slot -= run + 1
+        time += run + l_k
+    return time + slot, "E"
+
+
+def _time_slot_reference(lm, l_k, time):
+    slot = 0
+    for run in lm.a[:-1]:
+        if time < run:
+            return slot + time, "E", 0
+        if time < run + l_k:
+            return slot + run, "C", time - run
+        time -= run + l_k
+        slot += run + 1
+    return slot + time, "E", 0
+
+
+def _descend_reference(spec, seed):
+    if not 1 <= seed.base_level <= seed.top_level <= spec.depth + 1:
+        raise UsageError(
+            f"need 1 <= base {seed.base_level} <= top {seed.top_level} <= {spec.depth + 1}"
+        )
+    if len(seed.slot_path) != seed.top_level - seed.base_level:
+        raise UsageError(
+            f"slot_path length {len(seed.slot_path)} != top-base = "
+            f"{seed.top_level - seed.base_level}"
+        )
+    pos = 0
+    kind = "C"
+    for k in range(seed.top_level - 1, seed.base_level - 1, -1):
+        slot = seed.slot_at(k)
+        if kind == "E":
+            if slot != 0:
+                raise UsageError(f"level-{k} slot must be 0 under a loop block, got {slot}")
+            continue
+        lm = level_map(spec, k)
+        symbols = lm.a_total + lm.b
+        if not 0 <= slot < symbols:
+            raise UsageError(f"level-{k} slot {slot} outside 0..{symbols - 1}")
+        time, kind = _slot_time_reference(lm, circuit_length(spec, k), slot)
+        pos += time
+    base_span = circuit_length(spec, seed.base_level) if kind == "C" else 1
+    if not 0 <= seed.offset < base_span:
+        raise UsageError(
+            f"offset {seed.offset} outside the base {kind}-block span 0..{base_span - 1}"
+        )
+    return pos + seed.offset, kind
+
+
+def _seed_from_position_reference(spec, top_level, position, base_level=1):
+    if not 1 <= base_level <= top_level <= spec.depth + 1:
+        raise UsageError(f"need 1 <= base {base_level} <= top {top_level} <= {spec.depth + 1}")
+    if not 0 <= position < circuit_length(spec, top_level):
+        raise UsageError(
+            f"position {position} outside circuit {top_level} "
+            f"(0..{circuit_length(spec, top_level) - 1})"
+        )
+    slots = []
+    kind = "C"
+    rem = position
+    for k in range(top_level - 1, base_level - 1, -1):
+        if kind == "E":
+            slots.append(0)
+            continue
+        slot, kind, rem = _time_slot_reference(level_map(spec, k), circuit_length(spec, k), rem)
+        slots.append(slot)
+    slots.reverse()
+    return PointSeed(top_level=top_level, slot_path=tuple(slots), offset=rem, base_level=base_level)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except UsageError as exc:
+        return "UsageError", str(exc)
+
+
+def _random_seed(spec, top, base, draw):
+    """A valid seed whose slots land on loop symbols about half the time."""
+    slots = []
+    kind = "C"
+    for k in range(top - 1, base - 1, -1):
+        if kind == "E":
+            slots.append(0)
+            continue
+        lm = level_map(spec, k)
+        runs = [j for j, run in enumerate(lm.a) if run]
+        if runs and draw(st.booleans()):  # inside loop run j: after j runs and j C's
+            j = draw(st.sampled_from(runs))
+            slot = sum(lm.a[:j]) + j + draw(st.integers(0, lm.a[j] - 1))
+        else:
+            slot = draw(st.integers(0, lm.a_total + lm.b - 1))
+        kind = _slot_time_reference(lm, circuit_length(spec, k), slot)[1]
+        slots.append(slot)
+    span = circuit_length(spec, base) if kind == "C" else 1
+    offset = draw(st.integers(0, span - 1))
+    return PointSeed(top, tuple(reversed(slots)), offset, base)
+
+
+_seed_specs = st.one_of(
+    st.builds(
+        lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+        st.integers(1, 6),
+        st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=0, max_size=8),
+    ),
+    st.sampled_from([gen(depth=6) for gen in _FAMILIES]),
+    st.sampled_from([gen(depth=800) for gen in _FAMILIES]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seed_specs, st.data())
+def test_seed_descent_equals_the_level_walk_reference(spec, data):
+    # Every base level, slots on loop symbols (positions inside loop runs),
+    # and single-field mutations whose error messages must match.
+    top = data.draw(st.integers(1, spec.depth + 1), label="top")
+    base = data.draw(st.integers(1, top), label="base")
+    seed = _random_seed(spec, top, base, data.draw)
+    pos, kind = _descend_reference(spec, seed)
+    assert dynamics._descend(spec, seed) == (pos, kind)
+    assert seed_from_position(spec, top, pos, base) == seed
+    assert _seed_from_position_reference(spec, top, pos, base) == seed
+    other = data.draw(st.integers(-1, circuit_length(spec, top)), label="position")
+    assert _outcome(seed_from_position, spec, top, other, base) == _outcome(
+        _seed_from_position_reference, spec, top, other, base
+    )
+    if seed.slot_path and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(seed.slot_path) - 1))
+        slots = list(seed.slot_path)
+        slots[i] = data.draw(st.integers(-2, slots[i] + 3))
+        bad = PointSeed(top, tuple(slots), seed.offset, base)
+    else:
+        bad = PointSeed(top, seed.slot_path, data.draw(st.integers(-2, seed.offset + 3)), base)
+    assert _outcome(dynamics._descend, spec, bad) == _outcome(_descend_reference, spec, bad)
+
+
+@pytest.mark.parametrize("gen", _FAMILIES)
+def test_seeds_at_every_base_level_equal_the_reference(gen):
+    spec = gen(depth=5)
+    rng = random.Random(5)
+    for top in range(1, spec.depth + 2):
+        l_top = circuit_length(spec, top)
+        for base in range(1, top + 1):
+            for pos in {0, l_top - 1, *(rng.randrange(l_top) for _ in range(12))}:
+                want = _seed_from_position_reference(spec, top, pos, base)
+                assert seed_from_position(spec, top, pos, base) == want
+                assert dynamics._descend(spec, want) == _descend_reference(spec, want)
 
 
 # -------------------------------------------------------------- language ---
