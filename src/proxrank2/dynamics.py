@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -37,9 +37,11 @@ from .expansion import (
     _POSITION_LIMIT,
     _block_start_differences,
     _check_positions,
+    _descend_positions,
     _gap_rows,
     _gap_window,
     _time_row,
+    _walk_array,
     cumulative_runs,
     d_word,
     realized_gap_table,
@@ -408,33 +410,44 @@ def array_block(
     of the seed's top block raises :class:`WindowUndetermined` naming the
     first undetermined time.
 
-    Each row reads one window of its level's walk of the top circuit
-    (:func:`~proxrank2.expansion.walk_windows`), at any depth.  Memory per
-    row: one base walk of at most 2^20 entries, plus 8 bytes per window
-    entry for the index arrays, plus the row itself.
+    The rows are the level-``k`` walks of the top circuit over the window's
+    ``span + 1`` positions, read off one descent of those positions from the
+    top level to the base (:func:`~proxrank2.expansion._descend_positions`
+    yields each level's offsets), at any depth.  No walk is built.  Memory:
+    a few int64 arrays of ``span + 1`` entries for the level being read,
+    plus the rows.
     """
     t0, t1 = window
     if t0 > t1:
         raise UsageError(f"window must have t0 <= t1, got {window}")
     pos, _ = _descend(spec, seed)
-    l_top = circuit_length(spec, seed.top_level)
+    top, base = seed.top_level, seed.base_level
+    l_top = circuit_length(spec, top)
     if pos + t0 < 0:
         raise WindowUndetermined(t0)
     if pos + t1 > l_top - 1:
         raise WindowUndetermined(l_top - 1 - pos + 1)
     span = t1 - t0 + 1
+    _check_positions(spec, top, top)
+    limit = expansion_cap(cap)
+    if span + 1 > limit:
+        raise ExpansionTooLarge(span + 1, limit, what=f"walk windows of circuit {top} over level {top}")
+    at = np.arange(pos + t0, pos + t1 + 2, dtype=np.int64)
+    # The level-top walk is 0, 1, .., l_top - 1, 0; each lower level is its offsets.
+    walks = chain([at % l_top], (off for off, _ in _descend_positions(spec, top, base, at)))
     rows = []
-    for k in range(seed.top_level, seed.base_level - 1, -1):
-        walk = walk_windows(spec, seed.top_level, k, [pos + t0], span + 1, cap=cap)[0]
-        rows.append(
-            ArrayRow(
-                level=k,
-                symbols=_step_symbols(walk, 0, span).tobytes().decode("ascii"),
-                cuts=tuple((np.flatnonzero(walk[:span] == 0) + t0).tolist()),
-                end_cut=bool(walk[span] == 0),
-            )
-        )
+    for k, walk in zip(range(top, base - 1, -1), walks):
+        central = walk == 0
+        rows.append(ArrayRow(
+            level=k,
+            symbols=(central[:-1] & central[1:]).tobytes().translate(_LOOP_LETTERS).decode("ascii"),
+            cuts=tuple((np.flatnonzero(central[:span]) + t0).tolist()),
+            end_cut=bool(central[span]),
+        ))
     return ArrayBlock(seed=seed, window=(t0, t1), rows=tuple(rows))
+
+
+_LOOP_LETTERS = bytes.maketrans(b"\x00\x01", b"CE")  # a step's loop flag as its letter
 
 
 def render_array_text(block: ArrayBlock) -> str:
@@ -483,11 +496,20 @@ def li_yorke_witness(
     event is a time with differing level-1 symbols.  Events are reported,
     never asserted — the caller decides what they prove.
 
-    Each level reads the two windows of its walks of the top circuits
-    (:func:`~proxrank2.expansion.walk_windows`, one call when both seeds
-    share their top), at any depth.  Memory per level: one base walk of at
-    most 2^20 entries per top, plus 8 bytes per window entry for the index
-    arrays, plus the two windows and the ``int32`` row of deepest levels.
+    One call of :func:`~proxrank2.expansion.walk_windows` reads the two
+    windows of the level-``k_max`` walks of the top circuits (one call per
+    seed when their tops differ), ``k_max = min(k_target, tops)``.  Each
+    entry is a position in circuit ``k_max`` (its offset in its copy, 0 off
+    the copies), so a lower level ``k`` reads the level-``k`` walk of
+    circuit ``k_max`` at those positions.  While ``l_{k_max}`` is at most
+    the window's span, that walk is built (``l_{k_max} + 1`` entries) and
+    gathered from; otherwise the entries descend to level 1
+    (:func:`~proxrank2.expansion._descend_positions`) and no walk of
+    circuit ``k_max`` is built.  Memory: one base walk of at most 2^20
+    entries per ``walk_windows`` call, 8 bytes per window entry for the
+    index arrays, a few int64 copies of the two windows and at most one
+    small walk for the level being read, and the ``int32`` row of deepest
+    levels.
     """
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
@@ -506,18 +528,27 @@ def li_yorke_witness(
     k_max = min(k_target, seed_a.top_level, seed_b.top_level)
     span = t_hi - t_lo + 1
     tops, starts = (seed_a.top_level, seed_b.top_level), (pos_a + t_lo, pos_b + t_lo)
-
-    def rows(k: int):  # both seeds' level-k windows, in one call when they share a top
-        if tops[0] == tops[1]:
-            return walk_windows(spec, tops[0], k, starts, span + 1, cap=cap)
-        return [walk_windows(spec, top, k, [s], span + 1, cap=cap)[0] for top, s in zip(tops, starts)]
-
+    if tops[0] == tops[1]:
+        top_rows = walk_windows(spec, tops[0], k_max, starts, span + 1, cap=cap)
+    else:
+        top_rows = np.concatenate(
+            [walk_windows(spec, top, k_max, [s], span + 1, cap=cap) for top, s in zip(tops, starts)]
+        )
+    # An entry is a position of circuit k_max (0 off its copies), so a lower
+    # level's entries are the walk of circuit k_max at those positions:
+    # gathered through that walk when it is no longer than a window (so it
+    # fits the cap the windows passed), descended otherwise.  Deepest shared
+    # level first.
+    at = top_rows.astype(np.int64)
+    if spec.lengths[k_max - 1] <= span:
+        lower = (_walk_array(spec, k_max, k, cap=cap)[at] for k in range(k_max - 1, 0, -1))
+    else:
+        lower = (off for off, _ in _descend_positions(spec, k_max, 1, at))
     best = np.zeros(span, dtype=np.int32)
-    for k in range(1, k_max + 1):
-        wa, wb = rows(k)
-        best[wa[:span] == wb[:span]] = k
-        if k == 1:
-            sep = np.flatnonzero(_step_symbols(wa, 0, span) != _step_symbols(wb, 0, span))
+    for k, w in zip(range(k_max, 0, -1), chain([top_rows], lower)):
+        best[(best == 0) & (w[0, :span] == w[1, :span])] = k
+    loop = (w[:, :-1] == 0) & (w[:, 1:] == 0)  # the level-1 E steps
+    sep = np.flatnonzero(loop[0] != loop[1])
     near = np.flatnonzero(best >= 1)
     return LiYorkeWitness(
         seed_a=seed_a,
@@ -529,12 +560,6 @@ def li_yorke_witness(
         separation_events=tuple((sep + t_lo).tolist()),
         best_k=int(best.max()) if span else 0,
     )
-
-
-def _step_symbols(walk: np.ndarray, start: int, span: int) -> np.ndarray:
-    w0 = walk[start: start + span]
-    w1 = walk[start + 1: start + span + 1]
-    return np.where((w0 == 0) & (w1 == 0), np.uint8(ord("E")), np.uint8(ord("C")))
 
 
 # --------------------------------------------------------------------------
@@ -856,6 +881,24 @@ def forbidden_window_report(
 _SEPARATION_BLOCK = 1 << 18  # window entries of one side of a batch of level1_separation_check
 
 
+def _randrange_draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randrange(lo, hi) for _ in range(count)]`` for ``lo < hi``, without its per-call checks.
+
+    ``randrange`` draws ``getrandbits(k)`` for the bit length ``k`` of
+    ``hi - lo`` until one is below ``hi - lo``; so does this loop, so the
+    numbers and the state left in ``rng`` are the same.
+    """
+    span = hi - lo
+    bits, k = rng.getrandbits, span.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 @dataclass(frozen=True)
 class SeparationReport(Report):
     n: int
@@ -884,21 +927,21 @@ def level1_separation_check(
     level-1 rows that exhibits a difference.  Failures (no difference within
     ``pad_max``) are reported, not raised.
 
-    The positions are drawn from ``random.Random(rng_seed)`` two at a time,
-    in batches of at most as many pairs as samples are still missing, so the
-    draws and the pairs taken are those of drawing one pair at a time.  The
-    segments of a batch are compared at once, and the least paddings of the
-    pairs that differ are read off their level-1 windows with one masked
-    minimum.
+    The positions are drawn as ``random.Random(rng_seed).randrange`` draws
+    them (:func:`_randrange_draws`), two at a time, in batches of at most as
+    many pairs as samples are still missing, so the draws and the pairs
+    taken are those of drawing one pair at a time.  The segments of a batch
+    are compared at once, and the least paddings of the pairs that differ
+    are read off their level-1 windows with one masked minimum.
 
     No row of the top circuit is built: each batch reads one window of the
     level-``n`` walk per position (:func:`~proxrank2.expansion.walk_windows`),
     from the padding before it to the padding after.  Its middle is the
     segment, and step ``t``'s level-1 symbol is ``E`` where ``w[t] ==
     w[t + 1] == 0`` (a loop step of level ``n``) and otherwise entry
-    ``w[t]`` of the level-1 time row of one level-``n`` block.  Memory: one
-    base walk of at most 2^20 entries, the level-1 row of ``l_n`` bytes,
-    and a batch of at most ``2 * _SEPARATION_BLOCK`` window entries, each with
+    ``w[t]`` of the level-1 time row of one level-``n`` block.  Memory per
+    batch: one base walk of at most 2^20 entries, the level-1 row of ``l_n``
+    bytes, and at most ``2 * _SEPARATION_BLOCK`` window entries, each with
     8 bytes of index arrays and 8 bytes for the masked minimum.
     """
     if n < 2:
@@ -932,9 +975,7 @@ def level1_separation_check(
     failures: list[tuple[int, int]] = []
     while done < samples and attempts < 50 * samples:
         batch = min(samples - done, 50 * samples - attempts, step)
-        t = np.array(
-            [rng.randrange(pad, l_top - length - pad) for _ in range(2 * batch)], dtype=np.int64
-        )
+        t = np.array(_randrange_draws(rng, pad, l_top - length - pad, 2 * batch), dtype=np.int64)
         w = walk_windows(spec, top, n, t - pad, width + 1, cap=cap).reshape(batch, 2, width + 1)
         keep = (w[:, 0, pad: pad + length + 1] != w[:, 1, pad: pad + length + 1]).any(axis=1)
         t, w = t.reshape(batch, 2)[keep], w[keep]
@@ -942,7 +983,8 @@ def level1_separation_check(
         done += len(t)
         skipped += batch - len(t)
         here = w[:, :, :-1]
-        symbols = np.where((here == 0) & (w[:, :, 1:] == 0), np.uint8(ord("E")), block1[here])
+        symbols = np.take(block1, here)
+        symbols[(here == 0) & (w[:, :, 1:] == 0)] = ord("E")
         least = np.where(symbols[:, 0] != symbols[:, 1], need, width).min(axis=1)
         failures.extend(map(tuple, t[least == width].tolist()))
         max_padding = max(max_padding, int(least[least < width].max(initial=0)))

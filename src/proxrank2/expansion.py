@@ -35,7 +35,10 @@ word: it reads the loop runs between blocks off the level maps.
 """
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -248,25 +251,31 @@ def _check_positions(spec: CoveringSpec, m: int, n: int) -> None:
         raise ExpansionTooLarge(l_m + 1, _POSITION_LIMIT, what=f"window descent of circuit {m} over level {n}")
 
 
-def _descend_positions(spec: CoveringSpec, m: int, k0: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the int64 positions ``pos`` of circuit ``m`` inside their level-``k0`` copy.
+def _descend_positions(
+    spec: CoveringSpec, m: int, k0: int, pos: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Offsets of the int64 positions ``pos`` of circuit ``m`` inside their level-``k`` copies.
 
-    Each level ``k = m - 1 .. k0`` finds the last copy of circuit ``k`` that
-    starts at or before a position, by ``np.searchsorted`` on the copy
-    starts ``a[0] + .. + a[j] + j l_k``, and subtracts its start.  A
+    A generator: for each level ``k = m - 1 .. k0`` in turn it finds the
+    last copy of circuit ``k`` that starts at or before a position, by
+    ``np.searchsorted`` on the copy starts ``a[0] + .. + a[j] + j l_k``,
+    subtracts its start, and yields the offsets with the ``inside`` mask.  A
     position on a loop step of some level, or at the end of a copy, is not
     inside: its vertex is 0, and its offset is set to 0, where every walk
-    holds vertex 0 too.  Returns the offsets and the ``inside`` mask.
+    holds vertex 0 too.  So the offsets at level ``k`` are the level-``k``
+    walk of circuit ``m`` at ``pos``.  The mask is updated in place by the
+    next level; the offsets are a new array per level.
     """
     inside = np.ones(pos.shape, dtype=bool)
     for k in range(m - 1, k0 - 1, -1):
-        lm, l_k = spec.levels[k - 1], spec.lengths[k - 1]
-        starts = np.cumsum(np.array(lm.a[:-1], dtype=np.int64)) + np.arange(0, lm.b * l_k, l_k, dtype=np.int64)
-        # A position before copy 0 takes j = -1, the last start, and goes negative.
-        pos = pos - starts[np.searchsorted(starts, pos, side="right") - 1]
+        l_k = spec.lengths[k - 1]
+        loops_before = accumulate(spec.levels[k - 1].a[:-1])
+        starts = np.array([s + j * l_k for j, s in enumerate(loops_before)], dtype=np.int64)
+        # A position before copy 0 takes copy 0 and goes negative.
+        pos = pos - starts[np.searchsorted(starts[1:], pos, side="right")]
         inside &= pos.view(np.uint64) < l_k
         pos *= inside
-    return pos, inside
+        yield pos, inside
 
 
 def walk_windows(
@@ -320,14 +329,14 @@ def walk_windows(
 
     if k0 == m:  # the whole walk is the base
         return rows(starts)
-    off, inside = _descend_positions(spec, m, k0, starts)
+    off, inside = deque(_descend_positions(spec, m, k0, starts), maxlen=1)[0]
     fits = inside & (off <= spec.lengths[k0 - 1] + 1 - width)
     if fits.all():
         return rows(off)
     out = np.empty((starts.size, width), dtype=dtype)
     if fits.any():
         out[fits] = rows(off[fits])
-    pos = _descend_positions(spec, m, k0, starts[~fits, None] + np.arange(width))[0]
+    pos = deque(_descend_positions(spec, m, k0, starts[~fits, None] + np.arange(width)), maxlen=1)[0][0]
     out[~fits] = pos if base is None else base[pos]
     return out
 

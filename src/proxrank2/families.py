@@ -24,7 +24,7 @@ Family tags:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -213,6 +213,8 @@ class FamilyRecord:
     ``boundaries`` up to the regenerated depth (``"divergence_on_levels"``).
     ``levels`` is the original level of each presented circuit
     (``1 .. depth + 1`` unless telescoped), the numbering of ``boundaries``.
+    ``loops`` and ``lengths`` are the spec's ``loop_totals`` and ``lengths``,
+    which :attr:`bounded` checks.
     """
 
     problem: str | None
@@ -223,6 +225,8 @@ class FamilyRecord:
     ratio: Fraction | None = None
     levels: tuple[int, ...] = ()
     boundaries: tuple[int, ...] = ()
+    loops: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    lengths: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def stages(self) -> dict[int, int]:
@@ -242,6 +246,49 @@ class FamilyRecord:
         if self.levels != tuple(range(1, len(self.levels) + 1)):
             what += f" telescoped to original levels {list(self.levels)}"
         return what
+
+    @cached_property
+    def bounded(self) -> int:
+        """How many leading presented levels keep a convergence bound (checked once per record)."""
+        return _levels_under_geometric_bound(
+            self.loops, self.lengths[1:], self.levels, self.scale, self.ratio
+        )
+
+
+def _levels_under_geometric_bound(loops, lengths, levels, scale: Fraction, ratio: Fraction) -> int:
+    """How many leading ``loops[k] / lengths[k]`` are within the geometric bound of their span.
+
+    Map ``k`` spans the original levels ``[p, q) = [levels[k], levels[k + 1])``,
+    over which the bound is
+    ``scale * r^p`` when ``q = p + 1``, and the sum
+    ``scale * (r^p - r^q) / (1 - r)`` of ``scale * r^j`` over ``p <= j < q``
+    for a telescoped map, with ``r = ratio`` in ``(0, 1)``.  Writing
+    ``scale = sn / sd`` and ``r = rn / rd`` and clearing the positive
+    denominators, each level compares two integers:
+
+    * ``a sd rd^p <= sn rn^p l``;
+    * ``a sd rd^q (rd - rn) <= sn (rn^p rd^(q-p) - rn^q) rd l``.
+
+    ``rn^p`` and ``rd^p`` are carried from one span to the next, so a level
+    costs a few multiplications and no power of a fraction.
+    """
+    sn, sd = scale.numerator, scale.denominator
+    rn, rd = ratio.numerator, ratio.denominator
+    rn_p, rd_p = rn ** levels[0], rd ** levels[0]
+    count = 0
+    for a, l, p, q in zip(loops, lengths, levels, levels[1:]):
+        if q == p + 1:
+            rn_q, rd_q = rn_p * rn, rd_p * rd
+            over = a * sd * rd_p > sn * rn_p * l
+        else:
+            rn_step, rd_step = rn ** (q - p), rd ** (q - p)
+            rn_q, rd_q = rn_p * rn_step, rd_p * rd_step
+            over = a * sd * rd_q * (rd - rn) > sn * (rn_p * rd_step - rn_q) * rd * l
+        if over:
+            break
+        count += 1
+        rn_p, rd_p = rn_q, rd_q
+    return count
 
 
 def _regenerate(spec: CoveringSpec, depth: int) -> CoveringSpec:
@@ -331,7 +378,14 @@ def recognize(spec: CoveringSpec) -> FamilyRecord:
     problem = _difference(spec, target)
     if problem is not None:
         return FamilyRecord(problem)
-    return FamilyRecord(None, fam.tag, levels=tuple(kept), **_bound(fam.tag, regen, kept[-1] - 1))
+    return FamilyRecord(
+        None,
+        fam.tag,
+        levels=tuple(kept),
+        loops=spec.loop_totals,
+        lengths=spec.lengths,
+        **_bound(fam.tag, regen, kept[-1] - 1),
+    )
 
 
 def extend_family(spec: CoveringSpec, new_depth: int) -> CoveringSpec | None:

@@ -330,6 +330,9 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     check does no ``Fraction`` arithmetic: each level compares two integer
     products, the loop mass cross-multiplied with the bound, whose powers of
     ``ratio``'s numerator and denominator are carried from level to level.
+    A convergence bound is checked once per record
+    (:attr:`~proxrank2.families.FamilyRecord.bounded`, the number of leading
+    levels that keep it) and each call compares ``top`` with that count.
     Finite data alone never certifies: an unrecognized spec is
     ``Undetermined``, and its certificate names the check that failed.
     """
@@ -349,7 +352,7 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         )
     levels = rec.levels  # map i spans the original levels [levels[i - 1], levels[i])
     if rec.kind == "convergence":  # 0 < ratio < 1
-        if not _under_geometric_bound(loops, tops, levels, rec.scale, rec.ratio):
+        if rec.bounded < top:
             return _undetermined(rows, "the construction's convergence bound FAILED verification")
         return ErgodicityReport(
             "TwoErgodic",
@@ -380,40 +383,6 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
         "the loop-mass series diverges",
         rows,
     )
-
-
-def _under_geometric_bound(loops, lengths, levels, scale: Fraction, ratio: Fraction) -> bool:
-    """Whether each ``loops[k] / lengths[k]`` is within the geometric bound of its span.
-
-    Map ``k`` spans the original levels ``[p, q) = [levels[k], levels[k + 1])``,
-    over which the bound is
-    ``scale * r^p`` when ``q = p + 1``, and the sum
-    ``scale * (r^p - r^q) / (1 - r)`` of ``scale * r^j`` over ``p <= j < q``
-    for a telescoped map, with ``r = ratio`` in ``(0, 1)``.  Writing
-    ``scale = sn / sd`` and ``r = rn / rd`` and clearing the positive
-    denominators, each level compares two integers:
-
-    * ``a sd rd^p <= sn rn^p l``;
-    * ``a sd rd^q (rd - rn) <= sn (rn^p rd^(q-p) - rn^q) rd l``.
-
-    ``rn^p`` and ``rd^p`` are carried from one span to the next, so a level
-    costs a few multiplications and no power of a fraction.
-    """
-    sn, sd = scale.numerator, scale.denominator
-    rn, rd = ratio.numerator, ratio.denominator
-    rn_p, rd_p = rn ** levels[0], rd ** levels[0]
-    for a, l, p, q in zip(loops, lengths, levels, levels[1:]):
-        if q == p + 1:
-            rn_q, rd_q = rn_p * rn, rd_p * rd
-            over = a * sd * rd_p > sn * rn_p * l
-        else:
-            rn_step, rd_step = rn ** (q - p), rd ** (q - p)
-            rn_q, rd_q = rn_p * rn_step, rd_p * rd_step
-            over = a * sd * rd_q * (rd - rn) > sn * (rn_p * rd_step - rn_q) * rd * l
-        if over:
-            return False
-        rn_p, rd_p = rn_q, rd_q
-    return True
 
 
 def _undetermined(rows, certificate: str) -> ErgodicityReport:

@@ -51,7 +51,7 @@ from proxrank2 import (
 from proxrank2 import dynamics, expansion
 from proxrank2.expansion import _time_row, _walk_array
 
-from _corpus import permissive_level, walk_gaps
+from _corpus import permissive_level, random_plain_spec, random_restricted_spec, walk_gaps
 
 BASE = gen_substitution_family(depth=6)
 
@@ -598,6 +598,63 @@ def test_array_block_respects_window_bounds():
     assert info.value.first_time == 5
 
 
+def _array_reference(spec, seed, window):
+    """``array_block(...).rows`` read off the whole walk of the top circuit over each level."""
+    t0, t1 = window
+    pos, span = position_of_seed(spec, seed), t1 - t0 + 1
+    rows = []
+    for k in range(seed.top_level, seed.base_level - 1, -1):
+        walk = _walk_array(spec, seed.top_level, k)[pos + t0: pos + t1 + 2]
+        loop = (walk[:-1] == 0) & (walk[1:] == 0)
+        rows.append((
+            k,
+            "".join(np.where(loop, "E", "C")),
+            tuple(int(i) + t0 for i in np.flatnonzero(walk[:span] == 0)),
+            bool(walk[span] == 0),
+        ))
+    return rows
+
+
+def _array_specs():
+    rng = random.Random(0xA77A)
+    yield from (gen(depth=5) for gen in _FAMILIES)
+    for _ in range(4):
+        yield random_plain_spec(rng, depth=5, max_length=20_000)
+        yield random_restricted_spec(rng, max_depth=5, max_length=20_000)
+        # permissive: zero margins and zero inner runs, so blocks may start with a circuit step
+        levels = []
+        for _ in range(5):
+            b = rng.randint(1, 3)
+            levels.append(LevelMap(a=tuple(rng.randint(0, 3) for _ in range(b + 1)), b=b))
+        yield CoveringSpec(l1=rng.randint(1, 4), levels=tuple(levels))
+
+
+def test_array_block_equals_materialized_walks():
+    rng = random.Random(0xB10C)
+    for spec in _array_specs():
+        for _ in range(6):
+            top = rng.randint(1, spec.depth + 1)
+            base = rng.randint(1, top)
+            l_top = circuit_length(spec, top)
+            span = rng.randint(1, min(l_top, 60))
+            # windows that start at time 0, end on the last step, or lie anywhere
+            first = rng.choice((0, l_top - span, rng.randint(0, l_top - span)))
+            pos = rng.randint(first, first + span - 1)
+            seed = seed_from_position(spec, top, pos, base_level=base)
+            window = (first - pos, first - pos + span - 1)
+            block = array_block(spec, seed, window)
+            got = [(r.level, r.symbols, r.cuts, r.end_cut) for r in block.rows]
+            assert got == _array_reference(spec, seed, window), (spec, top, base, pos, window)
+
+
+def test_array_block_cap_below_the_window_names_the_top_circuit():
+    seed = seed_from_position(BASE, 5, 77)
+    assert len(array_block(BASE, seed, (-20, 20), cap=42).rows) == 5
+    with pytest.raises(ExpansionTooLarge, match="walk windows of circuit 5 over level 5") as info:
+        array_block(BASE, seed, (-20, 20), cap=41)
+    assert (info.value.needed, info.value.cap) == (42, 41)
+
+
 def test_stable_point_rows_turn_all_loop():
     # the forward tail is a staircase: the level-k row is all loop edges
     # from relative time k on (level 1 immediately, each level one later)
@@ -696,6 +753,31 @@ def test_li_yorke_equals_whole_walk_scan_across_top_levels():
             k_target = rng.randint(1, spec.depth + 1)
             got = li_yorke_witness(spec, *seeds, horizon, k_target, direction=direction)
             assert got.to_dict() == _li_yorke_reference(spec, *seeds, horizon, k_target, direction)
+
+
+def test_li_yorke_equals_whole_walk_scan_under_small_caps():
+    # Any cap that holds both windows answers, down to 2 (span + 1), however
+    # long the walks of circuit k_max are.
+    rng = random.Random(0x11F1)
+    for spec in (BASE, gen_mixing_family(depth=5), gen_not_weakmix_family(3, depth=8)):
+        for _ in range(12):
+            horizon, direction = rng.randint(0, 60), rng.choice(("forward", "backward"))
+            seeds = []
+            for top in rng.sample(range(2, spec.depth + 2), 2):
+                l_top = circuit_length(spec, top)
+                lo, hi = (0, l_top - 1 - horizon) if direction == "forward" else (horizon, l_top - 1)
+                if lo > hi:
+                    break
+                seeds.append(seed_from_position(spec, top, rng.randint(lo, hi)))
+            if len(seeds) < 2:
+                continue
+            k_target = rng.randint(1, spec.depth + 1)
+            k_max = min(k_target, *(seed.top_level for seed in seeds))
+            least = 2 * (horizon + 2)
+            for cap in {least, rng.randint(least, max(least, circuit_length(spec, k_max) + 1))}:
+                got = li_yorke_witness(spec, *seeds, horizon, k_target, direction=direction, cap=cap)
+                want = _li_yorke_reference(spec, *seeds, horizon, k_target, direction)
+                assert got.to_dict() == want, (cap, k_max)
 
 
 # ------------------------------------------------------- mixing criteria ---
@@ -1045,6 +1127,18 @@ def _separation_reference(spec, n, length, samples, rng_seed, pad_max):
         "n": n, "length": length, "top_level": top, "samples": done, "max_padding": max_padding,
         "failures": [list(f) for f in failures], "skipped_identical": skipped,
     }
+
+
+def test_randrange_draws_equal_randrange():
+    # Spans 2^k - 1, 2^k and 2^k + 1 for every bit length 1-70; a CPython
+    # whose randrange draws another way fails here by name.
+    spans = {s for k in range(71) for s in ((1 << k) - 1, 1 << k, (1 << k) + 1) if 1 <= s.bit_length() <= 70}
+    for span in sorted(spans):
+        for seed, lo in ((span, 0), (-span, 7), (span + 1, -(1 << 40))):
+            ref, rng = random.Random(seed), random.Random(seed)
+            want = [ref.randrange(lo, lo + span) for _ in range(40)]
+            assert dynamics._randrange_draws(rng, lo, lo + span, 40) == want, (span, lo)
+            assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize(

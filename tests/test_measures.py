@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from proxrank2 import (
     xi_project,
 )
 
+from proxrank2 import families
 from proxrank2.measures import decimal_str, rat_from_json, rat_to_json
 
 from _corpus import random_restricted_spec, reduced_specs
@@ -390,6 +392,28 @@ def test_bound_check_holds_at_equality():
     assert _fraction_bound_holds(tel, 1)
     tel = _tighten(tel, 1 - Fraction(1, 10**9))
     assert not classify_ergodicity(tel, depth=1).certified
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_bound_is_checked_once_and_decides_every_depth(j):
+    # With the ratio halved, (1 - r(i)) / ratio^i grows with i, so the scale
+    # (1 - r(j)) / ratio^j keeps the bound on exactly the first j levels.
+    spec = gen_substitution_family(depth=8)
+    rec = spec.family_record
+    ratio = rec.ratio / 2
+    scale = one_minus_r(spec, j) / ratio**j if j else one_minus_r(spec, 1) / ratio / 2
+    spec.__dict__["family_record"] = replace(rec, scale=scale, ratio=ratio)
+    count = families._levels_under_geometric_bound
+    with mock.patch.object(families, "_levels_under_geometric_bound", wraps=count) as check:
+        for depth in range(1, spec.depth + 1):
+            report = classify_ergodicity(spec, depth=depth)
+            assert report.certified == (depth <= j) == _fraction_bound_holds(spec, depth), depth
+            if depth > j:
+                assert report.certificate == "the construction's convergence bound FAILED verification"
+            else:
+                assert report.label == "TwoErgodic(certified)"
+    assert check.call_count == 1
+    assert spec.family_record.bounded == j
 
 
 # -------------------------------------------------------- pinned answers ---
