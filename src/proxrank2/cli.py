@@ -2,13 +2,16 @@
 
 Exit codes: 0 success / analysis passed, 1 analysis failure (a check ran and
 reported a violation, or an analysis-level error such as an undetermined
-window), 2 usage error, 3 expansion cap exceeded.  ``--json-errors`` turns
-error reporting into a single JSON object on stderr.
+window), 2 usage error, 3 expansion cap exceeded, 141 standard output closed
+by its reader (128 + SIGPIPE, as a shell reports a process that SIGPIPE
+stopped).  ``--json-errors`` turns error reporting into a single JSON object
+on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -762,7 +765,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``): the output it took is
+        # complete.  Send what is left to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         return _report_error(args, exc, 2)
     except ExpansionTooLarge as exc:

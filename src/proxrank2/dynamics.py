@@ -264,21 +264,38 @@ def language(
     ... X E^ab`` with ``X`` circuit ``m``'s row and ``(a, b)`` the level-``m``
     map.  A row is kept whole (loop runs capped at ``length``) while shorter
     than ``length``.  Once it has ``length`` letters, starting ``H`` and
-    ending ``T``, only ``head = (E^K H)[:length]`` and ``tail = (T
-    E^K')[-length:]`` are kept, ``K`` and ``K'`` summing the margins ``a[0]``
-    and ``a[-1]`` read since; each level adds the windows of its junction
-    words ``tail + E^r + head`` and of its two margin words.
+    ending ``T``, only ``H`` and ``T`` are kept, with ``K`` and ``K'``
+    summing the margins ``a[0]`` and ``a[-1]`` read since: the row then
+    starts ``(E^K H)[:length]`` and ends ``(T E^K')[-length:]``.  A window of
+    a later row that lies in no copy of ``X`` lies in a margin word or in a
+    junction word ``(T E^K')[-length:] + E^r + (E^K H)[:length]``, which is
+    a stretch of ``T E^g H`` with ``g = K' + r + K``.  A window
+    ``(T E^g H)[i: i + length]`` with ``i <= g`` is the *one-sided* window
+    ``(T E^length)[j: j + length]`` at ``j = i``; one with ``i >= length``
+    is ``(E^length H)[length - j: 2 * length - j]`` at ``j = g + length - i``;
+    the others, ``g < i < length``, *straddle*.  The margin words add the
+    one-sided windows at ``j <= K'`` and ``j <= K``.  So a level adds the
+    straddling windows of each gap ``g`` it is the first to read, and the
+    one-sided windows at the offsets ``j <= min(length, max(K', g))`` and
+    ``j <= min(length, max(K, g))`` that no earlier level added.
 
-    The stop is a proof: a later junction word has at least ``K + K'`` loops
-    between its ``T`` and ``H`` parts, so once ``K + K' >= length - 1`` every
-    later window lies in ``E^length + head`` or ``tail + E^length``.  Both
+    The stop is a proof: a later junction word has ``g >= K + K'``, so once
+    ``K + K' >= length - 1`` no later window straddles, and every later
+    window is one-sided: it lies in ``E^length H`` or ``T E^length``.  Both
     words occur in every reduced continuation (``a[0], a[-1] >= 1``), so
-    adding their windows gives the final set.  Rows grow and margins add up
+    adding all their windows gives the final set.  Rows grow and margins add up
     by at least 2 per level, so ``stabilized_at``, the circuit whose row closed
     the proof, is at most ``max(1, length - 1)`` levels above ``n``.  Family
     specs are extended on demand.  For a hand-entered spec ``stabilized``
     means the set is final for every reduced continuation of its levels; if
     they run out first the partial set is returned unstabilized.
+
+    Cost: once the row has ``length`` letters, a closure slices each
+    one-sided window once (``2 * length + 2`` in all) and ``length - 1 - g``
+    straddling windows for each gap ``g < length - 1`` it reads; slicing
+    every window of every junction word took ``2 * length + r`` slices per
+    junction word and level.  The word set after each level is the one
+    those slices gave, so the cap stops a closure at the same level.
 
     Memory bound: the word set holds at most ``expansion_cap(cap)`` letters
     (``len(words) * length``; one byte per letter plus about 50 bytes of
@@ -298,7 +315,9 @@ def language(
     row: str | None = "C" * l_n if l_n < length else None
     head = tail = "C" * length
     words: set[str] = set()
-    margins = 0
+    lead = trail = 0  # K and K': the margins read since the row reached ``length`` letters
+    reach_t = reach_h = -1  # the one-sided windows added: offsets 0 .. reach
+    gaps: set[int] = set()  # the g whose straddling windows were added
     m = n  # the circuit whose row was read last
     closed_at = None
     while closed_at is None and len(words) * length <= limit:
@@ -310,23 +329,35 @@ def language(
             continue
         a = level_map(current, m).a
         m += 1
+        far = -1  # the largest gap of this level's junction words
         if row is not None:
             # Windows can chain across several copies of a short row.
             row = "C".join("E" * min(r, length) for r in a).replace("C", row)
             words |= windows(row, length)
-            if len(row) >= length:
-                head, tail, row = row[:length], row[-length:], None
+            if len(row) < length:
+                continue
+            head, tail, row = row[:length], row[-length:], None
         else:
-            for r in {min(v, length) for v in a[1:-1]}:
-                words |= windows(tail + "E" * r + head, length)
-            lead, trail = "E" * min(a[0], length), "E" * min(a[-1], length)
-            words |= windows(lead + head, length) | windows(tail + trail, length)
-            head, tail = (lead + head)[:length], (tail + trail)[-length:]
-            margins += a[0] + a[-1]
-        if row is None and margins >= length - 1:
-            loops = "E" * length
-            words |= windows(loops + head, length) | windows(tail + loops, length)
-            closed_at = m
+            for r in set(a[1:-1]):
+                g = trail + r + lead
+                far = max(far, g)
+                if g < length - 1 and g not in gaps:
+                    gaps.add(g)
+                    word = tail + "E" * g + head
+                    words.update([word[i: i + length] for i in range(g + 1, length)])
+            lead += a[0]
+            trail += a[-1]
+        if lead + trail >= length - 1:
+            far, closed_at = length, m
+        to_t, to_h = min(length, max(trail, far)), min(length, max(lead, far))
+        if to_t > reach_t:
+            word = tail + "E" * length
+            words.update([word[j: j + length] for j in range(reach_t + 1, to_t + 1)])
+            reach_t = to_t
+        if to_h > reach_h:
+            word = "E" * length + head
+            words.update([word[length - j: 2 * length - j] for j in range(reach_h + 1, to_h + 1)])
+            reach_h = to_h
     return LanguageResult(
         words=frozenset(words),
         length=length,
@@ -365,11 +396,19 @@ def complexity_profile(
     extends to the right inside a deeper row, so the length-``L`` factors are
     the length-``L`` prefixes of the length-``max_length`` ones.  Every row
     shares that closure's ``stabilized`` flag.
+
+    Cost: the prefix set shrinks one letter at a time, from length ``L + 1``
+    to ``L``, so the counts slice ``p(1) + .. + p(max_length - 1)`` words,
+    not ``max_length`` times the ``p(max_length)`` factors.
     """
     res = language(spec, 1, max_length, cap=cap)
+    prefixes, counts = res.words, [len(res.words)]
+    for length in range(max_length - 1, 0, -1):
+        prefixes = {w[:length] for w in prefixes}
+        counts.append(len(prefixes))
+    counts.reverse()
     return tuple(
-        ComplexityRow(length, len({w[:length] for w in res.words}), res.stabilized)
-        for length in range(1, max_length + 1)
+        ComplexityRow(length, count, res.stabilized) for length, count in enumerate(counts, 1)
     )
 
 
@@ -942,7 +981,9 @@ def level1_separation_check(
     ``w[t]`` of the level-1 time row of one level-``n`` block.  Memory per
     batch: one base walk of at most 2^20 entries, the level-1 row of ``l_n``
     bytes, and at most ``2 * _SEPARATION_BLOCK`` window entries, each with
-    8 bytes of index arrays and 8 bytes for the masked minimum.
+    8 bytes of index arrays and 8 bytes for the masked minimum.  A cap that
+    the first batch's windows exceed is refused before anything of window
+    size is allocated, and ``samples=0`` allocates nothing of window size.
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
@@ -966,13 +1007,19 @@ def level1_separation_check(
     # For l_n = 1 every segment is the same and no level-1 symbol is read.
     block1 = _time_row(spec, n, 1, cap=cap)
     width = length + 2 * pad
-    # A difference at offset j of a padded window needs padding need[j].
-    rel = np.arange(width) - pad
-    need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
     step = max(1, _SEPARATION_BLOCK // width)
     rng = random.Random(rng_seed)
     done = attempts = skipped = max_padding = 0
     failures: list[tuple[int, int]] = []
+    if samples:
+        # The cap check of the first batch's walk_windows, made before anything
+        # of window size is allocated.
+        needed, limit = 2 * min(samples, step) * (width + 1), expansion_cap(cap)
+        if needed > limit:
+            raise ExpansionTooLarge(needed, limit, what=f"walk windows of circuit {top} over level {n}")
+        # A difference at offset j of a padded window needs padding need[j].
+        rel = np.arange(width) - pad
+        need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))
     while done < samples and attempts < 50 * samples:
         batch = min(samples - done, 50 * samples - attempts, step)
         t = np.array(_randrange_draws(rng, pad, l_top - length - pad, 2 * batch), dtype=np.int64)

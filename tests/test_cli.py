@@ -4,12 +4,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxrank2
 from proxrank2 import (
     classify_ergodicity,
     cli,
@@ -388,6 +392,30 @@ def test_language_command_exit_reflects_stabilization(base_spec_file, capsys, tm
     hand.write_text(json.dumps({"l1": 2, "levels": [{"a": [1, 1, 1], "b": 2}]}))
     code, _, _ = run(capsys, ["language", "1", "4", "--spec", str(hand)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["language", "1", "64", "--words", "--spec", "mix4.json"], b"count=1986 stabilized=True at=35 top=35\n"),
+        (["subst", "lang", "alpha", "0", "64"], b"count=1833 stabilized=True at=32\n"),
+    ],
+    ids=["language", "subst-lang"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv, first):
+    # Both commands print over 64 KB, more than a pipe holds, so the reader
+    # closes the pipe while the command still writes.
+    assert cli.main(["family", "gen", "mixing", "--depth", "4", "-o", str(tmp_path / "mix4.json")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(proxrank2.__file__).parents[1])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "proxrank2", *argv],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (line, code, err) == (first, 141, b"")
 
 
 def test_language_has_no_window_flag(base_spec_file, capsys):

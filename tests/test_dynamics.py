@@ -49,7 +49,10 @@ from proxrank2 import (
     validate_seed,
 )
 from proxrank2 import dynamics, expansion
+from proxrank2.covering import expansion_cap
+from proxrank2.dynamics import LanguageResult
 from proxrank2.expansion import _time_row, _walk_array
+from proxrank2.families import extend_family
 
 from _corpus import permissive_level, random_plain_spec, random_restricted_spec, walk_gaps
 
@@ -536,6 +539,96 @@ def test_language_equals_windows_of_materialized_rows(gen, n, length):
         union |= _windows(time_word(spec, m, n), length)
         assert union <= lang.words
     assert lang.words == _reference_language(spec.levels[n - 1:], circuit_length(spec, n), length)
+
+
+def _listing_language(spec, n: int, length: int, cap=None):
+    """The covering closure that spells every junction and margin word and slices all its windows.
+
+    The oracle of :func:`language`, which slices only the windows a level
+    may add: same levels read, same cap check, same six fields.
+    """
+    limit = expansion_cap(cap)
+    current = spec
+    l_n = circuit_length(spec, n)
+    row = "C" * l_n if l_n < length else None
+    head = tail = "C" * length
+    words: set[str] = set()
+    margins = 0
+    m = n
+    closed_at = None
+    while closed_at is None and len(words) * length <= limit:
+        if m > current.depth:
+            deeper = extend_family(current, current.depth * 2)
+            if deeper is None:
+                break
+            current = deeper
+            continue
+        a = level_map(current, m).a
+        m += 1
+        if row is not None:
+            row = "C".join("E" * min(r, length) for r in a).replace("C", row)
+            words |= _windows(row, length)
+            if len(row) >= length:
+                head, tail, row = row[:length], row[-length:], None
+        else:
+            for r in {min(v, length) for v in a[1:-1]}:
+                words |= _windows(tail + "E" * r + head, length)
+            lead, trail = "E" * min(a[0], length), "E" * min(a[-1], length)
+            words |= _windows(lead + head, length) | _windows(tail + trail, length)
+            head, tail = (lead + head)[:length], (tail + trail)[-length:]
+            margins += a[0] + a[-1]
+        if row is None and margins >= length - 1:
+            loops = "E" * length
+            words |= _windows(loops + head, length) | _windows(tail + loops, length)
+            closed_at = m
+    return LanguageResult(
+        words=frozenset(words),
+        length=length,
+        level=n,
+        stabilized=closed_at is not None,
+        stabilized_at=closed_at,
+        top_level_used=m,
+    )
+
+
+# Hand specs with zero margins and zero inner runs, b = 1 levels, and l1 on
+# both sides of the window lengths drawn with them.
+_language_specs = st.builds(
+    lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+    st.integers(1, 12),
+    st.lists(st.integers(1, 4).flatmap(permissive_level), min_size=1, max_size=8),
+)
+_language_caps = st.one_of(st.none(), st.integers(30, 3000))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_language_specs, st.data(), st.integers(1, 40), _language_caps)
+def test_language_equals_the_listing_closure(spec, data, length, cap):
+    # small caps stop closures midway, so the returns cut short are compared too
+    n = data.draw(st.one_of(st.just(1), st.integers(1, spec.depth)), label="n")
+    assert language(spec, n, length, cap=cap) == _listing_language(spec, n, length, cap=cap)
+
+
+def test_family_languages_equal_the_listing_closure():
+    # depth-4 family specs are extended as the closures need
+    for gen in _FAMILIES:
+        spec = gen(depth=4)
+        for n in (1, 2, 3):
+            for length in range(1, 65):
+                want = _listing_language(spec, n, length)
+                assert language(spec, n, length) == want, (gen, n, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_language_specs, st.integers(1, 40), _language_caps)
+def test_complexity_profile_counts_the_prefixes_of_one_closure(spec, max_length, cap):
+    lang = language(spec, 1, max_length, cap=cap)
+    want = [
+        (length, len({w[:length] for w in lang.words}), lang.stabilized)
+        for length in range(1, max_length + 1)
+    ]
+    got = complexity_profile(spec, max_length, cap=cap)
+    assert [(row.length, row.count, row.stabilized) for row in got] == want
 
 
 def test_language_at_deep_base_level():
@@ -1095,6 +1188,37 @@ def test_level1_separation_requires_level_at_least_two():
 def test_level1_separation_refuses_negative_counts(kwargs):
     with pytest.raises(UsageError, match="must be >= 0"):
         level1_separation_check(BASE, 3, 4, **kwargs)
+
+
+def _traced_peak(run):
+    """``run()``'s result (or the error it raised) and its peak of traced allocations."""
+    tracemalloc.start()
+    try:
+        try:
+            out = run()
+        except ExpansionTooLarge as exc:
+            out = str(exc)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_level1_separation_refuses_the_cap_before_allocating_windows():
+    # Padded by l_10, a window has 6.3 million entries.  Besides the level-1
+    # row of circuit 10 (l_10 bytes, built with one level copy) neither the
+    # refusal nor a run without samples allocates anything of that size.
+    mix = gen_mixing_family(depth=14)
+    bound = 2 * circuit_length(mix, 10) + (1 << 20)
+    rep, peak = _traced_peak(lambda: level1_separation_check(mix, 10, 1, samples=0))
+    assert (rep.samples, rep.failures, rep.max_padding) == (0, (), 0)
+    assert peak < bound, peak
+    refusal, peak = _traced_peak(lambda: level1_separation_check(mix, 10, 1, cap=10**7))
+    assert peak < bound, peak
+    assert refusal == "walk windows of circuit 15 over level 10 needs 12582912 materialized entries, cap is 10000000"
+    # a first batch of several pairs is refused with the walk_windows message
+    with pytest.raises(ExpansionTooLarge) as info:
+        level1_separation_check(gen_substitution_family(depth=14), 3, 6, cap=1000)
+    assert str(info.value) == "walk windows of circuit 15 over level 3 needs 27600 materialized entries, cap is 1000"
 
 
 def _separation_reference(spec, n, length, samples, rng_seed, pad_max):

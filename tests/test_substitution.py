@@ -227,6 +227,56 @@ def test_factor_language_equals_whole_window_closure(drawn, data, length, cap):
     assert got == _whole_window_closure(sub, seed, length, expansion_cap(cap))
 
 
+@st.composite
+def _one_moved_substitutions(draw):
+    """Substitutions with exactly one letter ``x`` whose image is not ``x``."""
+    alphabet = "012"[: draw(st.integers(2, 3))]
+    moved = draw(st.sampled_from(alphabet))
+    image = draw(st.text(alphabet, min_size=1, max_size=7).filter(lambda w: w != moved))
+    return Substitution({x: image if x == moved else x for x in alphabet}), alphabet
+
+
+def _closure_fields(sub, seed, length, cap):
+    lang = factor_language(sub, seed, length, cap=cap)
+    return lang.factors, lang.stabilized, lang.stabilized_at, lang.iterations
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _one_moved_substitutions(),
+    st.data(),
+    st.integers(1, 24),
+    st.one_of(st.none(), st.integers(1, 600)),
+)
+def test_one_moved_letter_closure_equals_whole_window_closure(drawn, data, length, cap):
+    # these closures build their images by replacing the moved letter
+    sub, alphabet = drawn
+    seed = data.draw(st.text(alphabet, min_size=1, max_size=4))
+    want = _whole_window_closure(sub, seed, length, expansion_cap(cap))
+    assert _closure_fields(sub, seed, length, cap) == want
+
+
+@pytest.mark.parametrize(
+    "rules, seed",
+    [
+        ({"0": "1", "1": "1"}, "0"),  # the image is one other letter
+        ({"0": "1", "1": "1"}, "1001"),
+        ({"0": "11", "1": "1"}, "010"),  # the image lacks the moved letter
+        ({"0": "0", "1": "00"}, "1"),
+        ({"0": "0120", "1": "1", "2": "2"}, "0"),  # two fixed letters of three
+        ({"0": "0", "1": "2", "2": "2"}, "121"),
+        ({"0": "0", "1": "1", "2": "2101"}, "20"),
+        ({"0": "012", "1": "1", "2": "2"}, "2110"),
+    ],
+)
+def test_one_moved_letter_cases_equal_whole_window_closure(rules, seed):
+    sub = Substitution(rules)
+    for length in (1, 2, 3, 5, 8, 13, 24):
+        for cap in (None, 1, 20, 60, 300):
+            want = _whole_window_closure(sub, seed, length, expansion_cap(cap))
+            assert _closure_fields(sub, seed, length, cap) == want, (length, cap)
+
+
 def test_short_seeds_that_stop_growing_stabilize_empty():
     swap = factor_language(Substitution({"0": "1", "1": "0"}), "0", 3)
     assert swap.stabilized and swap.factors == frozenset()
