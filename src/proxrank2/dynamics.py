@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .expansion import (
     _POSITION_LIMIT,
+    _bits,
     _block_start_differences,
     _check_positions,
     _descend_positions,
@@ -44,7 +45,6 @@ from .expansion import (
     _walk_array,
     cumulative_runs,
     d_word,
-    realized_gap_table,
     walk_windows,
 )
 from .families import extend_family
@@ -397,16 +397,18 @@ def complexity_profile(
     the length-``L`` prefixes of the length-``max_length`` ones.  Every row
     shares that closure's ``stabilized`` flag.
 
-    Cost: the prefix set shrinks one letter at a time, from length ``L + 1``
-    to ``L``, so the counts slice ``p(1) + .. + p(max_length - 1)`` words,
-    not ``max_length`` times the ``p(max_length)`` factors.
+    Cost: one sort of the ``p(max_length)`` words, as big-endian ints of
+    their ASCII letters.  The words with one length-``L`` prefix are
+    consecutive in that order, so ``p(L)`` is 1 plus the number of
+    neighbours whose common prefix, read off the bit length of their XOR,
+    is shorter than ``L``: one XOR per neighbour, and no prefix set.
     """
     res = language(spec, 1, max_length, cap=cap)
-    prefixes, counts = res.words, [len(res.words)]
-    for length in range(max_length - 1, 0, -1):
-        prefixes = {w[:length] for w in prefixes}
-        counts.append(len(prefixes))
-    counts.reverse()
+    keys = sorted(int.from_bytes(w.encode("ascii"), "big") for w in res.words)
+    bits, forks = 8 * max_length, [0] * max_length  # forks[c]: neighbours sharing c letters
+    for x, y in zip(keys, keys[1:]):
+        forks[(bits - (x ^ y).bit_length()) // 8] += 1
+    counts = list(accumulate(forks, initial=1))[1:] if keys else [0] * max_length
     return tuple(
         ComplexityRow(length, count, res.stabilized) for length, count in enumerate(counts, 1)
     )
@@ -628,35 +630,61 @@ def mixing_window_check(
 
     Preconditions of the underlying statement (unit margins and odd circuit
     lengths on ``[n, m)``, window nonempty) are reported as violations but do
-    not stop the scan.  Exact at any depth: the table is read off the level
-    maps by :func:`~proxrank2.expansion.realized_gap_table`, which builds no
-    walk, so ``cap`` bounds only the window of ``2(m - n)`` gaps and one
-    level-``n`` block.  ``engine`` reports whether the walk of circuit ``m``
-    would fit the cap.
+    not stop the scan.  Exact at any depth, and no table is filled: the four
+    :func:`~proxrank2.expansion._gap_rows` rows up to ``min(2(m - n), l_m) +
+    l_n - 1`` are read by the index rules of
+    :func:`~proxrank2.expansion._fill_pair_table`.  Gap ``g`` from ``u`` to
+    ``v`` is bit ``g - (v - u)`` of ``BB`` when both are nonzero (``g >= 3
+    l_n > |v - u|``), bit ``g`` of ``BZ >> u`` for ``v = 0``, of ``ZB << v``
+    for ``u = 0`` and of ``ZZ`` for both.  So the ``2 l_n - 3`` shifts of
+    ``BB`` and the ``l_n - 1`` of each zero row are each tested against one
+    window mask, and the gaps a shift misses are listed once, in one tuple
+    that all its pairs share.  Memory: the rows' ints (about 4 bytes per
+    window entry) and the missing gaps.
+
+    ``cap`` bounds only the window of ``2(m - n)`` gaps and one level-``n``
+    block (:func:`~proxrank2.expansion._gap_window`); ``l_n`` above 2048 is
+    refused first, as the all-pairs table refuses it.  ``engine`` reports
+    whether the walk of circuit ``m`` would fit the cap.
     """
     if not 1 <= n < m <= spec.depth + 1:
         raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")
     violations = []
     for k in range(n, m):
-        lm = level_map(spec, k)
-        if lm.a[0] != 1 or lm.a[-1] != 1:
-            violations.append(f"level {k}: margins ({lm.a[0]}, {lm.a[-1]}) are not (1, 1)")
-        if circuit_length(spec, k) % 2 == 0:
-            violations.append(f"level {k}: circuit length {circuit_length(spec, k)} is even")
+        a, l_k = spec.levels[k - 1].a, spec.lengths[k - 1]
+        if a[0] != 1 or a[-1] != 1:
+            violations.append(f"level {k}: margins ({a[0]}, {a[-1]}) are not (1, 1)")
+        if l_k % 2 == 0:
+            violations.append(f"level {k}: circuit length {l_k} is even")
     l_n = circuit_length(spec, n)
     hi = 2 * (m - n)
     lo = 3 * l_n
     if lo > hi:
         violations.append(f"window [3*l_n, 2(m-n)] = [{lo}, {hi}] is empty")
-    table, engine = realized_gap_table(spec, m, n, max(hi, 1), cap=cap)
-    # (u, v, gap - lo) of every missing gap, sorted by pair, then by gap.
-    missing = np.argwhere(~table[:, :, lo: hi + 1])
-    cuts = np.flatnonzero(np.any(missing[1:, :2] != missing[:-1, :2], axis=1)) + 1
-    failures = [
-        (int(run[0, 0]), int(run[0, 1]), tuple(int(lo + g) for g in run[:, 2]))
-        for run in np.split(missing, cuts)
-        if run.size
+    if l_n > 2048:
+        raise UsageError(f"all-pairs table only supported for l_n <= 2048, got {l_n}")
+    top, engine = _gap_window(spec, m, n, hi, cap)
+    bb, bz, zb, zz = _gap_rows(spec, m, n, top + l_n - 1)
+    window = (1 << hi + 1) - (1 << lo) if lo <= hi else 0  # gaps lo .. hi
+    # One int per gap and per vertex, shared by every failure that names it.
+    gaps, vertex = list(range(lo, hi + 1)), list(range(l_n))
+
+    def missing(row: int) -> tuple[int, ...]:  # the window's gaps that ``row`` misses
+        gone = window & ~row
+        return tuple(compress(gaps, _bits(gone >> lo, len(gaps)).tolist())) if gone else ()
+
+    # Pair (u, v) of nonzero vertices misses what shift v - u of BB misses.
+    shifts = [
+        (d, miss)
+        for d in range(2 - l_n, l_n - 1)
+        if (miss := missing(bb << d if d >= 0 else bb >> -d))
     ]
+    to_v = [missing(zz)] + [missing(zb << v) for v in range(1, l_n)]
+    failures = [(0, v, miss) for v, miss in zip(vertex, to_v) if miss]
+    for u in vertex[1:]:
+        if miss := missing(bz >> u):
+            failures.append((u, 0, miss))
+        failures.extend((u, vertex[u + d], miss) for d, miss in shifts if 0 < u + d < l_n)
     return MixingWindowReport(
         m=m,
         n=n,
@@ -982,8 +1010,8 @@ def level1_separation_check(
     batch: one base walk of at most 2^20 entries, the level-1 row of ``l_n``
     bytes, and at most ``2 * _SEPARATION_BLOCK`` window entries, each with
     8 bytes of index arrays and 8 bytes for the masked minimum.  A cap that
-    the first batch's windows exceed is refused before anything of window
-    size is allocated, and ``samples=0`` allocates nothing of window size.
+    the level-1 row or the first batch's windows exceed is refused before
+    either is allocated, and ``samples=0`` allocates neither.
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
@@ -1005,7 +1033,11 @@ def level1_separation_check(
     # A level-n segment is its walk slice: the vertices fix the cut pattern
     # and, for l_n >= 2, each step symbol (only a loop step stays on 0).
     # For l_n = 1 every segment is the same and no level-1 symbol is read.
-    block1 = _time_row(spec, n, 1, cap=cap)
+    # The level-1 row of one block is built only when samples are drawn; its
+    # cap check (that of _time_row) comes here.
+    l_n, limit = circuit_length(spec, n), expansion_cap(cap)
+    if l_n > limit:
+        raise ExpansionTooLarge(l_n, limit, what=f"time word of circuit {n} over level 1")
     width = length + 2 * pad
     step = max(1, _SEPARATION_BLOCK // width)
     rng = random.Random(rng_seed)
@@ -1014,9 +1046,10 @@ def level1_separation_check(
     if samples:
         # The cap check of the first batch's walk_windows, made before anything
         # of window size is allocated.
-        needed, limit = 2 * min(samples, step) * (width + 1), expansion_cap(cap)
+        needed = 2 * min(samples, step) * (width + 1)
         if needed > limit:
             raise ExpansionTooLarge(needed, limit, what=f"walk windows of circuit {top} over level {n}")
+        block1 = _time_row(spec, n, 1, cap=cap)
         # A difference at offset j of a padded window needs padding need[j].
         rel = np.arange(width) - pad
         need = np.where(rel < 0, -rel, np.maximum(rel - (length - 1), 0))

@@ -28,9 +28,12 @@ positions of vertex 0.  Vertex ``u != 0`` sits at (block start + ``u``), so
 the gaps from ``u`` to ``v`` are the block-start distances shifted by
 ``v - u`` (:func:`_nonzero_pair_rows`), and the pairs with vertex 0 are
 read off the three rows with the zeros (:func:`_fill_pair_table`).
-:func:`gap_set`, :func:`realized_gap_table`, ``residue_obstruction`` and
-``forbidden_window_report`` build no walk, at any depth; the cap bounds
-the window (:func:`_gap_window`).  :func:`gap_structure_report` spells no
+:func:`gap_set`, :func:`realized_gap_table`, ``mixing_window_check``,
+``residue_obstruction`` and ``forbidden_window_report`` build no walk, at
+any depth; the cap bounds the window (:func:`_gap_window`).  Only
+:func:`realized_gap_table` fills an all-pairs table: ``gap_set`` reads
+one pair's row and ``mixing_window_check`` one shift of a row per
+distance ``v - u``, both by the index rules of :func:`_fill_pair_table`.  :func:`gap_structure_report` spells no
 word: it reads the loop runs between blocks off the level maps.
 """
 from __future__ import annotations
@@ -408,12 +411,13 @@ def e_run_margins(spec: CoveringSpec, m: int, n: int) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 def _window_ops(cut: int) -> tuple:
-    """``shift, smear, comb, tri, bit``: bitset operations on Python ints cut to bits ``0 .. cut``.
+    """``shift, smear, comb, tri, mask``: bitset operations on Python ints cut to bits ``0 .. cut``.
 
     ``comb`` and ``tri`` are the ORs of the shifts that a run of equal level
     maps adds to the rows of :func:`_gap_rows`; ``smear`` is
     ``comb(x, 1, a + 1)``.  Each is built by doubling, and a shift past the
-    cut adds nothing, so the counts are capped at the cut.
+    cut adds nothing, so the counts are capped at the cut.  ``mask`` has the
+    bits ``0 .. cut``: ``x << s & mask`` is ``shift(x, s)`` for ``s <= cut + 1``.
     """
     mask = (1 << cut + 1) - 1
 
@@ -456,10 +460,7 @@ def _window_ops(cut: int) -> tuple:
             tr |= shift(tr | shift(tr, j * (s - c)), j * c) | comb(comb(f, c, j), s, j)
         return tr
 
-    def bit(x: int) -> int:
-        return 1 << x if x <= cut else 0
-
-    return shift, smear, comb, tri, bit
+    return shift, smear, comb, tri, mask
 
 
 def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = True) -> list[int]:
@@ -525,16 +526,17 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
     however many levels and copies the run has.  Both plus ``O(log a)``
     shifts per smear over a loop run of ``a`` steps.
     """
-    shift, smear, comb, tri, bit = _window_ops(window)
+    shift, smear, comb, tri, mask = _window_ops(window)
     cut = window
     l = circuit_length(spec, n)
 
+    at_l, at_2l = shift(1, l), shift(1, 2 * l)  # bits l and 2 l, cut
     if zeros:
-        hd, tl = [1, 1 | bit(l)], [bit(l), 1 | bit(l)]
-        rows = [1, 1 | bit(l), 1, 1 | bit(l)]
-        twin = [bit(l), bit(l) | bit(2 * l), 1 | bit(l), 1 | bit(l) | bit(2 * l)]
+        hd, tl = [1, 1 | at_l], [at_l, 1 | at_l]
+        rows = [1, 1 | at_l, 1, 1 | at_l]
+        twin = [at_l, at_l | at_2l, 1 | at_l, 1 | at_l | at_2l]
     else:
-        rows, twin = [1], [bit(l)]
+        rows, twin = [1], [at_l]
     pairs = range(len(rows))
     k = n
     while k < m:
@@ -589,12 +591,15 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
                 if top and j == lm.b:
                     break
                 near = [shift(y, x) for y in near]
-                if zeros:
-                    ones = smear(1, x)
-                    tail = [shift(tail[0], x), shift(tail[1], x) | ones]
-                    runs = [shift(runs[i], x) | smear(hd[i], x) for i in (0, 1)]
+                if zeros:  # x can pass the cut, the shift need not: bits past it fall off
+                    ones, sx = smear(1, x), min(x, cut + 1)
+                    tail = [tail[0] << sx & mask, tail[1] << sx & mask | ones]
+                    runs = [
+                        runs[0] << sx & mask | smear(hd[0], x),
+                        runs[1] << sx & mask | smear(hd[1], x),
+                    ]
                     if cur <= cut and not top:
-                        head[1] |= shift(ones, cur)
+                        head[1] |= ones << cur & mask
                 cur += x
             if j == lm.b:
                 break
@@ -603,14 +608,14 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
                 rows[p] |= near[p]
                 if not last:
                     near[p] = shift(near[p], l) | twin[p]
-            if zeros:
+            if zeros:  # l and, where read, cur are within the cut
                 rows[2] |= runs[0]
                 rows[3] |= runs[1]
                 if not last:
-                    runs = [shift(y, l) for y in runs]
-                tail = [shift(tail[i], l) | tl[i] for i in (0, 1)]
+                    runs = [runs[0] << l & mask, runs[1] << l & mask]
+                tail = [tail[0] << l & mask | tl[0], tail[1] << l & mask | tl[1]]
                 if cur <= cut and not top:
-                    head = [head[i] | shift(hd[i], cur) for i in (0, 1)]
+                    head = [head[0] | hd[0] << cur & mask, head[1] | hd[1] << cur & mask]
             cur += l
         if top:
             break
@@ -622,8 +627,8 @@ def _gap_rows(spec: CoveringSpec, m: int, n: int, window: int, zeros: bool = Tru
             if cur > cut:
                 break
             if zeros and x:
-                for p in (1, 3):
-                    twin[p] |= shift(smear(tail[p >> 1], x), cur)
+                twin[1] |= smear(tail[0], x) << cur & mask
+                twin[3] |= smear(tail[1], x) << cur & mask
             cur += x
             if j < lm.b:
                 twin = [twin[p] | shift(near[p], cur) for p in pairs]

@@ -24,6 +24,7 @@ Family tags:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -213,8 +214,12 @@ class FamilyRecord:
     ``boundaries`` up to the regenerated depth (``"divergence_on_levels"``).
     ``levels`` is the original level of each presented circuit
     (``1 .. depth + 1`` unless telescoped), the numbering of ``boundaries``.
-    ``loops`` and ``lengths`` are the spec's ``loop_totals`` and ``lengths``,
-    which :attr:`bounded` checks.
+    ``loops`` and ``lengths`` are the spec's ``loop_totals`` and ``lengths``.
+    The bound is fixed by the record, so it is checked once per record, on
+    first read: :attr:`checked` lists the maps it constrains and
+    :attr:`bounded` counts the leading ones that keep it.  The classifier
+    at depth ``top`` then makes one bisection of :attr:`checked` and one
+    comparison.
     """
 
     problem: str | None
@@ -248,11 +253,28 @@ class FamilyRecord:
         return what
 
     @cached_property
-    def bounded(self) -> int:
-        """How many leading presented levels keep a convergence bound (checked once per record)."""
-        return _levels_under_geometric_bound(
-            self.loops, self.lengths[1:], self.levels, self.scale, self.ratio
+    def checked(self) -> tuple[int, ...]:
+        """The presented maps (``0`` for level 1) whose loop mass the bound constrains.
+
+        Every map, but for ``divergence_on_levels`` only the maps whose
+        original span ``[levels[k], levels[k + 1])`` holds a boundary level.
+        """
+        spans = range(len(self.levels) - 1)
+        if self.kind != "divergence_on_levels":
+            return tuple(spans)
+        marks, levels = self.boundaries, self.levels
+        return tuple(
+            k for k in spans if bisect_left(marks, levels[k + 1]) > bisect_left(marks, levels[k])
         )
+
+    @cached_property
+    def bounded(self) -> int:
+        """How many leading :attr:`checked` maps keep the bound (checked once per record)."""
+        if self.kind == "convergence":
+            return _levels_under_geometric_bound(
+                self.loops, self.lengths[1:], self.levels, self.scale, self.ratio
+            )
+        return _maps_over_floor(self.loops, self.lengths[1:], self.checked, self.delta)
 
 
 def _levels_under_geometric_bound(loops, lengths, levels, scale: Fraction, ratio: Fraction) -> int:
@@ -288,6 +310,21 @@ def _levels_under_geometric_bound(loops, lengths, levels, scale: Fraction, ratio
             break
         count += 1
         rn_p, rd_p = rn_q, rd_q
+    return count
+
+
+def _maps_over_floor(loops, lengths, maps, delta: Fraction) -> int:
+    """How many leading maps ``k`` of ``maps`` keep ``loops[k] / lengths[k] >= delta``.
+
+    Compares ``loops[k] dd >= dn lengths[k]`` for ``delta = dn / dd``: two
+    integer products per map, and no ``Fraction``.
+    """
+    dn, dd = delta.numerator, delta.denominator
+    count = 0
+    for k in maps:
+        if loops[k] * dd < dn * lengths[k]:
+            break
+        count += 1
     return count
 
 

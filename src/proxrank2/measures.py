@@ -304,8 +304,8 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     :class:`LoopSeries` over those integer columns, so the cost is paid where
     it is read:
 
-    * the verdict costs integer products only, a few per level, and builds
-      no row and no ``Fraction``;
+    * the verdict costs one bisection and one comparison, and builds no row
+      and no ``Fraction``;
     * a row costs two fractions on its first read (a gcd of two integers of
       up to ~1600 bits each at depth 800) and is cached;
     * the partial sums cost one pass on the first read of any
@@ -325,23 +325,25 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
     * geometric convergence (``1 - r(i) <= scale * ratio^i``) certifies two
       ergodic measures.
 
-    The bound is re-verified on every presented level as a cross-check (for
-    telescoped specs, through the original-level interval of each map).  The
-    check does no ``Fraction`` arithmetic: each level compares two integer
-    products, the loop mass cross-multiplied with the bound, whose powers of
-    ``ratio``'s numerator and denominator are carried from level to level.
-    A convergence bound is checked once per record
-    (:attr:`~proxrank2.families.FamilyRecord.bounded`, the number of leading
-    levels that keep it) and each call compares ``top`` with that count.
+    The bound is re-verified on every presented level that it constrains, as
+    a cross-check (for telescoped specs, through the original-level interval
+    of each map).  The check does no ``Fraction`` arithmetic: each level
+    compares two integer products, the loop mass cross-multiplied with the
+    bound, whose powers of ``ratio``'s numerator and denominator are carried
+    from level to level.  The bound is fixed per spec, so it is checked once
+    per record (:class:`~proxrank2.families.FamilyRecord`): ``checked`` lists
+    the maps it constrains and ``bounded`` counts the leading ones that keep
+    it.  A call at depth ``top`` counts the checked maps below ``top`` by
+    bisection and compares that count with ``bounded``.
     Finite data alone never certifies: an unrecognized spec is
     ``Undetermined``, and its certificate names the check that failed.
     """
     top = spec.depth if depth is None else min(depth, spec.depth)
     if top < 1:
         raise UsageError("need at least one presented level")
-    loops = spec.loop_totals[:top]
-    tops = spec.lengths[1 : top + 1]  # l_{i+1} of row i
-    rows = LoopSeries(loops, tops, spec.windings[1 : top + 1], spec.l1)
+    rows = LoopSeries(  # row i reads l_{i+1} and B(i + 1, 1)
+        spec.loop_totals[:top], spec.lengths[1 : top + 1], spec.windings[1 : top + 1], spec.l1
+    )
 
     rec = spec.family_record
     if rec.problem is not None:
@@ -350,10 +352,10 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
             f"not a recognized family construction ({rec.problem}): a finite prefix "
             "cannot decide whether the loop-mass series converges",
         )
-    levels = rec.levels  # map i spans the original levels [levels[i - 1], levels[i])
+    checked = bisect_left(rec.checked, top)  # the checked maps among the top presented
+    if rec.bounded < checked:
+        return _undetermined(rows, f"the construction's {rec.kind} bound FAILED verification")
     if rec.kind == "convergence":  # 0 < ratio < 1
-        if rec.bounded < top:
-            return _undetermined(rows, "the construction's convergence bound FAILED verification")
         return ErgodicityReport(
             "TwoErgodic",
             True,
@@ -362,23 +364,13 @@ def classify_ergodicity(spec: CoveringSpec, depth: int | None = None) -> Ergodic
             "series converges and both extreme measures survive",
             rows,
         )
-    marked = rec.boundaries
-    if rec.kind == "divergence":
-        checked = range(top)
-    else:  # the maps whose span holds a boundary level
-        checked = [
-            k for k in range(top) if bisect_left(marked, levels[k + 1]) > bisect_left(marked, levels[k])
-        ]
-    dn, dd = rec.delta.numerator, rec.delta.denominator
-    if not all(loops[k] * dd >= dn * tops[k] for k in checked):  # 1 - r >= delta
-        return _undetermined(rows, f"the construction's {rec.kind} bound FAILED verification")
     if not checked:
         return _undetermined(rows, f"{rec.evidence}; no boundary level is presented to verify")
     where = "" if rec.kind == "divergence" else "boundary "
     return ErgodicityReport(
         "UniquelyErgodic",
         True,
-        f"{rec.evidence}; its bound 1-r >= {rec.delta} verified on {len(checked)} presented "
+        f"{rec.evidence}; its bound 1-r >= {rec.delta} verified on {checked} presented "
         f"{where}level(s); the construction repeats it at every further {where}level, so "
         "the loop-mass series diverges",
         rows,

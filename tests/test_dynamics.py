@@ -39,6 +39,7 @@ from proxrank2 import (
     li_yorke_witness,
     mixing_window_check,
     position_of_seed,
+    realized_gap_table,
     render_array_text,
     residue_obstruction,
     seed_from_position,
@@ -906,6 +907,108 @@ def test_not_weakmix_fails_mixing_window():
     assert report.failures
 
 
+def _mixing_window_reference(spec, m, n, cap=None):
+    """The report as the check read it off the all-pairs table of ``realized_gap_table``."""
+    if not 1 <= n < m <= spec.depth + 1:
+        raise UsageError(f"need 1 <= n < m <= {spec.depth + 1}, got n={n}, m={m}")
+    violations = []
+    for k in range(n, m):
+        lm = level_map(spec, k)
+        if lm.a[0] != 1 or lm.a[-1] != 1:
+            violations.append(f"level {k}: margins ({lm.a[0]}, {lm.a[-1]}) are not (1, 1)")
+        if circuit_length(spec, k) % 2 == 0:
+            violations.append(f"level {k}: circuit length {circuit_length(spec, k)} is even")
+    l_n = circuit_length(spec, n)
+    hi = 2 * (m - n)
+    lo = 3 * l_n
+    if lo > hi:
+        violations.append(f"window [3*l_n, 2(m-n)] = [{lo}, {hi}] is empty")
+    table, engine = realized_gap_table(spec, m, n, max(hi, 1), cap=cap)
+    # (u, v, gap - lo) of every missing gap, sorted by pair, then by gap.
+    missing = np.argwhere(~table[:, :, lo: hi + 1])
+    cuts = np.flatnonzero(np.any(missing[1:, :2] != missing[:-1, :2], axis=1)) + 1
+    failures = [
+        (int(run[0, 0]), int(run[0, 1]), tuple(int(lo + g) for g in run[:, 2]))
+        for run in np.split(missing, cuts)
+        if run.size
+    ]
+    return dynamics.MixingWindowReport(
+        m=m,
+        n=n,
+        window=(lo, hi),
+        ok=not failures and lo <= hi,
+        precondition_violations=tuple(violations),
+        failures=tuple(failures),
+        pairs_checked=l_n * l_n,
+        engine=engine,
+    )
+
+
+def _mixing_outcome(run):
+    """``run()``'s report as ``(repr, to_dict)``, or the type and message of its refusal."""
+    try:
+        report = run()
+    except (UsageError, ExpansionTooLarge) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(report), report.to_dict()
+
+
+# Hand specs with zero margins and zero inner runs (failing windows), b = 1
+# levels and l1 = 1, and the families, whose windows pass or fail by design.
+_mixing_specs = st.one_of(
+    st.builds(
+        lambda l1, levels: CoveringSpec(l1=l1, levels=tuple(levels)),
+        st.integers(1, 5),
+        st.lists(st.integers(1, 2).flatmap(permissive_level), min_size=4, max_size=30),
+    ),
+    st.builds(
+        lambda l1, depth: CoveringSpec(l1=l1, levels=(LevelMap(a=(1, 1), b=1),) * depth),
+        st.integers(1, 9),
+        st.integers(4, 40),
+    ),
+    st.sampled_from([gen(depth=depth) for gen in _FAMILIES for depth in (6, 30)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixing_specs, st.data(), st.one_of(st.none(), st.integers(1, 400)))
+def test_mixing_window_check_equals_the_table_reference(spec, data, cap):
+    # n = 1 and m = depth + 1 often, so that many windows are nonempty
+    n = data.draw(st.one_of(st.just(1), st.integers(1, spec.depth)), label="n")
+    m = data.draw(st.one_of(st.just(spec.depth + 1), st.integers(n + 1, spec.depth + 1)), label="m")
+    l_n = circuit_length(spec, n)
+    # the reference's table takes l_n^2 (2(m - n) + 1) bytes
+    if l_n <= 2048 and l_n * l_n * (2 * (m - n) + 1) > 10**7:
+        return
+    got = _mixing_outcome(lambda: mixing_window_check(spec, m, n, cap=cap))
+    assert got == _mixing_outcome(lambda: _mixing_window_reference(spec, m, n, cap=cap))
+
+
+def test_mixing_window_check_refuses_wide_blocks_before_the_cap():
+    wide = CoveringSpec(l1=2049, levels=(LevelMap(a=(1, 1), b=1),) * 3)
+    for cap in (None, 10):
+        with pytest.raises(UsageError, match=r"^all-pairs table only supported for l_n <= 2048, got 2049$"):
+            mixing_window_check(wide, 4, 1, cap=cap)
+    # and a cap that the window passes is refused as the table's was
+    spec = CoveringSpec(l1=3, levels=(LevelMap(a=(1, 1), b=1),) * 40)
+    got = _mixing_outcome(lambda: mixing_window_check(spec, 41, 1, cap=50))
+    assert got == _mixing_outcome(lambda: _mixing_window_reference(spec, 41, 1, cap=50))
+    assert got[0] == "ExpansionTooLarge"
+
+
+def test_mixing_window_check_builds_no_table():
+    # Every pair of l_1 = 301 vertices misses the whole window [903, 1200]:
+    # the all-pairs table took l_1^2 * 1201 bytes (1,775 MB at its peak),
+    # the rows of BB, BZ, ZB and ZZ take kilobytes, and the failures share
+    # one tuple of missing gaps per shift.
+    spec = CoveringSpec(l1=301, levels=(LevelMap(a=(1, 1), b=1),) * 600)
+    report, peak = _traced_peak(lambda: mixing_window_check(spec, 601, 1))
+    assert report.window == (903, 1200)
+    assert len(report.failures) == 301 * 301 - 1
+    assert report.failures[0] == (0, 1, tuple(range(903, 1201)))
+    assert peak < 16 << 20, peak
+
+
 # ---------------------------------------------------------------- residue ---
 
 def test_residue_obstruction_not_weakmix_p3():
@@ -1219,6 +1322,18 @@ def test_level1_separation_refuses_the_cap_before_allocating_windows():
     with pytest.raises(ExpansionTooLarge) as info:
         level1_separation_check(gen_substitution_family(depth=14), 3, 6, cap=1000)
     assert str(info.value) == "walk windows of circuit 15 over level 3 needs 27600 materialized entries, cap is 1000"
+
+
+def test_level1_separation_without_samples_builds_no_row():
+    # The level-1 row of circuit 12 has l_12 = 50,331,647 entries: without
+    # samples it is not built, though its cap is still checked first.
+    mix = gen_mixing_family(depth=14)
+    rep, peak = _traced_peak(lambda: level1_separation_check(mix, 12, 1, samples=0))
+    assert (rep.samples, rep.failures, rep.max_padding, rep.skipped_identical) == (0, (), 0, 0)
+    assert peak < 1 << 20, peak
+    refusal, peak = _traced_peak(lambda: level1_separation_check(mix, 12, 1, samples=0, cap=10**6))
+    assert refusal == "time word of circuit 12 over level 1 needs 50331647 materialized entries, cap is 1000000"
+    assert peak < 1 << 20, peak
 
 
 def _separation_reference(spec, n, length, samples, rng_seed, pad_max):

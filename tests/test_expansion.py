@@ -686,6 +686,36 @@ def test_gap_rows_over_runs_of_equal_maps_equal_the_swept_rows(l1, runs, data):
         _assert_rows_cut_from_swept(spec, m, n, set(range(41)) | {window})
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(st.integers(1, 3).flatmap(permissive_level), st.integers(0, 3), st.integers(0, 5)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(1, 60),
+    st.data(),
+)
+def test_gap_rows_read_a_run_past_the_window_as_any_other(l1, levels, window, data):
+    # A loop run longer than the window realizes every gap up to it, and no
+    # pair within the window spans it: a run of 10^40 steps gives the rows
+    # of a run of window + 1 + e steps, though no shift can be that long.
+    huge, short = [], []
+    for lm, j, extra in levels:
+        for out, run in ((huge, 10**40), (short, window + 1 + extra)):
+            a = list(lm.a)
+            if j <= lm.b:  # else the map is kept as drawn
+                a[j] = run
+            out.append(LevelMap(a=tuple(a), b=lm.b))
+    n = data.draw(st.integers(1, len(levels)), label="n")
+    m = data.draw(st.integers(n, len(levels) + 1), label="m")
+    for zeros in (True, False):
+        assert _gap_rows(CoveringSpec(l1=l1, levels=tuple(huge)), m, n, window, zeros) == _gap_rows(
+            CoveringSpec(l1=l1, levels=tuple(short)), m, n, window, zeros
+        )
+
+
 def test_comb_and_tri_equal_their_brute_force_ors():
     # Counts at and around powers of two, where the doubling steps and the
     # last overlapping step of tri change; small shifts, so that the last

@@ -416,6 +416,52 @@ def test_bound_is_checked_once_and_decides_every_depth(j):
     assert spec.family_record.bounded == j
 
 
+# Each divergent construction with the maps its bound constrains: every map
+# of the uniquely ergodic one, the maps into boundary levels 3, 6, 9, 12 of
+# the staged one, and the telescoped maps whose span holds one of them.
+_DIVERGENT = {
+    "uniquely_ergodic": (lambda: gen_uniquely_ergodic_family(depth=8), tuple(range(8))),
+    "staged": (lambda: gen_weakmix_not_mix_family(depth=12), (2, 5, 8, 11)),
+    "telescoped_staged": (
+        lambda: telescope(gen_weakmix_not_mix_family(depth=12), (1, 3, 4, 5, 7, 8, 10, 13)),
+        (1, 3, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIVERGENT))
+@pytest.mark.parametrize("j", range(5))
+def test_divergence_bound_is_checked_once_and_decides_every_depth(name, j):
+    # No loop mass at the j-th checked map breaks 1 - r >= delta there and
+    # nowhere else, so the bound holds on exactly the first j checked maps.
+    build, checked = _DIVERGENT[name]
+    spec = build()
+    rec = spec.family_record
+    assert rec.checked == checked
+    loops = list(rec.loops)
+    if j < len(checked):
+        loops[checked[j]] = 0
+    spec.__dict__["family_record"] = replace(rec, loops=tuple(loops))
+    count = families._maps_over_floor
+    with mock.patch.object(families, "_maps_over_floor", wraps=count) as check:
+        for depth in range(1, spec.depth + 1):
+            report = classify_ergodicity(spec, depth=depth)
+            below = [k for k in checked if k < depth]
+            holds = all(Fraction(loops[k], spec.lengths[k + 1]) >= rec.delta for k in below)
+            assert holds == (len(below) <= j), depth
+            if not holds:
+                assert report.certificate == f"the construction's {rec.kind} bound FAILED verification"
+                assert not report.certified
+            elif below:
+                assert report.label == "UniquelyErgodic(certified)", depth
+                assert f"verified on {len(below)} presented" in report.certificate
+            else:
+                assert report.certificate.endswith("no boundary level is presented to verify")
+                assert not report.certified
+    assert check.call_count == 1
+    assert spec.family_record.bounded == min(j, len(checked))
+
+
 # -------------------------------------------------------- pinned answers ---
 
 def _answer_digest(report) -> str:
